@@ -163,6 +163,11 @@ def cpu_jiffies():
     return fields[7], sum(fields[:8])
 
 
+def steal_share(before, after):
+    """Share of CPU time stolen between two cpu_jiffies() readings."""
+    return (after[0] - before[0]) / max(1, after[1] - before[1])
+
+
 def fs_type(path):
     """Filesystem type of the mount holding `path`, from /proc/mounts."""
     path = os.path.realpath(path)

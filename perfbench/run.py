@@ -411,6 +411,7 @@ def measure(args, root, serve, gen, work, procs):
     setups = PASSES if args.trace else SETUPS[w]
     setup = []
     passes = []
+    pass_steal = []
     t_stream = time.monotonic()
     for i in range(setups):
         wal = os.path.join(work, "wal-%d" % i, "spec.wal")
@@ -419,7 +420,9 @@ def measure(args, root, serve, gen, work, procs):
         setup.append(server.startup_cpu_s)
         if i >= setups - PASSES:
             ledger = WalLedger(wal)
+            j0 = bl.cpu_jiffies()
             passes.append(drive(server, stmts, ledger, failures))
+            pass_steal.append(bl.steal_share(j0, bl.cpu_jiffies()))
             peak_rss_mb = bl.vm_hwm_kb(server.proc.pid) / 1024.0
         server.kill()
     stream_s = time.monotonic() - t_stream
@@ -482,7 +485,7 @@ def measure(args, root, serve, gen, work, procs):
         if cpu["n"]:
             named[label] = {"unit": unit, "cpu": cpu, "client_wall": wall}
     user = sum(len(st["text"].encode()) for st in stmts if st["kind"] in ("commit", "block"))
-    steal = (steal1[0] - steal0[0]) / max(1, steal1[1] - steal0[1])
+    steal = bl.steal_share(steal0, steal1)
     record = {
         "workload": w, "seed": args.seed, "trace": args.trace, "seconds_arg": args.seconds,
         "nproc": os.cpu_count(), "git_revision": git_revision(root),
@@ -494,8 +497,10 @@ def measure(args, root, serve, gen, work, procs):
         "acked_commits": acked, "wal_bytes": ledger.wal_bytes,
         "checkpoint_bytes_written": ledger.ckpt_bytes, "user_bytes": user,
         "stmt_cpu": stats, "by_statement_kind": named,
-        "pass_p50_us": [bl.percentile([r["cpu_us"] for r in recs if r["kind"] in MEASURED[w]],
-                                      50.0) for recs in passes],
+        "passes": [{"steal_share": steal_k,
+                    "p50_us": bl.percentile([r["cpu_us"] for r in recs
+                                             if r["kind"] in MEASURED[w]], 50.0)}
+                   for steal_k, recs in zip(pass_steal, passes)],
         "by_family": {f: {"n": len(v), "p50_us": bl.percentile(v, 50.0),
                           "p90_us": bl.percentile(v, 90.0), "max_us": max(v)}
                       for f, v in families(records).items()},
