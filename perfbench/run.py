@@ -546,14 +546,14 @@ def report(r, path):
           % (e["recovery_s"], len(r["recovery_cpu_s"])), file=out)
     print("  peak_rss_mb         %10.1f MB" % e["peak_rss_mb"], file=out)
     for label, v in r["by_statement_kind"].items():
-        cpu, wall = v["cpu"], v["client_wall"]
-        line = "  %-19s %10.1f %s p50 (n=%d)" % (label + "_p50_" + v["unit"], cpu["p50"],
-                                                 v["unit"], cpu["n"])
-        if "tail" in cpu:
-            line += ", %10.1f %s p%g (%d beyond)" % (cpu["tail"], v["unit"], cpu["tail_q"],
-                                                    cpu["tail_beyond"])
-        line += "; client wall p50 %.1f %s" % (wall["p50"], v["unit"])
-        print(line, file=out)
+        cpu, wall, unit = v["cpu"], v["client_wall"], v["unit"]
+        print("  %-19s %10.1f %s (n=%d; client wall p50 %.1f %s)" % (
+            "%s_p50_%s" % (label, unit), cpu["p50"], unit, cpu["n"], wall["p50"], unit),
+            file=out)
+        if cpu.get("tail_q", 50.0) > 50.0:
+            print("  %-19s %10.1f %s (n=%d, %d beyond; client wall %.1f %s)" % (
+                "%s_p%g_%s" % (label, cpu["tail_q"], unit), cpu["tail"], unit, cpu["n"],
+                cpu["tail_beyond"], wall["tail"], unit), file=out)
     if r["user_bytes"]:
         print("  disk_bytes_per_user_byte %.3f ratio (%d WAL + %d checkpoint bytes / %d "
               "statement bytes, %d commits)" % (
