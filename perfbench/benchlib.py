@@ -58,14 +58,6 @@ def summary(values):
     return out
 
 
-def median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Spans
 
@@ -134,6 +126,34 @@ def process_cpu_clock(pid):
 
 def read_clock_ns(clock):
     return time.clock_gettime_ns(clock)
+
+
+def running_threads(pid):
+    """Threads of process `pid` that are running or runnable."""
+    running = 0
+    for tid in os.listdir("/proc/%d/task" % pid):
+        try:
+            with open("/proc/%d/task/%s/stat" % (pid, tid)) as f:
+                state = f.read().rsplit(")", 1)[1].split()[0]
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # the thread has just exited
+        running += state == "R"
+    return running
+
+
+def wait_idle(pid, timeout_s=1.0):
+    """Wait until no thread of process `pid` is running.
+
+    Another process's CPU clock does not include the time its threads have
+    run since the last tick or context switch while they are still running
+    (the kernel skips that pending time for other processes), so it is
+    exact only once they have all blocked. Returns False on timeout."""
+    deadline = time.monotonic() + timeout_s
+    while running_threads(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0)
+    return True
 
 
 # ---------------------------------------------------------------------------

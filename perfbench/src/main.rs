@@ -2,15 +2,21 @@
 //!
 //! ```text
 //! gdp-perfbench gen --workload query|ingest|audit --seed N --out DIR
-//! gdp-perfbench replay --dir DIR --wal FILE --traced 0|1 --process-clock 0|1 \
-//!     --passes N --out DIR
+//! gdp-perfbench replay --dir DIR --out DIR
+//! gdp-perfbench reference
 //! ```
 //!
 //! `gen` writes `world.gdp` (the server's `--load` file), `stream.tsv`
 //! (one statement per line with its expected reply) and `meta.tsv`.
-//! `replay` runs the stream in process and writes `spans.tsv` and
-//! `counters.tsv`. `perfbench/run.py` drives both around the server.
+//! `replay` runs the stream of `--dir` in process, one statement per
+//! `step` line on standard input, and writes its stores' files,
+//! `spans-plain.tsv`, `spans-traced.tsv` and `counters.tsv` into `--out`.
+//! `reference` times a fixed piece of std-only work once per input line
+//! (see `reference.rs`). `perfbench/run.py` drives all three around the
+//! server.
 
+mod clock;
+mod reference;
 mod replay;
 mod worlds;
 
@@ -80,21 +86,13 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "replay" => {
             let dir = PathBuf::from(flag("dir")?);
-            let traced = flag("traced")? == "1";
-            let process_clock = flag("process-clock")? == "1";
-            let passes: usize = flag("passes")?
-                .parse()
-                .map_err(|_| "--passes needs an integer")?;
             replay::run(
                 &read(dir.join("world.gdp"))?,
                 &read(dir.join("stream.tsv"))?,
-                &PathBuf::from(flag("wal")?),
-                traced,
-                process_clock,
-                passes,
                 &PathBuf::from(flag("out")?),
             )
         }
+        "reference" => reference::run(),
         other => Err(format!("unknown command {other}")),
     }
 }

@@ -7,13 +7,20 @@
 //! * a block goes through `SpecStore::commit` with the block's
 //!   `Loader::load_str` as the closure, then `SpecStore::snapshot`
 //!   re-pins the view;
-//! * `:audit -i` calls `audit_incremental` with the commits' merged delta.
+//! * `:audit [-j N] -i` calls `audit_incremental` with the commits' merged
+//!   delta, on N workers.
 //!
-//! Traced, every call is a span; untraced, only the statement itself is
-//! timed, which is what the traced run's overhead is measured against.
-//! Spans stay in memory and are written once, after the stream.
+//! The replay runs two lanes side by side in one process: a plain lane
+//! that times only whole statements, and a traced lane that also times
+//! every layer call. Each lane has a store of its own, except on a
+//! read-only stream, where both pin the same one. The stream advances one
+//! statement per `step` line on standard input, answered with `done` once
+//! both lanes have run it, so that a driver can keep the replay in step
+//! with a server given the same stream. Spans stay in memory and are
+//! written once, when the stream has ended.
 
 use std::fmt::Write as _;
+use std::io::{BufRead, Write as _};
 use std::path::Path;
 
 use gdp::core::{DurabilityOptions, SpecResult, SpecStore, Specification};
@@ -21,33 +28,7 @@ use gdp::engine::Delta;
 use gdp::lang::{parse_program_diagnostics, Loader, Statement};
 use gdp::spatial::SpatialRegistry;
 
-/// `clock_gettime(2)` clock ids (Linux).
-const CLOCK_MONOTONIC: i32 = 1;
-const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
-const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
-extern "C" {
-    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
-}
-
-/// Read a clock in nanoseconds.
-fn now_ns(clock: i32) -> u64 {
-    let mut ts = Timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: `ts` is a valid, writable timespec with the C layout of
-    // 64-bit Linux, and the clock ids above are ones the kernel defines.
-    let rc = unsafe { clock_gettime(clock, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
-    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
-}
+use crate::clock::{now_ns, CLOCK_MONOTONIC, CLOCK_PROCESS_CPUTIME_ID};
 
 /// One recorded span.
 struct Span {
@@ -60,24 +41,20 @@ struct Span {
 
 /// An in-memory span recorder. Statement spans are always recorded;
 /// layer spans only when tracing is on.
+///
+/// CPU time is the process clock: the stream runs on one thread while the
+/// main thread waits for it, so the clock counts that thread plus the
+/// workers of a parallel audit.
 pub struct Tracer {
     traced: bool,
-    cpu_clock: i32,
     spans: Vec<Span>,
     open: Vec<usize>,
 }
 
 impl Tracer {
-    /// `process_clock` selects the process CPU clock instead of the
-    /// calling thread's — needed when a span's work runs on worker threads.
-    pub fn new(traced: bool, process_clock: bool) -> Tracer {
+    pub fn new(traced: bool) -> Tracer {
         Tracer {
             traced,
-            cpu_clock: if process_clock {
-                CLOCK_PROCESS_CPUTIME_ID
-            } else {
-                CLOCK_THREAD_CPUTIME_ID
-            },
             spans: Vec::with_capacity(1 << 16),
             open: Vec::new(),
         }
@@ -87,7 +64,7 @@ impl Tracer {
         let parent = self.open.last().map_or(-1, |&p| p as i64);
         self.open.push(self.spans.len());
         let wall = now_ns(CLOCK_MONOTONIC);
-        let cpu = now_ns(self.cpu_clock);
+        let cpu = now_ns(CLOCK_PROCESS_CPUTIME_ID);
         self.spans.push(Span {
             name,
             stmt,
@@ -110,7 +87,7 @@ impl Tracer {
     }
 
     fn pop(&mut self) {
-        let cpu = now_ns(self.cpu_clock);
+        let cpu = now_ns(CLOCK_PROCESS_CPUTIME_ID);
         let wall = now_ns(CLOCK_MONOTONIC);
         let idx = self.open.pop().expect("balanced spans");
         let span = &mut self.spans[idx];
@@ -130,8 +107,9 @@ impl Tracer {
         }
     }
 
-    /// `name \t stmt \t parent \t wall0 \t wall1 \t cpu0 \t cpu1` lines.
-    fn write_tsv(&self, out: &mut String) {
+    /// Write `name \t stmt \t parent \t wall0 \t wall1 \t cpu0 \t cpu1` lines.
+    fn write_tsv(&self, path: &Path) -> Result<(), String> {
+        let mut out = String::new();
         for s in &self.spans {
             let _ = writeln!(
                 out,
@@ -139,6 +117,7 @@ impl Tracer {
                 s.name, s.stmt, s.parent, s.wall.0, s.wall.1, s.cpu.0, s.cpu.1
             );
         }
+        std::fs::write(path, out).map_err(|e| e.to_string())
     }
 }
 
@@ -150,8 +129,25 @@ fn base_spec() -> SpecResult<(Specification, SpatialRegistry)> {
     Ok((spec, registry))
 }
 
-/// Counters recorded per statement (traced runs), written as
-/// `stmt \t name \t value` lines; statement -1 holds run-wide values.
+/// A durable store over the base image with `world` loaded, as
+/// `gdp-serve --wal FILE --load world` opens it.
+fn open_store(
+    world: &str,
+    wal: &Path,
+    t: &mut Tracer,
+) -> Result<(SpecStore, SpatialRegistry), String> {
+    let (mut spec, registry) = base_spec().map_err(|e| e.to_string())?;
+    t.begin("lang.load_world", -1);
+    let loaded = Loader::with_spatial(&mut spec, &registry).load_str(world);
+    t.end();
+    loaded.map_err(|e| format!("world does not load: {e}"))?;
+    let (store, _) = SpecStore::recover_durable(spec, wal, DurabilityOptions::default())
+        .map_err(|e| e.to_string())?;
+    Ok((store, registry))
+}
+
+/// Counters recorded per statement (traced lane), written as
+/// `stmt \t name \t value` lines.
 struct Counters(String);
 
 impl Counters {
@@ -196,201 +192,249 @@ fn render(answers: &[gdp::core::Answer], out: &mut String) {
     }
 }
 
-/// Replay `stream` (the generator's TSV) `passes` times over `world`,
-/// durably under `wal`, writing `spans.tsv` and `counters.tsv` into `out`.
-pub fn run(
-    world: &str,
-    stream: &str,
-    wal: &Path,
-    traced: bool,
-    process_clock: bool,
-    passes: usize,
-    out: &Path,
-) -> Result<(), String> {
-    let mut t = Tracer::new(traced, process_clock);
-    let mut counters = Counters(String::new());
-    let opts = DurabilityOptions::default();
+/// One session over a store: its pinned view, the delta committed since
+/// the last audit, an open transaction's blocks, and its spans.
+struct Lane<'a> {
+    store: &'a SpecStore,
+    registry: SpatialRegistry,
+    view: Specification,
+    pending: Delta,
+    buffered: Vec<String>,
+    reply: String,
+    t: Tracer,
+}
 
-    let (mut spec, registry) = base_spec().map_err(|e| e.to_string())?;
-    t.begin("lang.load_world", -1);
-    Loader::with_spatial(&mut spec, &registry)
-        .load_str(world)
-        .map_err(|e| format!("world does not load: {e}"))?;
-    t.end();
-    let (store, _) = SpecStore::recover_durable(spec, wal, opts).map_err(|e| e.to_string())?;
+impl<'a> Lane<'a> {
+    fn new(store: &'a SpecStore, registry: SpatialRegistry, t: Tracer) -> Lane<'a> {
+        Lane {
+            store,
+            registry,
+            view: store.snapshot().1,
+            pending: Delta::new(),
+            buffered: Vec::new(),
+            reply: String::new(),
+            t,
+        }
+    }
+
+    /// Run statement `id` as the server's session loop does, recording
+    /// counters when `counters` is given.
+    fn statement(
+        &mut self,
+        id: i64,
+        kind: &str,
+        text: &str,
+        workers: usize,
+        mut counters: Option<&mut Counters>,
+    ) -> Result<(), String> {
+        let t = &mut self.t;
+        self.reply.clear();
+        let before = (counters.is_some() && kind == "query").then(|| index_totals(&self.view));
+        t.begin("stmt", id);
+        match kind {
+            "query" => {
+                t.enter("lang.parse", id);
+                let (statements, errors) = parse_program_diagnostics(text);
+                t.exit();
+                if !errors.is_empty() {
+                    return Err(format!("statement {id} does not parse"));
+                }
+                for (_, statement) in statements {
+                    let Statement::Query(formula) = statement else {
+                        return Err(format!("statement {id} is not a query"));
+                    };
+                    t.enter("spec.satisfy", id);
+                    let answers = self.view.satisfy(&formula);
+                    t.exit();
+                    let answers = answers.map_err(|e| format!("statement {id}: {e}"))?;
+                    t.enter("server.render", id);
+                    render(&answers, &mut self.reply);
+                    t.exit();
+                }
+            }
+            "commit" | "end" => {
+                if kind == "commit" {
+                    self.buffered.push(text.to_string());
+                }
+                let (buffered, registry) = (&self.buffered, &self.registry);
+                t.enter("store.commit", id);
+                let result = self.store.commit(|spec| {
+                    let mut facts = 0;
+                    for source in buffered {
+                        t.enter("lang.load", id);
+                        let loaded = Loader::with_spatial(spec, registry).load_str(source);
+                        t.exit();
+                        facts += loaded
+                            .map_err(|e| gdp::core::SpecError::Transaction(e.to_string()))?
+                            .facts;
+                    }
+                    Ok(facts)
+                });
+                t.exit();
+                let (committed, facts) = result.map_err(|e| format!("statement {id}: {e}"))?;
+                let _ = writeln!(
+                    self.reply,
+                    "ok ({facts} facts) committed as seq {}",
+                    committed.seq
+                );
+                self.pending.merge(committed.delta);
+                self.buffered.clear();
+                t.enter("store.snapshot", id);
+                self.view = self.store.snapshot().1;
+                t.exit();
+            }
+            "begin" => self.buffered.clear(),
+            "block" => self.buffered.push(text.to_string()),
+            "seq" => {
+                let _ = writeln!(self.reply, "head is seq {}", self.store.head_seq());
+            }
+            "audit" => {
+                let workers = text
+                    .split_whitespace()
+                    .skip_while(|w| *w != "-j")
+                    .nth(1)
+                    .map_or(Ok(workers), str::parse)
+                    .map_err(|_| format!("statement {id}: bad -j"))?;
+                if !self.view.incremental_enabled() {
+                    self.view.set_incremental(true);
+                }
+                t.enter("audit.incremental", id);
+                let report = self.view.audit_incremental(&self.pending, workers);
+                t.exit();
+                let report = report.map_err(|e| format!("statement {id}: {e}"))?;
+                self.pending = Delta::new();
+                t.enter("server.render", id);
+                for v in &report.violations {
+                    let _ = writeln!(self.reply, "{v}");
+                }
+                t.exit();
+                if let Some(c) = counters.as_deref_mut() {
+                    let s = report.stats;
+                    c.add(id, "steps", s.steps);
+                    c.add(id, "table_hits", s.table_hits);
+                    c.add(id, "table_misses", s.table_misses);
+                    c.add(id, "table_invalidations", s.table_invalidations);
+                }
+            }
+            other => return Err(format!("unknown statement kind {other}")),
+        }
+        t.end();
+        std::hint::black_box(&self.reply);
+        let Some(c) = counters else {
+            return Ok(());
+        };
+        if matches!(kind, "commit" | "block") {
+            // Blocks are parsed inside the commit's `Loader::load_str`;
+            // parse them once more, outside the statement, to price parsing.
+            t.begin("lang.parse.probe", id);
+            std::hint::black_box(parse_program_diagnostics(text));
+            t.end();
+        }
+        if let Some(before) = before {
+            let after = index_totals(&self.view);
+            let s = self.view.solver_stats();
+            c.add(id, "steps", s.steps);
+            c.add(id, "resolutions", s.resolutions);
+            c.add(id, "candidates", after.0 - before.0);
+            c.add(id, "scans", after.1 - before.1);
+            let answers = self.reply.lines().filter(|l| *l != "no.").count();
+            c.add(id, "answers", answers);
+        }
+        Ok(())
+    }
+}
+
+/// Replay `stream` (the generator's TSV) over `world`, with the stores'
+/// files in `dir`, and write `spans-plain.tsv`, `spans-traced.tsv` and
+/// `counters.tsv` into `dir`.
+pub fn run(world: &str, stream: &str, dir: &Path) -> Result<(), String> {
+    let lines: Vec<&str> = stream.lines().collect();
+    let read_only = lines
+        .iter()
+        .all(|l| l.starts_with("query\t") || l.starts_with("seq\t"));
+    let mut plain = Tracer::new(false);
+    let mut traced = Tracer::new(true);
+    let traced_wal = dir.join("traced.wal");
+    let (traced_store, registry) = open_store(world, &traced_wal, &mut traced)?;
+    let plain_store = if read_only {
+        None
+    } else {
+        Some(open_store(world, &dir.join("plain.wal"), &mut plain)?)
+    };
+    let mut counters = Counters(String::new());
     // The stream runs on a thread of its own, as a gdp-serve session does
     // (its allocations then come from a thread arena, as the server's do).
-    std::thread::scope(|scope| {
+    (plain, traced) = std::thread::scope(|scope| {
         scope
             .spawn(|| {
-                stream_loop(
-                    stream,
-                    &store,
-                    &registry,
-                    traced,
-                    passes,
-                    &mut t,
-                    &mut counters,
-                )
+                let plain_lane = match &plain_store {
+                    Some((store, registry)) => Lane::new(store, registry.clone(), plain),
+                    None => Lane::new(&traced_store, registry.clone(), plain),
+                };
+                let mut lanes = [plain_lane, Lane::new(&traced_store, registry, traced)];
+                stream_loop(&lines, &mut lanes, &mut counters)?;
+                let [plain_lane, traced_lane] = lanes;
+                Ok::<_, String>((plain_lane.t, traced_lane.t))
             })
             .join()
             .expect("replay thread panicked")
     })?;
+    drop(plain_store);
 
-    if traced {
-        // One explicit fold of the final head, then recovery over the
-        // run's files from a freshly built base image.
-        t.begin("checkpoint.explicit", -1);
-        store.checkpoint().map_err(|e| e.to_string())?;
-        t.end();
-        drop(store);
-        let (mut base, registry) = base_spec().map_err(|e| e.to_string())?;
-        Loader::with_spatial(&mut base, &registry)
-            .load_str(world)
-            .map_err(|e| e.to_string())?;
-        t.begin("store.recover", -1);
-        let recovered = SpecStore::recover_durable(base, wal, opts);
-        t.end();
-        recovered.map_err(|e| e.to_string())?;
-    }
+    // One explicit fold of the traced store's head, then recovery over
+    // its files from a freshly built base image.
+    traced.begin("checkpoint.explicit", -1);
+    traced_store.checkpoint().map_err(|e| e.to_string())?;
+    traced.end();
+    drop(traced_store);
+    let (mut base, registry) = base_spec().map_err(|e| e.to_string())?;
+    Loader::with_spatial(&mut base, &registry)
+        .load_str(world)
+        .map_err(|e| e.to_string())?;
+    traced.begin("store.recover", -1);
+    let recovered = SpecStore::recover_durable(base, &traced_wal, DurabilityOptions::default());
+    traced.end();
+    recovered.map_err(|e| e.to_string())?;
 
-    let mut spans = String::new();
-    t.write_tsv(&mut spans);
-    std::fs::write(out.join("spans.tsv"), spans).map_err(|e| e.to_string())?;
-    std::fs::write(out.join("counters.tsv"), counters.0).map_err(|e| e.to_string())?;
-    Ok(())
+    plain.write_tsv(&dir.join("spans-plain.tsv"))?;
+    traced.write_tsv(&dir.join("spans-traced.tsv"))?;
+    std::fs::write(dir.join("counters.tsv"), counters.0).map_err(|e| e.to_string())
 }
 
-/// Send every statement of `stream` through the layers, as the server's
-/// session loop does, `passes` times over (statement ids of pass `p` are
-/// offset by `p` stream lengths; counters come from the first pass).
+/// Run each statement of `lines` on both lanes, one statement per `step`
+/// line on standard input, each answered with a `done` line. The plain
+/// lane goes first on even statements and second on odd ones, so the
+/// cache warmth one lane leaves for the other falls on both alike.
 fn stream_loop(
-    stream: &str,
-    store: &SpecStore,
-    registry: &SpatialRegistry,
-    traced: bool,
-    passes: usize,
-    t: &mut Tracer,
+    lines: &[&str],
+    lanes: &mut [Lane<'_>; 2],
     counters: &mut Counters,
 ) -> Result<(), String> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (_, mut view) = store.snapshot();
-    let mut pending = Delta::new();
-    let mut buffered: Vec<String> = Vec::new();
-    let mut reply = String::new();
-
-    let lines: Vec<&str> = stream.lines().collect();
-    for pass in 0..passes {
-        for (idx, line) in lines.iter().enumerate() {
-            let id = (pass * lines.len() + idx) as i64;
-            let mut fields = line.split('\t');
-            let (Some(kind), Some(_family), Some(text)) =
-                (fields.next(), fields.next(), fields.next())
-            else {
-                return Err(format!("malformed stream line {id}"));
-            };
-            reply.clear();
-            let before = (traced && pass == 0 && kind == "query").then(|| index_totals(&view));
-            t.begin("stmt", id);
-            match kind {
-                "query" => {
-                    t.enter("lang.parse", id);
-                    let (statements, errors) = parse_program_diagnostics(text);
-                    t.exit();
-                    if !errors.is_empty() {
-                        return Err(format!("statement {id} does not parse"));
-                    }
-                    for (_, statement) in statements {
-                        let Statement::Query(formula) = statement else {
-                            return Err(format!("statement {id} is not a query"));
-                        };
-                        t.enter("spec.satisfy", id);
-                        let answers = view.satisfy(&formula);
-                        t.exit();
-                        let answers = answers.map_err(|e| format!("statement {id}: {e}"))?;
-                        t.enter("server.render", id);
-                        render(&answers, &mut reply);
-                        t.exit();
-                    }
-                }
-                "commit" | "end" => {
-                    if kind == "commit" {
-                        buffered.push(text.to_string());
-                    }
-                    t.enter("store.commit", id);
-                    let result = store.commit(|spec| {
-                        let mut facts = 0;
-                        for source in &buffered {
-                            t.enter("lang.load", id);
-                            let loaded = Loader::with_spatial(spec, registry).load_str(source);
-                            t.exit();
-                            facts += loaded
-                                .map_err(|e| gdp::core::SpecError::Transaction(e.to_string()))?
-                                .facts;
-                        }
-                        Ok(facts)
-                    });
-                    t.exit();
-                    let (committed, facts) = result.map_err(|e| format!("statement {id}: {e}"))?;
-                    let _ = writeln!(
-                        reply,
-                        "ok ({facts} facts) committed as seq {}",
-                        committed.seq
-                    );
-                    pending.merge(committed.delta);
-                    buffered.clear();
-                    t.enter("store.snapshot", id);
-                    view = store.snapshot().1;
-                    t.exit();
-                }
-                "begin" => buffered.clear(),
-                "block" => buffered.push(text.to_string()),
-                "seq" => {
-                    let _ = writeln!(reply, "head is seq {}", store.head_seq());
-                }
-                "audit" => {
-                    if !view.incremental_enabled() {
-                        view.set_incremental(true);
-                    }
-                    t.enter("audit.incremental", id);
-                    let report = view.audit_incremental(&pending, workers);
-                    t.exit();
-                    let report = report.map_err(|e| format!("statement {id}: {e}"))?;
-                    pending = Delta::new();
-                    t.enter("server.render", id);
-                    for v in &report.violations {
-                        let _ = writeln!(reply, "{v}");
-                    }
-                    t.exit();
-                    if traced {
-                        let s = report.stats;
-                        counters.add(id, "steps", s.steps);
-                        counters.add(id, "table_hits", s.table_hits);
-                        counters.add(id, "table_misses", s.table_misses);
-                        counters.add(id, "table_invalidations", s.table_invalidations);
-                    }
-                }
-                other => return Err(format!("unknown statement kind {other}")),
-            }
-            t.end();
-            std::hint::black_box(&reply);
-            if traced && matches!(kind, "commit" | "block") {
-                // Blocks are parsed inside the commit's `Loader::load_str`;
-                // parse them once more, outside the statement, to price parsing.
-                t.begin("lang.parse.probe", id);
-                std::hint::black_box(parse_program_diagnostics(text));
-                t.end();
-            }
-            if let Some(before) = before {
-                let after = index_totals(&view);
-                let s = view.solver_stats();
-                counters.add(id, "steps", s.steps);
-                counters.add(id, "resolutions", s.resolutions);
-                counters.add(id, "candidates", after.0 - before.0);
-                counters.add(id, "scans", after.1 - before.1);
-                counters.add(id, "answers", reply.lines().filter(|l| *l != "no.").count());
-            }
+    let mut steps = std::io::stdin().lock().lines();
+    let mut stdout = std::io::stdout().lock();
+    for (idx, line) in lines.iter().enumerate() {
+        match steps.next() {
+            Some(Ok(step)) if step == "step" => {}
+            _ => return Err(format!("input ended before statement {idx}")),
         }
+        let id = idx as i64;
+        let mut fields = line.split('\t');
+        let (Some(kind), Some(_family), Some(text)) = (fields.next(), fields.next(), fields.next())
+        else {
+            return Err(format!("malformed stream line {id}"));
+        };
+        let order = if idx % 2 == 0 { [0, 1] } else { [1, 0] };
+        for lane in order {
+            let counters = (lane == 1).then_some(&mut *counters);
+            lanes[lane].statement(id, kind, text, workers, counters)?;
+        }
+        writeln!(stdout, "done")
+            .and_then(|()| stdout.flush())
+            .map_err(|e| e.to_string())?;
     }
-    Ok(())
+    match steps.next() {
+        None => Ok(()),
+        Some(_) => Err("more steps than statements".into()),
+    }
 }

@@ -624,7 +624,9 @@ pub fn ingest(seed: u64, commits: usize) -> Workload {
 const MODELS: usize = 8;
 const AUDITED: usize = 4;
 
-/// `audit`: one-reading commits alternating with `:audit -i`, tabled.
+/// `audit`: one-reading commits alternating with `:audit -j 2 -i`, tabled.
+/// The audit asks for two workers, the server's default on two CPUs, so
+/// that it runs the same way wherever the server is pinned.
 pub fn audit(seed: u64, rounds: usize, readings: usize) -> Workload {
     let mut rng = StdRng::seed_from_u64(mix(seed, 7));
     let mut world = String::new();
@@ -681,7 +683,7 @@ pub fn audit(seed: u64, rounds: usize, readings: usize) -> Workload {
         stmts.push(Stmt {
             kind: "audit",
             family: "audit",
-            text: ":audit -i".into(),
+            text: ":audit -j 2 -i".into(),
             expect: audit_expect.clone(),
         });
         if (r + 1) % 5 == 0 {

@@ -107,6 +107,25 @@ class ProcessCpuClock(unittest.TestCase):
             child.stdin.close()
             child.wait()
 
+    def test_waits_until_the_child_blocks(self):
+        child = subprocess.Popen([sys.executable, "-c", BUSY, "0.3"],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        try:
+            time.sleep(0.1)
+            self.assertEqual(bl.running_threads(child.pid), 1)
+            self.assertFalse(bl.wait_idle(child.pid, timeout_s=0.01))
+            self.assertTrue(bl.wait_idle(child.pid, timeout_s=5.0))
+            # Blocked on its standard input: its clock has stopped.
+            self.assertEqual(child.stdout.readline(), b"done\n")
+            clock = bl.process_cpu_clock(child.pid)
+            settled = bl.read_clock_ns(clock)
+            self.assertGreaterEqual(settled, 300_000_000)
+            time.sleep(0.1)
+            self.assertEqual(bl.read_clock_ns(clock), settled)
+        finally:
+            child.stdin.close()
+            child.wait()
+
     def test_unknown_process_is_an_error(self):
         with self.assertRaises(OSError):
             bl.process_cpu_clock(2 ** 22 + 12345)
