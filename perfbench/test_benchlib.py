@@ -111,8 +111,10 @@ class ProcessCpuClock(unittest.TestCase):
         child = subprocess.Popen([sys.executable, "-c", BUSY, "0.3"],
                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         try:
-            time.sleep(0.1)
-            self.assertEqual(bl.running_threads(child.pid), 1)
+            deadline = time.monotonic() + 5.0
+            while bl.running_threads(child.pid) != 1:
+                self.assertLess(time.monotonic(), deadline, "the child never ran")
+                time.sleep(0.005)
             self.assertFalse(bl.wait_idle(child.pid, timeout_s=0.01))
             self.assertTrue(bl.wait_idle(child.pid, timeout_s=5.0))
             # Blocked on its standard input: its clock has stopped.
