@@ -19,6 +19,15 @@
 //! Durability is priced separately (`wal` column): the same commit
 //! stream with a write-ahead log attached, fsync per commit — the gap
 //! between the two columns is exactly the durability tax.
+//!
+//! The `large` rows repeat the commit stream over `audit_world(8, 2500)`,
+//! ~2×10⁴ `h/5` clauses (the size of the `perfbench` ingest base), with
+//! no pin and with a head pin held across every commit and re-taken
+//! after it, which is what a `gdp-serve` session does with its own pin.
+//! A commit under a pin copies only the predicate's private tail; the
+//! shared base is copied when the tail folds, about once per 310
+//! appended clauses, which the pinned row's 1500 samples cross a few
+//! times (its max column).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -30,6 +39,8 @@ use gdp_bench::workloads::audit_world;
 
 const MODELS: usize = 8;
 const READINGS: usize = 40;
+/// Readings per model in the `large` commit rows: 8 × 2500 = 2×10⁴.
+const LARGE_READINGS: usize = 2_500;
 
 /// Commit one fresh, never-violating reading into model 0 (values sit
 /// far below every existing reading, mirroring `streaming_revision`).
@@ -118,6 +129,25 @@ fn bench_commit_throughput(c: &mut Criterion) {
         b.iter(|| commit_reading(&store, seq.fetch_add(1, Ordering::Relaxed)));
         let _ = std::fs::remove_file(&path);
     });
+    // At a realistic size, unpinned and under a head pin re-taken after
+    // every commit (see the module docs).
+    group.sample_size(1500);
+    for pinned in [false, true] {
+        let label = if pinned { "pinned" } else { "unpinned" };
+        group.bench_function(BenchmarkId::new("large", label), |b| {
+            let store = SpecStore::new(audit_world(MODELS, LARGE_READINGS));
+            let mut pin = pinned.then(|| store.snapshot());
+            let mut seq = 0;
+            b.iter(|| {
+                commit_reading(&store, seq);
+                seq += 1;
+                if pinned {
+                    pin = Some(store.snapshot());
+                }
+            });
+            drop(pin);
+        });
+    }
     group.finish();
 }
 

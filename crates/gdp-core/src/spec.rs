@@ -1504,6 +1504,15 @@ impl Specification {
         self.txn_start.is_some()
     }
 
+    /// The operations the open transaction has recorded so far, as a
+    /// standalone [`Delta`]; the transaction stays open.
+    pub fn txn_delta(&self) -> SpecResult<Delta> {
+        let Some(mark) = self.txn_start else {
+            return Err(SpecError::Transaction("no transaction is open".to_string()));
+        };
+        Ok(self.kb.delta_since(mark))
+    }
+
     /// Commit the open transaction, returning the recorded [`Delta`] —
     /// the currency of [`Self::audit_incremental`]. Ends knowledge-base
     /// recording. With tracing on, one `D-CMT` port event carrying the
@@ -1791,6 +1800,18 @@ mod tests {
             f = f.arg(*a);
         }
         f
+    }
+
+    /// `between(1, i64::MAX, _), fail`: a goal that never ends, however
+    /// it is evaluated.
+    fn endless() -> Formula {
+        Formula::all(vec![
+            Formula::Raw(Pat::app(
+                "between",
+                vec![Pat::Int(1), Pat::Int(i64::MAX), Pat::var("N")],
+            )),
+            Formula::Raw(Pat::Atom("fail".into())),
+        ])
     }
 
     #[test]
@@ -2120,8 +2141,9 @@ mod tests {
 
     /// A world view whose `omega` member carries a cheap satisfied
     /// constraint and whose `bad` member carries a constraint over a
-    /// divergent rule (`loop(a) :- loop(a)`), so `bad`'s audit goal can
-    /// only end by exhausting a resource bound.
+    /// divergent rule (`loop(a) :- between(1, i64::MAX, _), fail`), so
+    /// `bad`'s audit goal can only end by exhausting a resource bound —
+    /// tabled or not, where SLG would close `loop(a) :- loop(a)`.
     fn spec_with_divergent_member() -> Specification {
         let mut spec = Specification::new();
         spec.assert_fact(fact("marker", &["m1"]).model("bad"))
@@ -2129,11 +2151,8 @@ mod tests {
         spec.assert_fact(fact("capital_of", &["jc", "mo"])).unwrap();
         spec.assert_fact(fact("capital_of", &["stl", "mo"]))
             .unwrap();
-        spec.define(Rule::new(
-            fact("loop", &["a"]),
-            Formula::fact(fact("loop", &["a"])),
-        ))
-        .unwrap();
+        spec.define(Rule::new(fact("loop", &["a"]), endless()))
+            .unwrap();
         spec.constrain(
             Constraint::new("two_capitals")
                 .witness("Z")

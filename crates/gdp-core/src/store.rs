@@ -9,10 +9,17 @@
 //!   [`Delta`] plus the pre-commit epoch and per-predicate generations.
 //! * **Readers** call [`SpecStore::snapshot`] (head) or
 //!   [`SpecStore::snapshot_at`] (a retained earlier sequence) and get a
-//!   private [`Specification`] pinned to that generation. Snapshots share
-//!   the clause store copy-on-write — no clause is cloned — so taking one
-//!   is O(#predicates), and queries or audits against it are untouched by
-//!   writer commits that land afterwards.
+//!   private [`Specification`] pinned to that generation, untouched by
+//!   writer commits that land afterwards. Snapshots share the clause
+//!   store copy-on-write, so taking a head snapshot is O(#predicates)
+//!   pointer copies. Holding one is not free for the writer: each commit
+//!   to a predicate that a pin still shares copies that predicate's
+//!   private tail, and a tail that outgrows 1/64 of its shared
+//!   base is folded into a fresh copy of the base (DESIGN.md #16).
+//!   Retracts fold first, so under a pin they copy the whole predicate.
+//!   [`SpecStore::snapshot_at`] un-applies the newer commits: that costs
+//!   what changed since while those clauses still sit in tails, and a
+//!   copy of the predicate once it must reach into a base.
 //! * **Durability** is optional: a store opened with
 //!   [`SpecStore::create_durable`] (or recovered with
 //!   [`SpecStore::recover_durable`]) appends every committed delta to a
@@ -148,9 +155,10 @@ pub struct Committed {
 }
 
 struct DurableState {
-    /// Current WAL segment. `None` after a failed rotation — commits are
-    /// then refused until the operator restarts and recovers.
-    wal: Option<Wal>,
+    /// Current WAL segment, or why the log is parked: after a failed
+    /// append or rotation the segment may end in a torn record, so
+    /// commits are refused until the operator restarts and recovers.
+    wal: Result<Wal, String>,
     paths: DurablePaths,
     /// Canonical fingerprint of the base image (stamped into every WAL
     /// header and checkpoint this store writes).
@@ -195,16 +203,23 @@ impl StoreState {
             std::fs::rename(&d.paths.ckpt, &d.paths.ckpt_prev)?;
         }
         image.write(&d.paths.ckpt, d.opts.io_faults)?;
-        // Rotate: close the current segment before renaming it out.
-        d.wal = None;
-        std::fs::rename(&d.paths.wal, &d.paths.wal_prev)?;
-        let header = WalHeader::new(d.fingerprint, seq + 1);
-        d.wal = Some(Wal::create_with_faults(
-            &d.paths.wal,
-            header,
-            d.opts.io_faults,
-        )?);
-        Ok(seq)
+        // Rotate: close the current segment before renaming it out. A
+        // failure parks the log.
+        d.wal = Err(String::new());
+        let rotated = std::fs::rename(&d.paths.wal, &d.paths.wal_prev).and_then(|()| {
+            let header = WalHeader::new(d.fingerprint, seq + 1);
+            Wal::create_with_faults(&d.paths.wal, header, d.opts.io_faults)
+        });
+        match rotated {
+            Ok(wal) => {
+                d.wal = Ok(wal);
+                Ok(seq)
+            }
+            Err(e) => {
+                d.wal = Err(format!("rotating it at checkpoint {seq} failed: {e}"));
+                Err(e)
+            }
+        }
     }
 }
 
@@ -269,7 +284,7 @@ impl SpecStore {
             .map_err(wal_err)?;
         let store = SpecStore::new(spec);
         store.state.lock().durable = Some(DurableState {
-            wal: Some(wal),
+            wal: Ok(wal),
             paths,
             fingerprint: fp,
             opts,
@@ -422,7 +437,7 @@ impl SpecStore {
             state.seq = head;
             state.history = history;
             state.durable = Some(DurableState {
-                wal: Some(wal),
+                wal: Ok(wal),
                 paths,
                 fingerprint: fp,
                 opts,
@@ -515,23 +530,24 @@ impl SpecStore {
     /// define): configuration changes inside a commit closure are neither
     /// recorded nor logged — route them through [`SpecStore::update`].
     ///
-    /// A WAL append failure is reported as an error *after* the live
-    /// state has committed: the log is then behind the store, and the
-    /// caller should stop acknowledging writes and re-create the log.
+    /// The WAL append happens while the transaction is still open. If the
+    /// write or its fsync fails, the transaction is rolled back (the live
+    /// store and head stay as they were) and the log is parked: the
+    /// segment may now end in a torn record, so every later commit is
+    /// refused until the operator restarts and recovers.
     pub fn commit<T>(
         &self,
         f: impl FnOnce(&mut Specification) -> SpecResult<T>,
     ) -> SpecResult<(Committed, T)> {
         let mut spec = self.spec.write();
         let mut state = self.state.lock();
-        if let Some(d) = state.durable.as_ref() {
-            if d.wal.is_none() {
-                return Err(SpecError::Transaction(
-                    "write-ahead log unavailable (a previous checkpoint rotation failed); \
-                     restart the server to recover"
-                        .into(),
-                ));
-            }
+        if let Some(DurableState {
+            wal: Err(cause), ..
+        }) = state.durable.as_ref()
+        {
+            return Err(SpecError::Transaction(format!(
+                "write-ahead log unavailable ({cause}); restart the server to recover"
+            )));
         }
         let epoch_before = spec.kb().epoch();
         let gens: FxHashMap<PredKey, u64> = spec.kb().generations().collect();
@@ -543,24 +559,31 @@ impl SpecStore {
                 return Err(e);
             }
         };
-        let delta = spec.commit_txn()?;
         let seq = state.seq + 1;
-        let mut gens_before: Vec<(PredKey, u64)> = delta
-            .dirty_preds()
-            .into_iter()
-            .map(|k| (k, gens.get(&k).copied().unwrap_or(0)))
-            .collect();
-        gens_before.sort_by_key(|g| (g.0.name.as_str(), g.0.arity));
         let mut checkpoint_due = false;
         if let Some(d) = state.durable.as_mut() {
             let wal = d.wal.as_mut().expect("checked above");
-            wal.append(&delta).map_err(wal_err)?;
+            if let Err(e) = wal.append(&spec.txn_delta()?) {
+                spec.rollback_txn()?;
+                d.wal = Err(format!("appending commit {seq} failed: {e}"));
+                return Err(SpecError::Transaction(format!(
+                    "write-ahead log: appending commit {seq} failed: {e}; the commit was \
+                     rolled back and the log is parked until restart"
+                )));
+            }
             d.since_checkpoint += 1;
             checkpoint_due = d
                 .opts
                 .checkpoint_interval
                 .is_some_and(|n| d.since_checkpoint >= n);
         }
+        let delta = spec.commit_txn()?;
+        let mut gens_before: Vec<(PredKey, u64)> = delta
+            .dirty_preds()
+            .into_iter()
+            .map(|k| (k, gens.get(&k).copied().unwrap_or(0)))
+            .collect();
+        gens_before.sort_by_key(|g| (g.0.name.as_str(), g.0.arity));
         state.history.push_back(CommitRecord {
             seq,
             epoch_before,

@@ -768,32 +768,38 @@ fn sorted_insert(list: &mut Vec<u32>, at: u32) {
     list.insert(i, at);
 }
 
-/// Union of two disjoint ascending lists, ascending.
-fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// Merge two disjoint ascending lists, handing each position to `push`
+/// in ascending order.
+fn merge_sorted(a: &[u32], b: &[u32], mut push: impl FnMut(u32)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
         match (a.get(i), b.get(j)) {
             (Some(&x), Some(&y)) => {
                 if x < y {
-                    out.push(x);
+                    push(x);
                     i += 1;
                 } else {
-                    out.push(y);
+                    push(y);
                     j += 1;
                 }
             }
             (Some(&x), None) => {
-                out.push(x);
+                push(x);
                 i += 1;
             }
             (None, Some(&y)) => {
-                out.push(y);
+                push(y);
                 j += 1;
             }
             (None, None) => unreachable!(),
         }
     }
+}
+
+/// Union of two disjoint ascending lists, ascending.
+fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    merge_sorted(a, b, |p| out.push(p));
     out
 }
 
@@ -869,16 +875,27 @@ impl PosList {
     }
 }
 
+/// A predicate's clause list as two borrowed slices, base segment then
+/// tail; positions run through the base and continue into the tail.
+type ClauseSlices<'kb> = (&'kb [Arc<Clause>], &'kb [Arc<Clause>]);
+
+fn clause_at<'kb>((base, tail): ClauseSlices<'kb>, i: usize) -> Option<&'kb Arc<Clause>> {
+    match i.checked_sub(base.len()) {
+        None => base.get(i),
+        Some(j) => tail.get(j),
+    }
+}
+
 /// Candidate clauses for one call, borrowed from the knowledge base — the
 /// scan path and small index hits allocate nothing.
 pub enum Candidates<'kb> {
     /// Every clause of the predicate (no applicable index, or indexing
     /// disabled).
-    All(&'kb [Arc<Clause>]),
+    All(ClauseSlices<'kb>),
     /// Selected clause positions, ascending (assertion order preserved).
     Picked {
         /// The predicate's full clause list.
-        clauses: &'kb [Arc<Clause>],
+        clauses: ClauseSlices<'kb>,
         /// Selected positions into it.
         pos: PosList,
     },
@@ -888,7 +905,7 @@ impl<'kb> Candidates<'kb> {
     /// Number of candidates.
     pub fn len(&self) -> usize {
         match self {
-            Candidates::All(c) => c.len(),
+            Candidates::All((base, tail)) => base.len() + tail.len(),
             Candidates::Picked { pos, .. } => pos.len(),
         }
     }
@@ -901,8 +918,10 @@ impl<'kb> Candidates<'kb> {
     /// The candidate at index `i`.
     pub fn get(&self, i: usize) -> Option<&'kb Arc<Clause>> {
         match self {
-            Candidates::All(c) => c.get(i),
-            Candidates::Picked { clauses, pos } => pos.get(i).map(|p| &clauses[p as usize]),
+            Candidates::All(clauses) => clause_at(*clauses, i),
+            Candidates::Picked { clauses, pos } => {
+                pos.get(i).and_then(|p| clause_at(*clauses, p as usize))
+            }
         }
     }
 
@@ -1004,17 +1023,29 @@ impl ArgIndex {
     }
 }
 
+/// A tail is folded into a fresh base once it holds more than
+/// 1/`TAIL_FOLD_DIVISOR` of the base's clauses. A commit under a pin copies
+/// the whole tail and a fold copies the whole base, so the divisor trades
+/// the two: a pinned commit copies at most 1/64 of the predicate, while
+/// folds come at most once per |base|/64 appended clauses, an amortised 64
+/// clause copies per appended clause whatever the size of the predicate.
+/// For a 2×10⁴-clause base taking commits of about eight clauses, 64 sits
+/// near the minimum of the two costs' sum; at 16 the median pinned commit
+/// cost half as much again (perfbench ingest on a 2-vCPU VM).
+const TAIL_FOLD_DIVISOR: usize = 64;
+
+/// One segment of a predicate's clause list: the clauses and their hash
+/// and range indexes, with positions local to the segment.
 #[derive(Clone, Default)]
-struct PredEntry {
+struct Segment {
     clauses: Vec<Arc<Clause>>,
     indexes: Vec<ArgIndex>,
     ranges: Vec<RangeIndex>,
-    stats: IndexStats,
 }
 
-impl PredEntry {
-    fn new(index_positions: &[u16], range_specs: &[RangeSpec]) -> PredEntry {
-        PredEntry {
+impl Segment {
+    fn new(index_positions: &[u16], range_specs: &[RangeSpec]) -> Segment {
+        Segment {
             clauses: Vec::new(),
             indexes: index_positions
                 .iter()
@@ -1027,8 +1058,36 @@ impl PredEntry {
                 .iter()
                 .map(|spec| RangeIndex::new(spec.clone()))
                 .collect(),
-            stats: IndexStats::default(),
         }
+    }
+
+    /// An empty segment indexed the way this one is.
+    fn empty_like(&self) -> Segment {
+        Segment {
+            clauses: Vec::new(),
+            indexes: self
+                .indexes
+                .iter()
+                .map(|index| ArgIndex {
+                    pos: index.pos,
+                    ..ArgIndex::default()
+                })
+                .collect(),
+            ranges: self
+                .ranges
+                .iter()
+                .map(|rindex| RangeIndex::new(rindex.spec.clone()))
+                .collect(),
+        }
+    }
+
+    /// The keyed and variable positions hash index `i` holds for `key`.
+    fn hash_sel(&self, i: usize, key: &ArgKey) -> (&[u32], &[u32]) {
+        let index = &self.indexes[i];
+        (
+            index.by_key.get(key).map(Vec::as_slice).unwrap_or(&[]),
+            &index.var_clauses,
+        )
     }
 
     fn rebuild_indexes(&mut self) {
@@ -1083,6 +1142,76 @@ impl PredEntry {
     }
 }
 
+/// One predicate's clauses: a base segment that snapshots share, then a
+/// tail private to this entry. The logical clause list is the base's
+/// clauses followed by the tail's. An append lands in the base in place
+/// when nothing else holds the base; otherwise it lands in the tail, so a
+/// commit under a pinned snapshot copies the tail rather than the whole
+/// predicate. Every other edit folds the tail away first and works on a
+/// single segment.
+#[derive(Clone)]
+struct PredEntry {
+    base: Arc<Segment>,
+    tail: Segment,
+    stats: IndexStats,
+}
+
+impl PredEntry {
+    fn new(index_positions: &[u16], range_specs: &[RangeSpec]) -> PredEntry {
+        PredEntry {
+            base: Arc::new(Segment::new(index_positions, range_specs)),
+            tail: Segment::default(),
+            stats: IndexStats::default(),
+        }
+    }
+
+    /// Number of clauses across both segments.
+    fn len(&self) -> usize {
+        self.base.clauses.len() + self.tail.clauses.len()
+    }
+
+    /// The clauses in order: base, then tail.
+    fn clauses(&self) -> impl Iterator<Item = &Arc<Clause>> + '_ {
+        self.base.clauses.iter().chain(&self.tail.clauses)
+    }
+
+    fn push(&mut self, clause: Arc<Clause>) {
+        if self.tail.clauses.is_empty() {
+            if let Some(base) = Arc::get_mut(&mut self.base) {
+                base.push(clause);
+                return;
+            }
+            self.tail = self.base.empty_like();
+        }
+        self.tail.push(clause);
+        if self.tail.clauses.len() > self.base.clauses.len() / TAIL_FOLD_DIVISOR {
+            self.folded();
+        }
+    }
+
+    /// Fold the tail into the base and return the base for editing in
+    /// place, copying it first when a snapshot shares it.
+    fn folded(&mut self) -> &mut Segment {
+        let tail = std::mem::take(&mut self.tail);
+        let base = Arc::make_mut(&mut self.base);
+        for clause in tail.clauses {
+            base.push(clause);
+        }
+        base
+    }
+
+    /// Remove the newest clause (the undo of an append).
+    fn pop(&mut self) {
+        let seg = if self.tail.clauses.is_empty() {
+            self.folded()
+        } else {
+            &mut self.tail
+        };
+        seg.clauses.pop();
+        seg.remove_index_positions(&[seg.clauses.len() as u32]);
+    }
+}
+
 /// Result type a native predicate reports: `true` = succeed (bindings made
 /// through the store stay), `false` = fail.
 pub type NativeOutcome = EngineResult<bool>;
@@ -1112,7 +1241,10 @@ struct DepCache {
 /// Entries are held behind [`Arc`] so a snapshot
 /// ([`KnowledgeBase::snapshot`]) is a map of shared pointers rather than a
 /// deep copy: writers copy-on-write the entries they touch
-/// (`Arc::make_mut`), leaving every snapshot's view intact.
+/// (`Arc::make_mut`), leaving every snapshot's view intact. Within an
+/// entry the clauses sit in a shared base segment and a private tail, so
+/// the copy an append makes under a pin is the tail's, not the whole
+/// predicate's (DESIGN.md #16).
 pub struct KnowledgeBase {
     preds: FxHashMap<PredKey, Arc<PredEntry>>,
     natives: FxHashMap<PredKey, NativeFn>,
@@ -1390,7 +1522,7 @@ impl KnowledgeBase {
         }
         self.index_config.insert(key, positions.clone());
         if let Some(entry) = self.preds.get_mut(&key) {
-            let entry = Arc::make_mut(entry);
+            let entry = Arc::make_mut(entry).folded();
             entry.indexes = positions
                 .iter()
                 .map(|&pos| ArgIndex {
@@ -1430,7 +1562,7 @@ impl KnowledgeBase {
             return;
         }
         if let Some(entry) = self.preds.get_mut(&key) {
-            let entry = Arc::make_mut(entry);
+            let entry = Arc::make_mut(entry).folded();
             entry.ranges = specs
                 .iter()
                 .map(|spec| RangeIndex::new(spec.clone()))
@@ -1545,7 +1677,7 @@ impl KnowledgeBase {
         let mut removed: Vec<(PredKey, usize, Arc<Clause>)> = Vec::new();
         for (key, entry) in self.preds.iter_mut() {
             let before = removed.len();
-            for (pos, clause) in entry.clauses.iter().enumerate() {
+            for (pos, clause) in entry.clauses().enumerate() {
                 if clause.group == group {
                     removed.push((*key, pos, Arc::clone(clause)));
                 }
@@ -1555,12 +1687,12 @@ impl KnowledgeBase {
                     .iter()
                     .map(|(_, p, _)| *p as u32)
                     .collect();
-                let entry = Arc::make_mut(entry);
+                let entry = Arc::make_mut(entry).folded();
                 entry.remove_index_positions(&positions);
                 entry.clauses.retain(|c| c.group != group);
             }
         }
-        self.preds.retain(|_, e| !e.clauses.is_empty());
+        self.preds.retain(|_, e| e.len() > 0);
         let n = removed.len();
         self.clause_count -= n;
         if n > 0 {
@@ -1589,13 +1721,12 @@ impl KnowledgeBase {
         };
         let truth = Term::atom("true");
         let Some(pos) = entry
-            .clauses
-            .iter()
+            .clauses()
             .position(|c| c.body == truth && c.head == *head)
         else {
             return false;
         };
-        let entry = Arc::make_mut(entry);
+        let entry = Arc::make_mut(entry).folded();
         entry.remove_index_positions(&[pos as u32]);
         let clause = entry.clauses.remove(pos);
         if entry.clauses.is_empty() {
@@ -1613,12 +1744,12 @@ impl KnowledgeBase {
     pub fn retract_predicate(&mut self, key: PredKey) -> usize {
         match self.preds.remove(&key) {
             Some(entry) => {
-                let n = entry.clauses.len();
+                let n = entry.len();
                 self.clause_count -= n;
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.push(DeltaOp::RetractPredicate {
                         key,
-                        clauses: entry.clauses.clone(),
+                        clauses: entry.clauses().cloned().collect(),
                     });
                 }
                 self.bump_pred(key);
@@ -1632,7 +1763,7 @@ impl KnowledgeBase {
     pub fn group_active(&self, group: GroupId) -> bool {
         self.preds
             .values()
-            .any(|e| e.clauses.iter().any(|c| c.group == group))
+            .any(|e| e.clauses().any(|c| c.group == group))
     }
 
     // ----- transactions & deltas -------------------------------------------
@@ -1724,9 +1855,8 @@ impl KnowledgeBase {
                 touched.insert(key);
                 if let Some(entry) = self.preds.get_mut(&key) {
                     let entry = Arc::make_mut(entry);
-                    entry.clauses.pop();
-                    entry.remove_index_positions(&[entry.clauses.len() as u32]);
-                    if entry.clauses.is_empty() {
+                    entry.pop();
+                    if entry.len() == 0 {
                         self.preds.remove(&key);
                     }
                     self.clause_count -= 1;
@@ -1778,10 +1908,10 @@ impl KnowledgeBase {
                 let Some(entry) = self.preds.get_mut(key) else {
                     return;
                 };
-                if *pos >= entry.clauses.len() {
+                if *pos >= entry.len() {
                     return;
                 }
-                let entry = Arc::make_mut(entry);
+                let entry = Arc::make_mut(entry).folded();
                 entry.remove_index_positions(&[*pos as u32]);
                 entry.clauses.remove(*pos);
                 if entry.clauses.is_empty() {
@@ -1803,7 +1933,7 @@ impl KnowledgeBase {
                     let Some(entry) = self.preds.get_mut(key) else {
                         continue;
                     };
-                    let entry = Arc::make_mut(entry);
+                    let entry = Arc::make_mut(entry).folded();
                     entry.remove_index_positions(positions);
                     for &p in positions.iter().rev() {
                         if (p as usize) < entry.clauses.len() {
@@ -1825,7 +1955,7 @@ impl KnowledgeBase {
             }
             DeltaOp::RetractPredicate { key, .. } => {
                 if let Some(entry) = self.preds.remove(key) {
-                    self.clause_count -= entry.clauses.len();
+                    self.clause_count -= entry.len();
                     if let Some(rec) = self.recorder.as_mut() {
                         rec.push(op.clone());
                     }
@@ -1906,10 +2036,10 @@ impl KnowledgeBase {
             let Some(theirs) = other.preds.get(key) else {
                 return false;
             };
-            if entry.clauses.len() != theirs.clauses.len() {
+            if entry.len() != theirs.len() {
                 return false;
             }
-            let same = entry.clauses.iter().zip(&theirs.clauses).all(|(a, b)| {
+            let same = entry.clauses().zip(theirs.clauses()).all(|(a, b)| {
                 a.head == b.head && a.body == b.body && a.group == b.group && a.n_vars == b.n_vars
             });
             if !same {
@@ -1934,7 +2064,8 @@ impl KnowledgeBase {
             self.preds
                 .entry(key)
                 .or_insert_with(|| Arc::new(PredEntry::new(&positions, &specs))),
-        );
+        )
+        .folded();
         let pos = pos.min(entry.clauses.len());
         entry.insert_index_position(pos as u32, &clause.head);
         entry.clauses.insert(pos, clause);
@@ -2072,38 +2203,62 @@ impl KnowledgeBase {
         bounds: &BoundSet,
     ) -> Candidates<'kb> {
         let Some(entry) = self.preds.get(&key) else {
-            return Candidates::All(&[]);
+            return Candidates::All((&[], &[]));
         };
+        let clauses = (entry.base.clauses.as_slice(), entry.tail.clauses.as_slice());
         if !self.indexing {
-            return Candidates::All(&entry.clauses);
+            return Candidates::All(clauses);
         }
         entry.stats.consults.fetch_add(1, Ordering::Relaxed);
-        // Pick the most selective applicable hash index.
-        let mut best: Option<(&[u32], &[u32])> = None;
-        for index in &entry.indexes {
+        // Each segment is selected from on its own, under the same index
+        // layout; tail positions continue after the base's. An empty tail
+        // is skipped, which leaves the single-segment selection.
+        let base: &Segment = &entry.base;
+        let segments: &[(&Segment, u32)] = &[(base, 0), (&entry.tail, clauses.0.len() as u32)];
+        let segments = &segments[..if clauses.1.is_empty() { 1 } else { 2 }];
+        // Pick the most selective applicable hash index, keeping its keyed
+        // and variable positions in each segment.
+        fn sel_len(sel: &[(&[u32], &[u32])]) -> usize {
+            sel.iter()
+                .map(|(keyed, vars)| keyed.len() + vars.len())
+                .sum()
+        }
+        let mut best: Option<[(&[u32], &[u32]); 2]> = None;
+        for (i, index) in base.indexes.iter().enumerate() {
             let Some(arg) = args.get(index.pos as usize) else {
                 continue;
             };
             let Some(k) = ArgKey::of_call(store, arg) else {
                 continue;
             };
-            let keyed = index.by_key.get(&k).map(Vec::as_slice).unwrap_or(&[]);
-            let vars = index.var_clauses.as_slice();
-            let size = keyed.len() + vars.len();
-            if best.is_none_or(|(bk, bv)| size < bk.len() + bv.len()) {
-                best = Some((keyed, vars));
+            let mut sel: [(&[u32], &[u32]); 2] = [(&[], &[]); 2];
+            for (s, (seg, _)) in sel.iter_mut().zip(segments) {
+                *s = seg.hash_sel(i, &k);
+            }
+            if best.as_ref().is_none_or(|b| sel_len(&sel) < sel_len(b)) {
+                best = Some(sel);
             }
         }
-        // Collect every range selection that applies to this call.
+        // Collect every range selection that applies to this call. Whether
+        // one applies depends on the call alone, so the tail's twin of an
+        // applicable base index applies too (the fallback keeps every tail
+        // clause, which is always sound).
         let mut range_sels: Vec<Vec<u32>> = Vec::new();
-        for rindex in &entry.ranges {
-            if let Some(sel) = rindex.select(store, args, bounds) {
-                range_sels.push(sel);
+        for (j, rindex) in base.ranges.iter().enumerate() {
+            let Some(mut sel) = rindex.select(store, args, bounds) else {
+                continue;
+            };
+            for &(seg, offset) in &segments[1..] {
+                let tail_sel = seg.ranges[j]
+                    .select(store, args, bounds)
+                    .unwrap_or_else(|| (0..seg.clauses.len() as u32).collect());
+                sel.extend(tail_sel.into_iter().map(|p| p + offset));
             }
+            range_sels.push(sel);
         }
         if best.is_none() && range_sels.is_empty() {
             entry.stats.scans.fetch_add(1, Ordering::Relaxed);
-            return Candidates::All(&entry.clauses);
+            return Candidates::All(clauses);
         }
         if best.is_some() {
             entry.stats.hash_hits.fetch_add(1, Ordering::Relaxed);
@@ -2113,39 +2268,25 @@ impl KnowledgeBase {
         }
         let mut pos = PosList::default();
         if range_sels.is_empty() {
-            // Hash selection only: merge the two sorted position lists
-            // straight into the (usually inline) output — assertion order
-            // is observable through solution order.
-            let (keyed, vars) = best.expect("checked non-empty selection");
-            let (mut i, mut j) = (0, 0);
-            while i < keyed.len() || j < vars.len() {
-                match (keyed.get(i), vars.get(j)) {
-                    (Some(&a), Some(&b)) => {
-                        if a < b {
-                            pos.push(a);
-                            i += 1;
-                        } else {
-                            pos.push(b);
-                            j += 1;
-                        }
-                    }
-                    (Some(&a), None) => {
-                        pos.push(a);
-                        i += 1;
-                    }
-                    (None, Some(&b)) => {
-                        pos.push(b);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
+            // Hash selection only: merge each segment's two sorted position
+            // lists straight into the (usually inline) output — assertion
+            // order is observable through solution order.
+            let best = best.expect("checked non-empty selection");
+            for (&(keyed, vars), &(_, offset)) in best.iter().zip(segments) {
+                merge_sorted(keyed, vars, |p| pos.push(p + offset));
             }
         } else {
             // Intersect the hash selection (if any) with every range
             // selection; all lists ascend, so the result ascends.
             let mut sels = range_sels.into_iter();
             let mut acc: Vec<u32> = match best {
-                Some((keyed, vars)) => union_sorted(keyed, vars),
+                Some(best) => {
+                    let mut acc = Vec::with_capacity(sel_len(&best));
+                    for (&(keyed, vars), &(_, offset)) in best.iter().zip(segments) {
+                        merge_sorted(keyed, vars, |p| acc.push(p + offset));
+                    }
+                    acc
+                }
                 None => sels.next().expect("checked non-empty selection"),
             };
             for sel in sels {
@@ -2161,41 +2302,55 @@ impl KnowledgeBase {
         entry
             .stats
             .pruned
-            .fetch_add((entry.clauses.len() - pos.len()) as u64, Ordering::Relaxed);
-        Candidates::Picked {
-            clauses: &entry.clauses,
-            pos,
-        }
+            .fetch_add((entry.len() - pos.len()) as u64, Ordering::Relaxed);
+        Candidates::Picked { clauses, pos }
     }
 
     /// Verify every index against a from-scratch rebuild of the same
     /// clause list — the incremental-maintenance invariant the property
-    /// tests lean on. Returns a description of the first divergence.
+    /// tests lean on — segment by segment, and that no tail has outgrown
+    /// its fold bound. Returns a description of the first divergence.
     pub fn check_index_integrity(&self) -> Result<(), String> {
         for (key, entry) in &self.preds {
             let positions = self.index_positions(*key);
             let specs = self.range_specs(*key);
-            let mut fresh = PredEntry::new(&positions, &specs);
-            for clause in &entry.clauses {
-                fresh.push(Arc::clone(clause));
+            if entry.tail.clauses.len() > entry.base.clauses.len() / TAIL_FOLD_DIVISOR {
+                return Err(format!("tail of {key} outgrew its fold bound"));
             }
-            for (live, want) in entry.indexes.iter().zip(&fresh.indexes) {
-                if live.pos != want.pos
-                    || live.var_clauses != want.var_clauses
-                    || live.by_key != want.by_key
-                {
-                    return Err(format!("hash index arg {} of {key} diverged", live.pos));
+            // An empty tail holds nothing to index (and is never consulted).
+            let segments = [("base", &*entry.base), ("tail", &entry.tail)];
+            for (name, seg) in segments.into_iter().filter(|(_, s)| !s.clauses.is_empty()) {
+                let mut fresh = Segment::new(&positions, &specs);
+                for clause in &seg.clauses {
+                    fresh.push(Arc::clone(clause));
                 }
-            }
-            if entry.ranges.len() != fresh.ranges.len() {
-                return Err(format!("range index count of {key} diverged"));
-            }
-            for (live, want) in entry.ranges.iter().zip(&fresh.ranges) {
-                if live.spec != want.spec
-                    || live.unkeyed != want.unkeyed
-                    || live.store != want.store
-                {
-                    return Err(format!("range index {} of {key} diverged", live.spec));
+                if seg.indexes.len() != fresh.indexes.len() {
+                    return Err(format!("hash index count of {key} ({name}) diverged"));
+                }
+                for (live, want) in seg.indexes.iter().zip(&fresh.indexes) {
+                    if live.pos != want.pos
+                        || live.var_clauses != want.var_clauses
+                        || live.by_key != want.by_key
+                    {
+                        return Err(format!(
+                            "hash index arg {} of {key} ({name}) diverged",
+                            live.pos
+                        ));
+                    }
+                }
+                if seg.ranges.len() != fresh.ranges.len() {
+                    return Err(format!("range index count of {key} ({name}) diverged"));
+                }
+                for (live, want) in seg.ranges.iter().zip(&fresh.ranges) {
+                    if live.spec != want.spec
+                        || live.unkeyed != want.unkeyed
+                        || live.store != want.store
+                    {
+                        return Err(format!(
+                            "range index {} of {key} ({name}) diverged",
+                            live.spec
+                        ));
+                    }
                 }
             }
         }
@@ -2210,9 +2365,9 @@ impl KnowledgeBase {
             .iter()
             .map(|(key, entry)| IndexReport {
                 pred: *key,
-                clauses: entry.clauses.len(),
-                hash_positions: entry.indexes.iter().map(|i| i.pos).collect(),
-                range_specs: entry.ranges.iter().map(|r| r.spec.clone()).collect(),
+                clauses: entry.len(),
+                hash_positions: entry.base.indexes.iter().map(|i| i.pos).collect(),
+                range_specs: entry.base.ranges.iter().map(|r| r.spec.clone()).collect(),
                 consults: entry.stats.consults.load(Ordering::Relaxed),
                 hash_hits: entry.stats.hash_hits.load(Ordering::Relaxed),
                 range_hits: entry.stats.range_hits.load(Ordering::Relaxed),
@@ -2230,7 +2385,7 @@ impl KnowledgeBase {
     pub fn clauses_of(&self, key: PredKey) -> Vec<Arc<Clause>> {
         self.preds
             .get(&key)
-            .map(|e| e.clauses.clone())
+            .map(|e| e.clauses().cloned().collect())
             .unwrap_or_default()
     }
 
@@ -2238,7 +2393,7 @@ impl KnowledgeBase {
     pub fn iter_clauses(&self) -> impl Iterator<Item = (PredKey, &Arc<Clause>)> + '_ {
         self.preds
             .iter()
-            .flat_map(|(k, e)| e.clauses.iter().map(move |c| (*k, c)))
+            .flat_map(|(k, e)| e.clauses().map(move |c| (*k, c)))
     }
 }
 
@@ -2870,6 +3025,51 @@ mod tests {
         kb.check_index_integrity().expect("after retract_predicate");
         kb.rollback_to(mark);
         kb.check_index_integrity().expect("after rollback");
+    }
+
+    #[test]
+    fn commit_under_a_pin_leaves_the_pinned_base_shared() {
+        let mut kb = KnowledgeBase::new();
+        let key = PredKey::new("p", 1);
+        for i in 0..256 {
+            kb.assert_fact(fact("p", vec![Term::int(i)]));
+        }
+        // Unpinned appends land in the base, in place.
+        assert!(kb.preds[&key].tail.clauses.is_empty());
+        let pinned = kb.snapshot();
+        let commit = |kb: &mut KnowledgeBase, i: i64| {
+            kb.begin_delta();
+            kb.assert_fact(fact("p", vec![Term::int(i)]));
+            kb.end_delta();
+        };
+        commit(&mut kb, 256);
+        assert!(Arc::ptr_eq(&kb.preds[&key].base, &pinned.preds[&key].base));
+        assert_eq!(kb.preds[&key].tail.clauses.len(), 1);
+        assert_eq!(pinned.clauses_of(key).len(), 256);
+        assert_eq!(kb.clauses_of(key).len(), 257);
+        // Tail positions continue after the base's.
+        let got = cands(&kb, key, vec![Term::int(256)]);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].head, fact("p", vec![Term::int(256)]));
+        kb.check_index_integrity().expect("base plus tail");
+        // Rolling the append back pops the tail; the base stays shared.
+        kb.begin_delta();
+        kb.assert_fact(fact("p", vec![Term::int(999)]));
+        kb.rollback_to(0);
+        kb.end_delta();
+        assert!(Arc::ptr_eq(&kb.preds[&key].base, &pinned.preds[&key].base));
+        assert_eq!(kb.clauses_of(key).len(), 257);
+        // Past 1/64 of the base the tail folds into a fresh base; the pin
+        // keeps the old one.
+        for i in 257..261 {
+            commit(&mut kb, i);
+        }
+        assert!(!Arc::ptr_eq(&kb.preds[&key].base, &pinned.preds[&key].base));
+        assert!(kb.preds[&key].tail.clauses.is_empty());
+        assert_eq!(kb.clauses_of(key).len(), 261);
+        assert_eq!(pinned.clauses_of(key).len(), 256);
+        kb.check_index_integrity().expect("after the fold");
+        pinned.check_index_integrity().expect("the pinned base");
     }
 
     #[test]

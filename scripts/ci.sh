@@ -16,6 +16,15 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The serving benchmark (perfbench/) is a workspace of its own, so the
+# build above never compiles it: build it the way perfbench/run.py does,
+# into the same target directory, so a `gdp` API change cannot break it
+# unnoticed, and run the benchmark's own unit tests.
+echo "==> cargo build perfbench"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> perfbench unit tests"
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 # GDP_TABLING: unset = solver default (off), on = nominated predicates,
 # all = every user predicate. RUST_TEST_THREADS=1 serializes the test
 # binaries themselves — shaking out any test-order or shared-state

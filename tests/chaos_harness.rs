@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use gdp::core::{AuditReport, Constraint, FactPat, Formula, Rule, Specification, Violation};
+use gdp::core::{AuditReport, Constraint, FactPat, Formula, Pat, Rule, Specification, Violation};
 use gdp::engine::{
     Budget, ChaosConfig, EngineError, FaultKind, KnowledgeBase, ParallelSolver, Port, Solver, Term,
 };
@@ -288,6 +288,18 @@ fn env_chaos_hook_is_honored_and_never_panics() {
     assert_eq!(report.violations, restricted_baseline(&spec, &report));
 }
 
+/// `between(1, i64::MAX, _), fail`: a goal that never ends, tabled or
+/// not (SLG would close a cycle such as `loop(k) :- loop(k)`).
+fn endless() -> Formula {
+    Formula::all(vec![
+        Formula::Raw(Pat::app(
+            "between",
+            vec![Pat::Int(1), Pat::Int(i64::MAX), Pat::var("N")],
+        )),
+        Formula::Raw(Pat::Atom("fail".into())),
+    ])
+}
+
 /// With a divergent member (`spin'loop`), only a resource bound can end
 /// the audit; a wall-clock deadline must end it promptly, degrade exactly
 /// that member, and leave the rest of the report intact.
@@ -297,11 +309,8 @@ fn deadline_bounds_a_divergent_audit_member() {
     spec.declare_model("spin");
     spec.assert_fact(FactPat::new("marker").arg("m").model("spin"))
         .unwrap();
-    spec.define(Rule::new(
-        FactPat::new("loop").arg("k"),
-        Formula::fact(FactPat::new("loop").arg("k")),
-    ))
-    .unwrap();
+    spec.define(Rule::new(FactPat::new("loop").arg("k"), endless()))
+        .unwrap();
     spec.constrain(
         Constraint::new("diverges")
             .model("spin")
@@ -337,11 +346,8 @@ fn cross_thread_cancel_leaves_the_session_usable() {
     spec.declare_model("spin");
     spec.assert_fact(FactPat::new("marker").arg("m").model("spin"))
         .unwrap();
-    spec.define(Rule::new(
-        FactPat::new("loop").arg("k"),
-        Formula::fact(FactPat::new("loop").arg("k")),
-    ))
-    .unwrap();
+    spec.define(Rule::new(FactPat::new("loop").arg("k"), endless()))
+        .unwrap();
     spec.constrain(
         Constraint::new("diverges")
             .model("spin")

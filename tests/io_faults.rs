@@ -200,6 +200,68 @@ fn fsync_failure_sweep_recovers_committed_prefix() {
     assert!(interrupted > 0, "no fsync point interrupted the run");
 }
 
+/// A commit whose WAL append fails must not land anywhere: the live store
+/// rolls it back, the head stays where it was, and the log is parked —
+/// its segment may now end in a torn record, so every later commit is
+/// refused (naming the cause) until a restart recovers.
+#[test]
+fn failed_append_rolls_back_and_parks_the_log() {
+    for fault in [
+        IoFaultConfig {
+            kind: IoFaultKind::ShortWrite,
+            at: 600,
+        },
+        IoFaultConfig {
+            kind: IoFaultKind::FsyncFail,
+            at: 3,
+        },
+    ] {
+        let tag = format!("append-{:?}-{}", fault.kind, fault.at);
+        let path = temp_path(&tag);
+        remove_family(&path);
+        let opts = DurabilityOptions {
+            checkpoint_interval: None,
+            io_faults: Some(fault),
+        };
+        let store = SpecStore::create_durable(base(), &path, opts).unwrap();
+        let commit =
+            |name: &str| store.commit(|spec| spec.assert_fact(FactPat::new("f").arg(name)));
+        let present =
+            |name: &str| store.read(|spec| spec.provable(FactPat::new("f").arg(name)).unwrap());
+        let mut acked = 0;
+        let failed = (1..=COMMITS).find(|&i| match commit(&fact_name(i)) {
+            Ok(_) => {
+                acked = i;
+                false
+            }
+            Err(_) => true,
+        });
+        let failed = failed.unwrap_or_else(|| panic!("{tag}: no append failed"));
+        assert!(
+            acked > 0,
+            "{tag}: the fault should land after a good commit"
+        );
+        assert!(
+            !present(&fact_name(failed)),
+            "{tag}: the failed commit is visible in the live store"
+        );
+        assert_eq!(store.head_seq(), acked, "{tag}: head moved");
+        let refused = commit("after_the_fault").expect_err("a parked log must refuse commits");
+        let cause = format!("appending commit {failed} failed");
+        assert!(
+            refused.to_string().contains(&cause),
+            "{tag}: refusal does not name the cause: {refused}"
+        );
+        assert!(
+            !present("after_the_fault"),
+            "{tag}: a refused commit landed"
+        );
+        assert_eq!(store.head_seq(), acked, "{tag}: head moved on refusal");
+        drop(store);
+        remove_family(&path);
+    }
+}
+
 /// The `GDP_CHAOS=io:…` hook: CI legs re-run the suite with extra fault
 /// points scattered by seed. Unset (or a non-`io:` value), this is a
 /// no-op pass.
