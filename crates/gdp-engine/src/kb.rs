@@ -37,7 +37,7 @@ use crate::deps::{ArgSpec, DepGraph};
 use crate::error::{EngineError, EngineResult};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::symbol::{symbols, Sym};
-use crate::table::{AnswerTable, CyclePolicy, TableValidity};
+use crate::table::{AnswerSet, AnswerTable, CachedAnswer, CyclePolicy, TableValidity};
 use crate::term::{Term, Var, F64};
 use crate::unify::BindStore;
 
@@ -418,6 +418,18 @@ impl ArgPath {
             _ => Probe::Mismatch,
         }
     }
+
+    /// Does the call's subterm at this path carry an active `range_call`
+    /// bound? Only then does the path probe as a range with `bounds` but
+    /// as unconstrained without them (a bound number is a range either
+    /// way).
+    fn bounded(&self, store: &BindStore, args: &[Term], bounds: &BoundSet) -> bool {
+        matches!(self.probe(store, args, bounds), Probe::Range(_))
+            && matches!(
+                self.probe(store, args, &BoundSet::default()),
+                Probe::Unconstrained
+            )
+    }
 }
 
 /// Outcome of walking one [`ArgPath`] over a call's arguments.
@@ -449,6 +461,19 @@ pub enum RangeSpec {
         /// Grid cell edge length (must be positive and finite).
         cell: f64,
     },
+}
+
+impl RangeSpec {
+    /// Does one of the spec's paths reach a `range_call`-bounded variable
+    /// of the call?
+    fn bounded(&self, store: &BindStore, args: &[Term], bounds: &BoundSet) -> bool {
+        match self {
+            RangeSpec::Interval(path) => path.bounded(store, args, bounds),
+            RangeSpec::Grid { x, y, .. } => {
+                x.bounded(store, args, bounds) || y.bounded(store, args, bounds)
+            }
+        }
+    }
 }
 
 /// Where a clause head lands in a range index.
@@ -661,6 +686,26 @@ impl RangeIndex {
     }
 }
 
+/// A predicate's range indexes over one completed answer set
+/// ([`AnswerSet`]). An answer is an instance of the call's head shape, so
+/// each [`RangeSpec`] keys it exactly as it keys a clause head; positions
+/// are answer positions instead of clause positions.
+pub(crate) struct AnswerIndex {
+    ranges: Vec<RangeIndex>,
+}
+
+impl AnswerIndex {
+    fn build(specs: &[RangeSpec], answers: &[CachedAnswer]) -> AnswerIndex {
+        let mut ranges: Vec<RangeIndex> = specs.iter().cloned().map(RangeIndex::new).collect();
+        for (pos, answer) in answers.iter().enumerate() {
+            for rindex in &mut ranges {
+                rindex.insert(pos as u32, &answer.term);
+            }
+        }
+        AnswerIndex { ranges }
+    }
+}
+
 impl std::fmt::Display for ArgPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "arg{}", self.pos)?;
@@ -804,6 +849,9 @@ fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Intersection of two ascending lists, ascending.
+// Kept inline in `candidates`, as it was while that was the only caller
+// (see `Machine::collect_bounds`).
+#[inline(always)]
 fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
@@ -2304,6 +2352,42 @@ impl KnowledgeBase {
             .pruned
             .fetch_add((entry.len() - pos.len()) as u64, Ordering::Relaxed);
         Candidates::Picked { clauses, pos }
+    }
+
+    /// The answers of a completed answer set of `key` that a call's active
+    /// `range_call` bounds admit: positions ascending, unkeyed answers
+    /// kept, as [`KnowledgeBase::candidates`] selects clauses. The set's
+    /// index is built on the first call that needs it. `None` means replay
+    /// every answer: indexing is off, no range path of the call is
+    /// bounded, or the set was indexed under another range layout.
+    pub(crate) fn admitted_answers(
+        &self,
+        key: PredKey,
+        answers: &AnswerSet,
+        store: &BindStore,
+        args: &[Term],
+        bounds: &BoundSet,
+    ) -> Option<Vec<u32>> {
+        if !self.indexing {
+            return None;
+        }
+        let specs = self.range_config.get(&key)?;
+        if !specs.iter().any(|spec| spec.bounded(store, args, bounds)) {
+            return None;
+        }
+        let index = answers.range_index(|answers| AnswerIndex::build(specs, answers));
+        if !index.ranges.iter().map(|r| &r.spec).eq(specs) {
+            return None;
+        }
+        let mut sels = index
+            .ranges
+            .iter()
+            .filter_map(|rindex| rindex.select(store, args, bounds));
+        let mut acc = sels.next()?;
+        for sel in sels {
+            acc = intersect_sorted(&acc, &sel);
+        }
+        Some(acc)
     }
 
     /// Verify every index against a from-scratch rebuild of the same

@@ -75,7 +75,7 @@ pub use list::{list_from_iter, list_to_vec, ListIter};
 pub use parallel::ParallelSolver;
 pub use solver::{Solution, SolutionIter, Solver, SolverStats};
 pub use symbol::{symbols, Sym};
-pub use table::{AnswerTable, CachedAnswer, CyclePolicy, TableStats, TableValidity};
+pub use table::{AnswerSet, AnswerTable, CachedAnswer, CyclePolicy, TableStats, TableValidity};
 pub use term::{Term, Var, F64};
 pub use trace::{
     NullSink, ObserverSink, Port, PredProfile, PrintSink, Profiler, RingTrace, TraceEvent,

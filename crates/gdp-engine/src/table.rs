@@ -8,7 +8,9 @@
 //! the **complete** answer set the solver found for that pattern. The
 //! solver consults the table before clause resolution for predicates
 //! marked tabled (see [`crate::KnowledgeBase::mark_tabled`]) and replays
-//! the cached answers instead of re-deriving them.
+//! the cached answers instead of re-deriving them; under active
+//! `range_call` bounds, only the answers the predicate's range indexes
+//! admit (see [`AnswerSet`]).
 //!
 //! Three rules keep this sound:
 //!
@@ -46,12 +48,12 @@
 //! which is what makes "the epoch cannot move during a solve" a
 //! compile-time guarantee.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::kb::PredKey;
+use crate::kb::{AnswerIndex, PredKey};
 use crate::term::{Term, Var};
 
 /// Validity snapshot a table entry is built against. Produced by
@@ -113,6 +115,53 @@ pub struct CachedAnswer {
     pub n_vars: u32,
 }
 
+/// A completed answer set, in derivation order, as the table stores it and
+/// the solver replays it. It also carries the predicate's range access
+/// paths over its answers: built on the first replay a `range_call` bound
+/// narrows, then kept with the set (DESIGN.md #17). The table, its
+/// snapshot copies and every replay share one set behind an `Arc`, so the
+/// index is built at most once per set.
+pub struct AnswerSet {
+    answers: Vec<CachedAnswer>,
+    index: OnceLock<AnswerIndex>,
+}
+
+impl AnswerSet {
+    /// The set's range index, built by `build` on first use.
+    pub(crate) fn range_index(
+        &self,
+        build: impl FnOnce(&[CachedAnswer]) -> AnswerIndex,
+    ) -> &AnswerIndex {
+        self.index.get_or_init(|| build(&self.answers))
+    }
+}
+
+impl From<Vec<CachedAnswer>> for AnswerSet {
+    fn from(answers: Vec<CachedAnswer>) -> AnswerSet {
+        AnswerSet {
+            answers,
+            index: OnceLock::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for AnswerSet {
+    type Target = [CachedAnswer];
+
+    fn deref(&self) -> &[CachedAnswer] {
+        &self.answers
+    }
+}
+
+impl std::fmt::Debug for AnswerSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnswerSet")
+            .field("answers", &self.answers)
+            .field("indexed", &self.index.get().is_some())
+            .finish()
+    }
+}
+
 /// Cumulative counters for table activity (monotonic over the table's
 /// lifetime; snapshot via [`AnswerTable::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -140,7 +189,7 @@ pub struct TableStats {
 /// Outcome of [`AnswerTable::lookup`].
 pub enum Lookup {
     /// A completed answer set whose validity snapshot still holds.
-    Hit(Arc<Vec<CachedAnswer>>),
+    Hit(Arc<AnswerSet>),
     /// No usable entry; `invalidated` reports whether a stale entry was
     /// dropped on the way.
     Miss {
@@ -152,7 +201,7 @@ pub enum Lookup {
 #[derive(Clone, Debug)]
 struct TableEntry {
     validity: TableValidity,
-    answers: Arc<Vec<CachedAnswer>>,
+    answers: Arc<AnswerSet>,
 }
 
 #[derive(Clone, Default)]
@@ -216,7 +265,7 @@ impl AnswerTable {
 
     /// Record the complete answer set for a call pattern, together with
     /// the validity snapshot it was built against.
-    pub fn insert(&self, pattern: Term, validity: TableValidity, answers: Arc<Vec<CachedAnswer>>) {
+    pub fn insert(&self, pattern: Term, validity: TableValidity, answers: Arc<AnswerSet>) {
         let mut inner = self.inner.lock();
         inner
             .entries
@@ -251,12 +300,12 @@ impl AnswerTable {
     }
 
     /// A copy of this table for an MVCC snapshot: same entries (the answer
-    /// vectors are shared behind `Arc`), counters carried over, and the
-    /// snapshot flag set so reuse is observable through
-    /// [`TableStats::snapshot_hits`] and the solver's snapshot-hit port.
-    /// Entries recorded *after* the pinned commit carry newer dependency
-    /// generations and simply fail validation against the snapshot's
-    /// restored counters — no entry filtering is needed here.
+    /// sets, range indexes included, are shared behind `Arc`), counters
+    /// carried over, and the snapshot flag set so reuse is observable
+    /// through [`TableStats::snapshot_hits`] and the solver's snapshot-hit
+    /// port. Entries recorded *after* the pinned commit carry newer
+    /// dependency generations and simply fail validation against the
+    /// snapshot's restored counters — no entry filtering is needed here.
     pub fn snapshot_clone(&self) -> AnswerTable {
         AnswerTable {
             inner: Mutex::new(self.inner.lock().clone()),
@@ -567,10 +616,10 @@ mod tests {
         table.insert(
             pat.clone(),
             TableValidity::epoch_only(0),
-            Arc::new(vec![CachedAnswer {
+            Arc::new(AnswerSet::from(vec![CachedAnswer {
                 term: Term::pred("p", vec![Term::atom("a")]),
                 n_vars: 0,
-            }]),
+            }])),
         );
         let Lookup::Hit(answers) = table.lookup(&pat, &TableValidity::epoch_only(0)) else {
             panic!("expected hit");
@@ -601,7 +650,11 @@ mod tests {
             dynamic: false,
             deps: Arc::clone(&deps),
         };
-        table.insert(pat.clone(), built.clone(), Arc::new(Vec::new()));
+        table.insert(
+            pat.clone(),
+            built.clone(),
+            Arc::new(AnswerSet::from(Vec::new())),
+        );
         // Epoch moved (something unrelated changed) but p/1's generation
         // didn't: the entry survives.
         let current = TableValidity {
@@ -620,7 +673,11 @@ mod tests {
             Lookup::Miss { invalidated: true }
         ));
         // Structural config moved with generations intact: also dropped.
-        table.insert(pat.clone(), built.clone(), Arc::new(Vec::new()));
+        table.insert(
+            pat.clone(),
+            built.clone(),
+            Arc::new(AnswerSet::from(Vec::new())),
+        );
         let current = TableValidity {
             epoch: 11,
             structural: 1,
@@ -638,7 +695,7 @@ mod tests {
         table.insert(
             Term::atom("q"),
             TableValidity::epoch_only(0),
-            Arc::new(Vec::new()),
+            Arc::new(AnswerSet::from(Vec::new())),
         );
         assert_eq!(table.len(), 1);
         table.clear();

@@ -72,6 +72,12 @@ for tabling in unset on; do
 done
 echo "==> cargo test index_equivalence [GDP_INDEX=off]"
 env GDP_INDEX=off cargo test -q --release -p gdp --test index_equivalence
+# The same suite with every predicate tabled: its tabled half then answers
+# each range-bounded call from a completed answer set, so the replay its
+# range indexes narrow (DESIGN.md #17) is diffed against the unindexed
+# twin's full replay.
+echo "==> cargo test index_equivalence [GDP_TABLING=all]"
+env GDP_TABLING=all cargo test -q --release -p gdp --test index_equivalence
 
 # SLG legs: the recursive-tabling suite (answer forest, fixpoint
 # saturation, cycle policies, fault containment) re-run with tabling

@@ -178,7 +178,9 @@ fn shared_table_across_epoch_bumps() {
 /// exact requested epoch (epoch-only snapshots never survive a mismatch).
 #[test]
 fn answer_table_concurrent_lookups_respect_epochs() {
-    use gdp::engine::table::{canonicalize, AnswerTable, CachedAnswer, Lookup, TableValidity};
+    use gdp::engine::table::{
+        canonicalize, AnswerSet, AnswerTable, CachedAnswer, Lookup, TableValidity,
+    };
 
     let table = AnswerTable::new();
     let patterns: Vec<_> = (0..4)
@@ -206,10 +208,10 @@ fn answer_table_concurrent_lookups_respect_epochs() {
                             table.insert(
                                 pattern.clone(),
                                 TableValidity::epoch_only(epoch),
-                                std::sync::Arc::new(vec![CachedAnswer {
+                                std::sync::Arc::new(AnswerSet::from(vec![CachedAnswer {
                                     term: Term::pred("epoch", vec![Term::int(epoch as i64)]),
                                     n_vars: 0,
-                                }]),
+                                }])),
                             );
                         }
                     }

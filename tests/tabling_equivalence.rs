@@ -2,11 +2,13 @@
 //! resolution: for any knowledge base and goal, the solution set (with
 //! duplicates) is identical with tabling on and off — including goals
 //! under negation-as-failure, whose soundness depends on the table only
-//! ever serving *completed* answer sets.
+//! ever serving *completed* answer sets. Range-bounded calls, whose
+//! tabled replay the answer sets' range indexes narrow, must also keep
+//! their solution order, tabled or not and indexed or not.
 
 use proptest::prelude::*;
 
-use gdp::engine::{Budget, KnowledgeBase, Solver, Term};
+use gdp::engine::{ArgPath, Budget, KnowledgeBase, PredKey, RangeSpec, Solver, Term};
 
 const ATOMS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
@@ -51,7 +53,22 @@ fn install_rules(kb: &mut KnowledgeBase) {
     );
 }
 
-fn build_kb(unary: &[(u8, u8)], edges: &[(u8, u8)], tabled: bool) -> KnowledgeBase {
+/// A reading value: an integer or a float (keyed by the interval index),
+/// or an atom (unkeyed, kept by every narrowed replay).
+fn reading_value(kind: u8, n: u8) -> Term {
+    match kind % 4 {
+        0 | 1 => Term::int(n as i64),
+        2 => Term::float(n as f64 + 0.5),
+        _ => Term::atom("unknown"),
+    }
+}
+
+fn build_kb(
+    unary: &[(u8, u8)],
+    edges: &[(u8, u8)],
+    readings: &[(u8, u8, u8)],
+    tabled: bool,
+) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
     for &(p, a) in unary {
         let name = if p == 0 { "p" } else { "q" };
@@ -75,6 +92,36 @@ fn build_kb(unary: &[(u8, u8)], edges: &[(u8, u8)], tabled: bool) -> KnowledgeBa
         ));
     }
     install_rules(&mut kb);
+    // The numeric relation: readings v/2, and w/2 — the readings reachable
+    // along edges, recursive like the meta-rules make h/5 — each with an
+    // interval index over the value.
+    // w(X, V) :- v(X, V) ; (e(X, Y), w(Y, V)).
+    for &(a, kind, n) in readings {
+        kb.assert_fact(Term::pred(
+            "v",
+            vec![
+                Term::atom(ATOMS[a as usize % ATOMS.len()]),
+                reading_value(kind, n),
+            ],
+        ));
+    }
+    let (x, y, v) = (Term::var(0), Term::var(1), Term::var(2));
+    kb.assert_clause(
+        Term::pred("w", vec![x.clone(), v.clone()]),
+        Term::or(
+            Term::pred("v", vec![x.clone(), v.clone()]),
+            Term::and(
+                Term::pred("e", vec![x, y.clone()]),
+                Term::pred("w", vec![y, v]),
+            ),
+        ),
+    );
+    for name in ["v", "w"] {
+        kb.set_range_indexes(
+            PredKey::new(name, 2),
+            vec![RangeSpec::Interval(ArgPath::arg(1))],
+        );
+    }
     if tabled {
         kb.set_tabling(true);
         kb.set_table_all(true);
@@ -82,10 +129,44 @@ fn build_kb(unary: &[(u8, u8)], edges: &[(u8, u8)], tabled: bool) -> KnowledgeBa
     kb
 }
 
+/// `range_call(Rel(X, V), [rc(V, iv(Lo, Hi, LoEnd, HiEnd))])`.
+fn range_goal(rel: &str, x: Term, v: Term, lo: Term, hi: Term, ends: [&str; 2]) -> Term {
+    Term::pred(
+        "range_call",
+        vec![
+            Term::pred(rel, vec![x, v.clone()]),
+            Term::list(vec![Term::pred(
+                "rc",
+                vec![
+                    v,
+                    Term::pred("iv", vec![lo, hi, Term::atom(ends[0]), Term::atom(ends[1])]),
+                ],
+            )]),
+        ],
+    )
+}
+
+/// Does the goal make a range-bounded call?
+fn is_range_goal(goal: &Term) -> bool {
+    match goal {
+        Term::Compound(f, args) => f.as_str() == "range_call" || args.iter().any(is_range_goal),
+        _ => false,
+    }
+}
+
 fn arb_goal() -> impl Strategy<Value = Term> {
     let atom = (0usize..ATOMS.len())
         .prop_map(|i| Term::atom(ATOMS[i]))
         .boxed();
+    let bound = prop_oneof![
+        Just(Term::atom("minf")),
+        Just(Term::atom("inf")),
+        (0i64..9).prop_map(Term::int),
+        (0i64..9).prop_map(|n| Term::float(n as f64 + 0.5)),
+    ]
+    .boxed();
+    let end = prop_oneof![Just("open"), Just("closed")].boxed();
+    let rel = prop_oneof![Just("v"), Just("w")].boxed();
     prop_oneof![
         Just(Term::pred("r", vec![Term::var(0)])),
         Just(Term::pred("s", vec![Term::var(0), Term::var(1)])),
@@ -104,7 +185,50 @@ fn arb_goal() -> impl Strategy<Value = Term> {
             Term::pred("t", vec![a, Term::var(0)]),
             Term::not(Term::pred("e", vec![Term::var(0), b])),
         )),
+        // Range-bounded calls as bound pushdown emits them: open and
+        // closed ends, unbounded sides...
+        (rel.clone(), bound.clone(), bound, end.clone(), end).prop_map(|(rel, lo, hi, le, he)| {
+            range_goal(rel, Term::var(0), Term::var(1), lo, hi, [le, he])
+        }),
+        // ...and the point interval of an `=:=` self-join, the shape that
+        // replays one completed answer set once per outer binding:
+        // v(X, V1), number(V1), range_call(Rel(Y, V2), [rc(V2, iv(V1+K,
+        // V1+K, closed, closed))]), number(V2), V2 =:= V1 + K.
+        (rel, 0i64..3).prop_map(|(rel, k)| {
+            let (x, v1, y, v2) = (Term::var(0), Term::var(1), Term::var(2), Term::var(3));
+            let shift = Term::pred("+", vec![v1.clone(), Term::int(k)]);
+            Term::conj(vec![
+                Term::pred("v", vec![x, v1.clone()]),
+                Term::pred("number", vec![v1]),
+                range_goal(
+                    rel,
+                    y,
+                    v2.clone(),
+                    shift.clone(),
+                    shift.clone(),
+                    ["closed"; 2],
+                ),
+                Term::pred("number", vec![v2.clone()]),
+                Term::pred("=:=", vec![v2, shift]),
+            ])
+        }),
     ]
+}
+
+/// Render a solution sequence in order.
+fn solution_sequence(solver: &Solver<'_>, goal: &Term) -> Vec<String> {
+    solver
+        .solve_all(goal.clone())
+        .expect("solve within budget")
+        .iter()
+        .map(|sol| {
+            sol.bindings()
+                .iter()
+                .map(|(v, t)| format!("{v:?}={t}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect()
 }
 
 /// Render a solution set order-insensitively.
@@ -132,10 +256,14 @@ proptest! {
     fn tabled_equals_untabled(
         unary in prop::collection::vec((0u8..2, 0u8..5), 0..12),
         edges in prop::collection::vec((0u8..5, 0u8..5), 0..10),
+        readings in prop::collection::vec((0u8..5, 0u8..4, 0u8..9), 0..16),
         goals in prop::collection::vec(arb_goal(), 1..5),
     ) {
-        let plain_kb = build_kb(&unary, &edges, false);
-        let tabled_kb = build_kb(&unary, &edges, true);
+        let plain_kb = build_kb(&unary, &edges, &readings, false);
+        let tabled_kb = build_kb(&unary, &edges, &readings, true);
+        // Indexing off: the unpruned oracle for the narrowed replay.
+        let mut unindexed_kb = build_kb(&unary, &edges, &readings, true);
+        unindexed_kb.set_indexing(false);
         for goal in &goals {
             // Fresh solvers per goal: the budget is shared across all
             // queries of one solver instance.
@@ -160,6 +288,22 @@ proptest! {
                 plain.count(goal.clone()).unwrap(),
                 tabled.count(goal.clone()).unwrap()
             );
+            if is_range_goal(goal) {
+                // Tabled (a completed set now, so a replay) against
+                // untabled, and indexed against unindexed, in order.
+                let ordered = solution_sequence(&plain, goal);
+                prop_assert_eq!(
+                    &ordered,
+                    &solution_sequence(&tabled, goal),
+                    "tabled solution order diverges on {}", goal
+                );
+                let unindexed = Solver::new(&unindexed_kb, Budget::default());
+                prop_assert_eq!(
+                    &ordered,
+                    &solution_sequence(&unindexed, goal),
+                    "unindexed solution order diverges on {}", goal
+                );
+            }
         }
     }
 }
@@ -168,7 +312,7 @@ proptest! {
 /// table entries must be invalidated, never replayed.
 #[test]
 fn epoch_invalidation_between_queries() {
-    let mut kb = build_kb(&[(0, 0), (0, 1), (1, 0)], &[(0, 1)], true);
+    let mut kb = build_kb(&[(0, 0), (0, 1), (1, 0)], &[(0, 1)], &[], true);
     let goal = Term::pred("r", vec![Term::var(0)]);
     // r(X) ≡ p(X) ∧ q(X): only `a` qualifies initially.
     assert_eq!(
