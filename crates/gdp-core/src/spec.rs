@@ -178,14 +178,18 @@ enum MemberOutcome {
     },
 }
 
-/// Per-member results of the most recent full audit, keyed by the world
-/// view they were computed under. Invalidated wholesale when the world
-/// view changes; members are selectively re-solved by
+/// Per-member results of the most recent audit, keyed by the world view
+/// and the knowledge base's configuration they were computed under.
+/// Invalidated wholesale when either moves (a tabling switch, cycle-policy
+/// switch or coinductive mark changes what recursive members derive
+/// without touching a clause); members are selectively re-solved by
 /// [`Specification::audit_incremental`].
 #[derive(Clone, Debug)]
 struct AuditCache {
     /// The world view the cache was computed under (member order matters).
     world_view: Vec<String>,
+    /// [`Specification::audit_config`] at the time.
+    config: (u64, bool, bool),
     /// One outcome per member, in world-view order.
     members: Vec<MemberOutcome>,
 }
@@ -222,6 +226,21 @@ pub struct Specification {
     active_meta: Vec<String>,
     world_view: Vec<String>,
     sort_enforcement: SortEnforcement,
+    /// Ring capacity used while tracing: the last N port events survive.
+    trace_capacity: usize,
+    /// Deterministic fault injection for audits (tests / `GDP_CHAOS`).
+    chaos: Option<ChaosConfig>,
+    /// Recorder mark of the open transaction, if any.
+    txn_start: Option<usize>,
+    /// What a session owns rather than the knowledge base it pins.
+    session: SessionState,
+}
+
+/// The part of a [`Specification`] that belongs to whoever queries it
+/// rather than to the knowledge base: limits, cancellation, retries,
+/// observability and the audit member cache. A session re-pinning onto a
+/// fresh snapshot moves it across whole ([`Specification::swap_session`]).
+struct SessionState {
     step_limit: u64,
     depth_limit: u32,
     /// Execution counters of the most recent query (interior mutability:
@@ -231,8 +250,6 @@ pub struct Specification {
     trace_enabled: bool,
     /// Accumulate a per-predicate profile across queries (off by default).
     profile_enabled: bool,
-    /// Ring capacity used while tracing: the last N port events survive.
-    trace_capacity: usize,
     /// The accumulated per-predicate profile (interior mutability: queries
     /// take `&self`, like `last_stats`).
     profiler: Mutex<Profiler>,
@@ -241,22 +258,40 @@ pub struct Specification {
     /// Optional wall-clock bound attached to every query budget.
     deadline: Option<Duration>,
     /// The session's cancellation token, attached to every query budget.
-    /// Cloned out via [`Self::cancel_token`] so e.g. a Ctrl-C handler can
-    /// trip it from another thread.
+    /// Cloned out via [`Specification::cancel_token`] so e.g. a Ctrl-C
+    /// handler can trip it from another thread.
     cancel: CancelToken,
     /// How audits re-attempt budget-exhausted goals.
     retry: RetryPolicy,
-    /// Deterministic fault injection for audits (tests / `GDP_CHAOS`).
-    chaos: Option<ChaosConfig>,
     /// Incremental-audit mode (`GDP_INCREMENTAL=1`): full audits cache
     /// per-member results so delta-driven re-audits can skip members the
     /// delta cannot have affected.
     incremental: bool,
-    /// Recorder mark of the open transaction, if any.
-    txn_start: Option<usize>,
     /// Per-member results of the most recent audit (incremental mode
     /// only; interior mutability — audits take `&self`).
     audit_cache: Mutex<Option<AuditCache>>,
+}
+
+impl SessionState {
+    /// The same settings with fresh counters, profile, trace ring and
+    /// cancel token, and the given member cache: what a snapshot starts
+    /// with.
+    fn fork(&self, audit_cache: Option<AuditCache>) -> SessionState {
+        SessionState {
+            step_limit: self.step_limit,
+            depth_limit: self.depth_limit,
+            last_stats: Mutex::new(SolverStats::default()),
+            trace_enabled: self.trace_enabled,
+            profile_enabled: self.profile_enabled,
+            profiler: Mutex::new(Profiler::new()),
+            last_trace: Mutex::new(None),
+            deadline: self.deadline,
+            cancel: CancelToken::new(),
+            retry: self.retry,
+            incremental: self.incremental,
+            audit_cache: Mutex::new(audit_cache),
+        }
+    }
 }
 
 impl Default for Specification {
@@ -291,21 +326,23 @@ impl Specification {
             active_meta: Vec::new(),
             world_view: vec![DEFAULT_MODEL.to_string()],
             sort_enforcement: SortEnforcement::default(),
-            step_limit: 10_000_000,
-            depth_limit: 256,
-            last_stats: Mutex::new(SolverStats::default()),
-            trace_enabled: false,
-            profile_enabled: false,
             trace_capacity: 512,
-            profiler: Mutex::new(Profiler::new()),
-            last_trace: Mutex::new(None),
-            deadline: None,
-            cancel: CancelToken::new(),
-            retry: RetryPolicy::default(),
             chaos: None,
-            incremental: false,
             txn_start: None,
-            audit_cache: Mutex::new(None),
+            session: SessionState {
+                step_limit: 10_000_000,
+                depth_limit: 256,
+                last_stats: Mutex::new(SolverStats::default()),
+                trace_enabled: false,
+                profile_enabled: false,
+                profiler: Mutex::new(Profiler::new()),
+                last_trace: Mutex::new(None),
+                deadline: None,
+                cancel: CancelToken::new(),
+                retry: RetryPolicy::default(),
+                incremental: false,
+                audit_cache: Mutex::new(None),
+            },
         };
         register_domain_native(&mut spec.kb, Arc::clone(&spec.domains));
         spec.install_kernel();
@@ -345,7 +382,7 @@ impl Specification {
             std::env::var("GDP_INCREMENTAL").as_deref(),
             Ok("1") | Ok("on")
         ) {
-            spec.incremental = true;
+            spec.session.incremental = true;
         }
         // Indexing hook: `GDP_INDEX=off` (or `0`) disables clause-selection
         // indexing — hash and range alike — so every call scans every
@@ -844,14 +881,15 @@ impl Specification {
     // ----- queries ----------------------------------------------------------
 
     fn budget(&self) -> Budget {
-        self.budget_with_steps(self.step_limit)
+        self.budget_with_steps(self.session.step_limit)
     }
 
     /// A query budget with an explicit step limit (retries escalate it)
     /// and the session's deadline and cancellation token attached.
     fn budget_with_steps(&self, step_limit: u64) -> Budget {
-        let mut budget = Budget::new(step_limit, self.depth_limit).with_cancel(self.cancel.clone());
-        if let Some(d) = self.deadline {
+        let mut budget = Budget::new(step_limit, self.session.depth_limit)
+            .with_cancel(self.session.cancel.clone());
+        if let Some(d) = self.session.deadline {
             budget = budget.with_deadline_in(d);
         }
         budget
@@ -859,20 +897,20 @@ impl Specification {
 
     /// Snapshot a solver's counters as the most recent query's stats.
     fn record_stats<S: TraceSink>(&self, solver: &Solver<'_, S>) {
-        *self.last_stats.lock() = solver.stats();
+        *self.session.last_stats.lock() = solver.stats();
     }
 
     /// Is any observation (tracing or profiling) requested? When false,
     /// queries run on the `NullSink` fast path with zero overhead.
     fn observing(&self) -> bool {
-        self.trace_enabled || self.profile_enabled
+        self.session.trace_enabled || self.session.profile_enabled
     }
 
     /// Build the observer for one query from the current settings.
     fn observer_sink(&self) -> ObserverSink {
         ObserverSink::new(
-            self.profile_enabled,
-            self.trace_enabled.then_some(self.trace_capacity),
+            self.session.profile_enabled,
+            self.session.trace_enabled.then_some(self.trace_capacity),
         )
     }
 
@@ -881,10 +919,10 @@ impl Specification {
     fn harvest(&self, sink: ObserverSink) {
         let (prof, ring) = sink.into_parts();
         if let Some(p) = prof {
-            self.profiler.lock().absorb(&p);
+            self.session.profiler.lock().absorb(&p);
         }
         if let Some(r) = ring {
-            *self.last_trace.lock() = Some(r);
+            *self.session.last_trace.lock() = Some(r);
         }
     }
 
@@ -936,7 +974,7 @@ impl Specification {
     /// specification (steps, clause resolutions, and answer-table
     /// hit/miss/insert/invalidation counts).
     pub fn solver_stats(&self) -> SolverStats {
-        *self.last_stats.lock()
+        *self.session.last_stats.lock()
     }
 
     /// Cumulative answer-table counters over the KB's lifetime.
@@ -984,8 +1022,13 @@ impl Specification {
 
     /// Adjust the per-query resource budget.
     pub fn set_budget(&mut self, step_limit: u64, depth_limit: u32) {
-        self.step_limit = step_limit;
-        self.depth_limit = depth_limit;
+        self.session.step_limit = step_limit;
+        self.session.depth_limit = depth_limit;
+    }
+
+    /// The per-query step and depth limits ([`Self::set_budget`]).
+    pub fn limits(&self) -> (u64, u32) {
+        (self.session.step_limit, self.session.depth_limit)
     }
 
     // ----- fault tolerance --------------------------------------------------
@@ -994,12 +1037,12 @@ impl Specification {
     /// steps (`None` — the default — removes the bound). The deadline is
     /// per query: it starts when the query starts.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
+        self.session.deadline = deadline;
     }
 
     /// The configured wall-clock deadline, if any.
     pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
+        self.session.deadline
     }
 
     /// A handle to the session's cancellation token. Trip it from any
@@ -1008,17 +1051,17 @@ impl Specification {
     /// the next query. The specification itself never resets the token —
     /// the interactive layer decides when a cancellation is consumed.
     pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
+        self.session.cancel.clone()
     }
 
     /// Configure how audits retry budget-exhausted goals.
     pub fn set_retry(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        self.session.retry = policy;
     }
 
     /// The active retry policy.
     pub fn retry(&self) -> RetryPolicy {
-        self.retry
+        self.session.retry
     }
 
     /// Arm (or disarm) deterministic fault injection for audits. Also set
@@ -1041,12 +1084,12 @@ impl Specification {
     /// retrievable with [`Self::last_trace`] — a post-mortem of what the
     /// solver was doing right before a failure or budget exhaustion.
     pub fn set_trace(&mut self, on: bool) {
-        self.trace_enabled = on;
+        self.session.trace_enabled = on;
     }
 
     /// Is port-event tracing enabled?
     pub fn trace_enabled(&self) -> bool {
-        self.trace_enabled
+        self.session.trace_enabled
     }
 
     /// Set how many port events the trace ring retains per query
@@ -1058,7 +1101,7 @@ impl Specification {
     /// The port-event ring of the most recent traced query, or `None` when
     /// no query has run with tracing on.
     pub fn last_trace(&self) -> Option<RingTrace> {
-        self.last_trace.lock().clone()
+        self.session.last_trace.lock().clone()
     }
 
     /// Switch per-predicate profiling on or off (off by default). While
@@ -1066,22 +1109,22 @@ impl Specification {
     /// counters into an accumulated [`Profiler`] retrievable with
     /// [`Self::profile`].
     pub fn set_profile(&mut self, on: bool) {
-        self.profile_enabled = on;
+        self.session.profile_enabled = on;
     }
 
     /// Is per-predicate profiling enabled?
     pub fn profile_enabled(&self) -> bool {
-        self.profile_enabled
+        self.session.profile_enabled
     }
 
     /// A snapshot of the accumulated per-predicate profile.
     pub fn profile(&self) -> Profiler {
-        self.profiler.lock().clone()
+        self.session.profiler.lock().clone()
     }
 
     /// Clear the accumulated profile (e.g. to isolate one workload).
     pub fn reset_profile(&self) {
-        *self.profiler.lock() = Profiler::new();
+        *self.session.profiler.lock() = Profiler::new();
     }
 
     /// All answers to a fact pattern, looked up through the active world
@@ -1199,11 +1242,15 @@ impl Specification {
         );
         let mut attempt = 0u32;
         let solutions = loop {
-            let budget = self.budget_with_steps(self.retry.escalated(self.step_limit, attempt));
+            let budget = self.budget_with_steps(
+                self.session
+                    .retry
+                    .escalated(self.session.step_limit, attempt),
+            );
             match self.solve_n_goal_budget(goal.clone(), usize::MAX, budget) {
                 Ok(solutions) => break solutions,
                 Err(SpecError::Engine(e))
-                    if e.is_recoverable() && attempt < self.retry.attempts =>
+                    if e.is_recoverable() && attempt < self.session.retry.attempts =>
                 {
                     attempt += 1;
                 }
@@ -1299,53 +1346,70 @@ impl Specification {
     /// are reported normally. Callers decide whether a partial audit is
     /// acceptable via [`AuditReport::is_complete`].
     pub fn audit_world_views(&self, workers: usize) -> SpecResult<AuditReport> {
-        let goals: Vec<Term> = self
-            .world_view
+        let members = vec![MemberOutcome::Solved(Vec::new()); self.world_view.len()];
+        let stale: Vec<usize> = (0..members.len()).collect();
+        self.audit_members(members, &stale, workers)
+    }
+
+    /// The fan-out both audits share — a full audit is an incremental one
+    /// with every member stale. Solve the audit goals of the `stale`
+    /// world-view members in parallel (retrying budget-exhausted ones),
+    /// splice their outcomes into `members`, merge, refresh the member
+    /// cache (incremental mode), and record the merged counters as the
+    /// last stats. `workers` reads 0 in the report when nothing was
+    /// re-solved.
+    fn audit_members(
+        &self,
+        mut members: Vec<MemberOutcome>,
+        stale: &[usize],
+        workers: usize,
+    ) -> SpecResult<AuditReport> {
+        let goals: Vec<Term> = stale
             .iter()
-            .map(|m| Self::audit_goal(m))
+            .map(|&i| Self::audit_goal(&self.world_view[i]))
             .collect();
         let mut par = gdp_engine::ParallelSolver::with_budget(
             &self.kb,
             workers,
-            self.step_limit,
-            self.depth_limit,
+            self.session.step_limit,
+            self.session.depth_limit,
         );
-        if self.profile_enabled {
+        if self.session.profile_enabled {
             // Per-worker profiles merge at the batch join, exactly like
             // the per-worker stats. (The trace ring stays sequential-only:
             // interleaved per-worker event orders are not meaningful.)
             par.enable_profile();
         }
-        par.set_deadline(self.deadline);
-        par.set_cancel(self.cancel.clone());
+        par.set_deadline(self.session.deadline);
+        par.set_cancel(self.session.cancel.clone());
         par.set_chaos(self.chaos);
         let results = par.solve_batch(&goals);
         let mut stats = par.stats();
         if let Some(p) = par.profile() {
-            self.profiler.lock().absorb(&p);
+            self.session.profiler.lock().absorb(&p);
         }
-        let mut members = Vec::with_capacity(goals.len());
-        for ((name, goal), result) in self.world_view.iter().zip(&goals).zip(results) {
+        for ((&i, goal), result) in stale.iter().zip(&goals).zip(results) {
             let result = match result {
                 Ok(solutions) => Ok(solutions),
                 Err(e) => self.retry_audit_goal(goal, e, &mut stats),
             };
-            members.push(Self::member_outcome(name, result));
+            members[i] = Self::member_outcome(&self.world_view[i], result);
         }
         let (violations, per_model, incomplete) = self.merge_member_outcomes(&members);
-        if self.incremental {
-            *self.audit_cache.lock() = Some(AuditCache {
+        if self.session.incremental {
+            *self.session.audit_cache.lock() = Some(AuditCache {
                 world_view: self.world_view.clone(),
+                config: self.audit_config(),
                 members,
             });
         }
-        *self.last_stats.lock() = stats;
+        *self.session.last_stats.lock() = stats;
         Ok(AuditReport {
             violations,
             per_model,
             stats,
             incomplete,
-            workers: par.workers(),
+            workers: if goals.is_empty() { 0 } else { par.workers() },
         })
     }
 
@@ -1423,13 +1487,17 @@ impl Specification {
     ) -> Result<Vec<gdp_engine::Solution>, (EngineError, u32)> {
         let mut error = first;
         let mut attempt = 0u32;
-        while error.is_recoverable() && attempt < self.retry.attempts {
+        while error.is_recoverable() && attempt < self.session.retry.attempts {
             attempt += 1;
-            let budget = self.budget_with_steps(self.retry.escalated(self.step_limit, attempt));
+            let budget = self.budget_with_steps(
+                self.session
+                    .retry
+                    .escalated(self.session.step_limit, attempt),
+            );
             // catch_unwind mirrors the parallel solver's per-goal isolation:
             // a panicking native must degrade this member, not the audit.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if self.profile_enabled {
+                if self.session.profile_enabled {
                     let solver = Solver::with_sink(&self.kb, budget, Profiler::new());
                     let out = solver.solve(goal.clone(), usize::MAX);
                     let s = solver.stats();
@@ -1445,7 +1513,7 @@ impl Specification {
                 Ok((out, s, prof)) => {
                     stats.absorb(&s);
                     if let Some(p) = prof {
-                        self.profiler.lock().absorb(&p);
+                        self.session.profiler.lock().absorb(&p);
                     }
                     match out {
                         Ok(solutions) => return Ok(solutions),
@@ -1474,15 +1542,15 @@ impl Specification {
     /// committed delta can actually have affected. Turning it off drops
     /// the cache.
     pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
+        self.session.incremental = on;
         if !on {
-            *self.audit_cache.lock() = None;
+            *self.session.audit_cache.lock() = None;
         }
     }
 
     /// Is incremental-audit mode on?
     pub fn incremental_enabled(&self) -> bool {
-        self.incremental
+        self.session.incremental
     }
 
     /// Open a transaction: every subsequent assertion and retraction is
@@ -1523,7 +1591,7 @@ impl Specification {
         };
         let delta = self.kb.delta_since(mark);
         self.kb.end_delta();
-        if self.trace_enabled {
+        if self.session.trace_enabled {
             self.record_commit_event(&delta);
         }
         Ok(delta)
@@ -1552,7 +1620,7 @@ impl Specification {
             .collect();
         names.sort();
         let goal = list_from_iter(names.iter().map(|n| Term::atom(n)));
-        let mut guard = self.last_trace.lock();
+        let mut guard = self.session.last_trace.lock();
         let ring = guard.get_or_insert_with(|| RingTrace::new(self.trace_capacity));
         ring.event(&TraceEvent {
             port: Port::DeltaCommit,
@@ -1574,16 +1642,18 @@ impl Specification {
     ///
     /// Members whose previous audit failed are always re-solved (a full
     /// re-audit would re-attempt them). Falls back to a full audit when
-    /// no cache exists or the world view changed since it was built;
+    /// no cache exists, or when the world view or the knowledge base's
+    /// configuration ([`Self::audit_config`]) moved since it was built;
     /// either way the cache is refreshed, so successive commits can chain
     /// `audit_incremental` calls. Requires incremental mode
     /// ([`Self::set_incremental`]) for the cache to populate.
     pub fn audit_incremental(&self, delta: &Delta, workers: usize) -> SpecResult<AuditReport> {
         let cache = self
+            .session
             .audit_cache
             .lock()
             .clone()
-            .filter(|c| c.world_view == self.world_view);
+            .filter(|c| c.world_view == self.world_view && c.config == self.audit_config());
         let Some(cache) = cache else {
             return self.audit_world_views(workers);
         };
@@ -1602,63 +1672,20 @@ impl Specification {
             })
             .map(|(i, _)| i)
             .collect();
-        if stale.is_empty() {
-            // Nothing the delta touched reaches any audit goal: the
-            // cached member results *are* the current audit.
-            let (violations, per_model, incomplete) = self.merge_member_outcomes(&cache.members);
-            let stats = SolverStats::default();
-            *self.last_stats.lock() = stats;
-            return Ok(AuditReport {
-                violations,
-                per_model,
-                stats,
-                incomplete,
-                workers: 0,
-            });
-        }
-        let goals: Vec<Term> = stale
-            .iter()
-            .map(|&i| Self::audit_goal(&self.world_view[i]))
-            .collect();
-        let mut par = gdp_engine::ParallelSolver::with_budget(
-            &self.kb,
-            workers,
-            self.step_limit,
-            self.depth_limit,
-        );
-        if self.profile_enabled {
-            par.enable_profile();
-        }
-        par.set_deadline(self.deadline);
-        par.set_cancel(self.cancel.clone());
-        par.set_chaos(self.chaos);
-        let results = par.solve_batch(&goals);
-        let mut stats = par.stats();
-        if let Some(p) = par.profile() {
-            self.profiler.lock().absorb(&p);
-        }
-        let mut members = cache.members;
-        for ((&i, goal), result) in stale.iter().zip(&goals).zip(results) {
-            let name = &self.world_view[i];
-            let result = match result {
-                Ok(solutions) => Ok(solutions),
-                Err(e) => self.retry_audit_goal(goal, e, &mut stats),
-            };
-            members[i] = Self::member_outcome(name, result);
-        }
-        let (violations, per_model, incomplete) = self.merge_member_outcomes(&members);
-        *self.audit_cache.lock() = Some(AuditCache {
-            world_view: self.world_view.clone(),
-            members,
-        });
-        *self.last_stats.lock() = stats;
-        Ok(AuditReport {
-            violations,
-            per_model,
-            stats,
-            incomplete,
-            workers: par.workers(),
-        })
+        self.audit_members(cache.members, &stale, workers)
+    }
+
+    /// What the audit member cache is keyed on besides the world view:
+    /// the knowledge base's structural generation (cycle policy,
+    /// coinductive marks, indexing) and its tabling switches (on, all).
+    /// Each can change what a recursive member derives without touching a
+    /// clause, so no commit record shows it.
+    fn audit_config(&self) -> (u64, bool, bool) {
+        (
+            self.kb.structural_generation(),
+            self.kb.tabling_enabled(),
+            self.kb.table_all(),
+        )
     }
 
     // ----- low-level access (sibling crates, diagnostics) --------------------
@@ -1709,7 +1736,7 @@ impl Specification {
 
     fn snapshot_impl(&self, newer: Option<&[CommitRecord]>) -> Specification {
         let (kb, audit_cache) = match newer {
-            None | Some([]) => (self.kb.snapshot(), self.audit_cache.lock().clone()),
+            None | Some([]) => (self.kb.snapshot(), self.session.audit_cache.lock().clone()),
             Some(records) => (self.kb.snapshot_at(records), None),
         };
         Specification {
@@ -1722,22 +1749,23 @@ impl Specification {
             active_meta: self.active_meta.clone(),
             world_view: self.world_view.clone(),
             sort_enforcement: self.sort_enforcement,
-            step_limit: self.step_limit,
-            depth_limit: self.depth_limit,
-            last_stats: Mutex::new(SolverStats::default()),
-            trace_enabled: self.trace_enabled,
-            profile_enabled: self.profile_enabled,
             trace_capacity: self.trace_capacity,
-            profiler: Mutex::new(Profiler::new()),
-            last_trace: Mutex::new(None),
-            deadline: self.deadline,
-            cancel: CancelToken::new(),
-            retry: self.retry,
             chaos: self.chaos,
-            incremental: self.incremental,
             txn_start: None,
-            audit_cache: Mutex::new(audit_cache),
+            session: self.session.fork(audit_cache),
         }
+    }
+
+    /// Exchange the session-owned state with `other`: step and depth
+    /// limits, deadline, cancel token, retry policy, the trace and profile
+    /// switches with the accumulated profile, the last trace ring and the
+    /// last query's counters, incremental mode and the audit member cache.
+    /// Everything the knowledge base holds — clauses, configuration, the
+    /// answer table — stays put. A session re-pinning onto a fresh
+    /// [`Self::snapshot`] moves its state across with this, and lends it
+    /// to the live specification for the length of a commit block.
+    pub fn swap_session(&mut self, other: &mut Specification) {
+        std::mem::swap(&mut self.session, &mut other.session);
     }
 
     /// Assert a raw engine clause under a named group.

@@ -180,6 +180,34 @@ struct StoreState {
 }
 
 impl StoreState {
+    /// The retained records newer than `seq`, oldest first. Errors if
+    /// `seq` is ahead of head, or if those records are no longer all
+    /// retained (the message names the window that is).
+    fn newer_than(&self, seq: u64) -> SpecResult<impl Iterator<Item = &CommitRecord>> {
+        if seq > self.seq {
+            return Err(SpecError::Transaction(format!(
+                "snapshot sequence {seq} is ahead of head {}",
+                self.seq
+            )));
+        }
+        let start = if seq == self.seq {
+            self.history.len()
+        } else {
+            self.history
+                .iter()
+                .position(|r| r.seq == seq + 1)
+                .ok_or_else(|| {
+                    let oldest = self.history.front().map_or(self.seq, |r| r.seq - 1);
+                    SpecError::Transaction(format!(
+                        "snapshot sequence {seq} is no longer retained: the retained window \
+                         is {oldest}..={} (the store keeps the last {} commits)",
+                        self.seq, self.cap
+                    ))
+                })?
+        };
+        Ok(self.history.iter().skip(start))
+    }
+
     /// Fold `kb` (the live KB at `self.seq`) into a fresh checkpoint
     /// image and rotate the WAL. Ordering is the crash-safety argument:
     /// (1) the old image retires to `.ckpt.prev`, (2) the new image
@@ -493,31 +521,26 @@ impl SpecStore {
     /// [`DEFAULT_HISTORY`]) or `seq` is ahead of head.
     pub fn snapshot_at(&self, seq: u64) -> SpecResult<Specification> {
         let spec = self.spec.read();
-        let state = self.state.lock();
-        if seq > state.seq {
-            return Err(SpecError::Transaction(format!(
-                "snapshot sequence {seq} is ahead of head {}",
-                state.seq
-            )));
-        }
-        if seq == state.seq {
-            return Ok(spec.snapshot());
-        }
-        // The suffix of history strictly newer than `seq`, oldest first.
-        let start = state
-            .history
-            .iter()
-            .position(|r| r.seq == seq + 1)
-            .ok_or_else(|| {
-                let oldest = state.history.front().map_or(state.seq, |r| r.seq - 1);
-                SpecError::Transaction(format!(
-                    "snapshot sequence {seq} is no longer retained: the retained window \
-                     is {oldest}..={} (the store keeps the last {} commits)",
-                    state.seq, state.cap
-                ))
-            })?;
-        let newer: Vec<CommitRecord> = state.history.iter().skip(start).cloned().collect();
+        let newer: Vec<CommitRecord> = self.state.lock().newer_than(seq)?.cloned().collect();
         Ok(spec.snapshot_at(&newer))
+    }
+
+    /// The merged [`Delta`] of the commits between sequence numbers `a`
+    /// and `b`, in either order: what changed from a view pinned at one
+    /// to a view pinned at the other — the dirty set an incremental audit
+    /// needs when its member cache was built at `a` and it now runs at
+    /// `b`. Errors like [`SpecStore::snapshot_at`] when those records are
+    /// no longer retained.
+    pub fn delta_between(&self, a: u64, b: u64) -> SpecResult<Delta> {
+        let state = self.state.lock();
+        let mut delta = Delta::new();
+        for record in state
+            .newer_than(a.min(b))?
+            .take_while(|r| r.seq <= a.max(b))
+        {
+            delta.merge(record.delta.clone());
+        }
+        Ok(delta)
     }
 
     /// Commit one transaction: take the write lock, open a transaction,

@@ -58,26 +58,21 @@ impl<'a> Loader<'a> {
     /// *did* load is folded into the error-free case only; statements that
     /// applied before/after a failure remain applied either way.
     pub fn load_str(&mut self, src: &str) -> LangResult<LoadSummary> {
-        self.load_str_guarded(src, || {})
+        let (statements, errors) = parse_program_diagnostics(src);
+        self.load_parsed(statements, errors)
     }
 
-    /// Like [`Self::load_str`], but run `before` ahead of every statement.
-    ///
-    /// This is the shell's cancellation seam: an interactive session
-    /// passes a closure that rearms its [`gdp_engine::CancelToken`], so a
-    /// Ctrl-C that lands during one statement of a multi-statement source
-    /// (or a `:load`ed file) kills only the in-flight query — the
-    /// statements after it still run instead of dying instantly with a
-    /// stale `Cancelled`.
-    pub fn load_str_guarded(
+    /// Execute statements already parsed by
+    /// [`crate::parse_program_diagnostics`], reporting its `errors`
+    /// alongside any the statements raise — [`Self::load_str`] without the
+    /// parse, for callers that inspected the statements first.
+    pub fn load_parsed(
         &mut self,
-        src: &str,
-        mut before: impl FnMut(),
+        statements: Vec<(Pos, Statement)>,
+        mut errors: Vec<LangError>,
     ) -> LangResult<LoadSummary> {
-        let (statements, mut errors) = parse_program_diagnostics(src);
         let mut summary = LoadSummary::default();
         for (idx, (pos, stmt)) in statements.into_iter().enumerate() {
-            before();
             if let Err(e) = self.apply(idx, pos, stmt, &mut summary) {
                 errors.push(e);
             }
@@ -417,9 +412,9 @@ mod tests {
     fn stale_cancellation_poisons_later_statements_without_the_guard() {
         let mut spec = cancellable_spec();
         // A Ctrl-C handler trips the session token between two sources.
-        // Without the per-statement rearm, *every* later statement dies
-        // with the same stale token — the residual hole the guarded
-        // loader exists to close.
+        // The loader never rearms it, so *every* later statement dies with
+        // the same stale token — which is why an interactive session
+        // rearms the token ahead of each query itself.
         spec.cancel_token().cancel();
         let err = load(
             &mut spec,
@@ -438,29 +433,6 @@ mod tests {
                     }
                 ),
                 "{d:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn guarded_load_rearms_the_token_between_statements() {
-        let mut spec = cancellable_spec();
-        let token = spec.cancel_token();
-        token.cancel();
-        // The same stale token, but loaded through the shell's seam: the
-        // guard rearms it ahead of each statement, so both joins run to
-        // completion as if the interrupt had never lingered.
-        let summary = Loader::new(&mut spec)
-            .load_str_guarded("?- card(pair(X, Y), N).\n?- card(pair(X, Y), M).", || {
-                token.reset()
-            })
-            .expect("rearmed load succeeds");
-        assert_eq!(summary.query_results.len(), 2);
-        for answers in &summary.query_results {
-            assert_eq!(answers.len(), 1, "{answers:?}");
-            assert!(
-                format!("{:?}", answers[0].bindings()).contains("2304"),
-                "{answers:?}"
             );
         }
     }

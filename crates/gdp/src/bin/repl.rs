@@ -1,14 +1,19 @@
 //! gdp-repl — an interactive requirements-specification shell.
 //!
 //! The paper frames specification as an interactive validation activity;
-//! this shell is the workbench: type statements in the specification
-//! language (terminated by `.`), query with `?- … .`, and use `:`-commands
-//! for session control.
+//! this shell is the workbench. It is one [`gdp::server::Session`] over an
+//! in-memory store: the protocol `gdp-serve` speaks, with no socket and no
+//! write-ahead log, so statements, queries and every `:`-command behave
+//! exactly as they do on the server. The shell adds only the terminal:
+//! Ctrl-C cancels the running statement, and `:load FILE` runs a file as
+//! one statement block.
 //!
 //! ```text
 //! $ cargo run -p gdp --bin gdp-repl
 //! gdp> bridge(b1). bridge(b2). open(b1).
+//! ok (3 facts, 0 rules, 0 constraints) committed as seq 1
 //! gdp> closed(X) :- bridge(X), not(open(X)).
+//! ok (0 facts, 1 rules, 0 constraints) committed as seq 2
 //! gdp> ?- closed(X).
 //! X = b2
 //! gdp> :why closed(b2)
@@ -16,12 +21,10 @@
 //! ```
 
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
-use std::time::Duration;
 
-use gdp::lang::{parse_formula, LangError, Loader};
-use gdp::prelude::*;
+use gdp::prelude::CancelToken;
+use gdp::server::{ServeOptions, ServerState, Session, PROMPT};
 
 /// The session's cancellation token, reachable from the SIGINT handler.
 static INTERRUPT: OnceLock<CancelToken> = OnceLock::new();
@@ -58,74 +61,31 @@ fn install_sigint(_token: CancelToken) {
     let _ = on_sigint as extern "C" fn(i32);
 }
 
-const HELP: &str = "\
-statements  any specification-language statement ending in `.`
-            (facts, rules, constraints, #directives, `?- query.`)
-:load FILE  load a specification file
-:why GOAL   explain why a fact is provable (proof tree)
-:check      run consistency checking against the active world view
-:audit [-j N] [-i]  parallel world-view audit (N workers; default: all
-            cores). `-i`: incremental — re-solve only the members whose
-            goals depend on predicates dirtied since the last audit
-            (committed transactions accumulate the pending delta)
-:begin      open a transaction (assertions/retractions become revertible)
-:commit     commit the transaction; its delta feeds the next `:audit -i`
-:rollback   abort the transaction, restoring the pre-:begin state
-:views      show the active world view and meta-view
-:stats      knowledge-base, solver, and answer-table statistics
-            (after :audit these are the merged per-worker counters)
-:index [MODE]  clause indexing: no argument prints the per-predicate
-            index report (hash/range configuration, hit and prune
-            counters); on | off | status toggle candidate selection
-            (`GDP_INDEX=off` in the environment starts with it off)
-:table MODE answer tabling: on | off | all | status, plus the
-            recursive-cycle policy: inductive | coinductive
-:trace MODE port-event tracing: on | off | show | status
-            (`show` prints the last traced query's final events)
-:profile [MODE]  per-predicate profiler: no argument prints the
-            hot-predicate table; on | off | reset manage it
-:budget S D set the per-query step and depth budget
-:deadline MS|off  wall-clock limit per query (Ctrl-C cancels any time)
-:retry [N]  audit retry attempts for budget-limited goals (escalating
-            step limits); no argument prints the current policy
-:help       this text
-:quit       exit";
-
 fn main() {
-    let mut spec = match gdp::standard_spec() {
-        Ok((spec, reg)) => Session {
-            spec,
-            reg,
-            pending: gdp::engine::Delta::new(),
-        },
-        Err(e) => {
-            eprintln!("failed to initialize: {e}");
-            std::process::exit(1);
-        }
-    };
-    // Make the fuzzy rule packs available out of the box.
-    spec.spec
-        .register_meta_model(gdp::fuzzy::unified_fuzzy(gdp::fuzzy::UnifyPolicy::Max));
-    install_sigint(spec.spec.cancel_token());
+    let state = ServerState::new().unwrap_or_else(|e| {
+        eprintln!("failed to initialize: {e}");
+        std::process::exit(1);
+    });
+    let mut session = Session::new(state, &ServeOptions::default());
+    install_sigint(session.cancel_token());
 
-    println!("gdp-repl — formal GDP requirements shell (:help for help, Ctrl-C cancels a query)");
     let stdin = std::io::stdin();
-    let mut buffer = String::new();
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(
+        out,
+        "gdp-repl — formal GDP requirements shell (:help for help, Ctrl-C cancels a query)"
+    );
+    let mut line = String::new();
     loop {
-        if buffer.is_empty() {
-            print!("gdp> ");
-        } else {
-            print!("...> ");
-        }
-        std::io::stdout().flush().ok();
-        let mut line = String::new();
+        let _ = write!(out, "{}", session.prompt()).and_then(|()| out.flush());
+        line.clear();
         match stdin.lock().read_line(&mut line) {
             Ok(0) => break, // EOF
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
                 // Ctrl-C at the prompt (non-restarting platforms): just
                 // re-prompt.
-                println!();
+                let _ = writeln!(out);
                 continue;
             }
             Err(e) => {
@@ -133,549 +93,27 @@ fn main() {
                 break;
             }
         }
-        let trimmed = line.trim();
-        if buffer.is_empty() && trimmed.starts_with(':') {
-            if !spec.guarded(|s| s.command(trimmed)) {
+        let handled = match line.trim().split_once(' ') {
+            // Only the shell reads files: no socket client can make the
+            // server open one. The file's text is one statement block.
+            Some((":load", path)) if session.prompt() == PROMPT => {
+                match std::fs::read_to_string(path.trim()) {
+                    Ok(source) => session.block(&source, &mut out).map(|()| true),
+                    Err(e) => {
+                        writeln!(out, "error: cannot read {}: {e}", path.trim()).map(|()| true)
+                    }
+                }
+            }
+            _ => session.line(&line, &mut out),
+        };
+        match handled {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                eprintln!("write error: {e}");
                 break;
             }
-            continue;
-        }
-        buffer.push_str(&line);
-        // A statement ends with `.` at end of line (ignoring whitespace).
-        if trimmed.ends_with('.') {
-            let source = std::mem::take(&mut buffer);
-            spec.guarded(|s| {
-                s.run_source(&source);
-                true
-            });
         }
     }
-}
-
-struct Session {
-    spec: Specification,
-    reg: SpatialRegistry,
-    /// Deltas of committed-but-not-yet-audited transactions, merged in
-    /// commit order; `:audit -i` consumes them.
-    pending: gdp::engine::Delta,
-}
-
-/// Parse the `:audit` argument list: any order of `-j N` and `-i`.
-/// Returns `(workers, incremental)`.
-fn parse_audit_workers(rest: &str) -> Result<(usize, bool), String> {
-    let usage = || "usage: :audit [-j N] [-i]".to_string();
-    let mut workers = None;
-    let mut incremental = false;
-    let mut parts = rest.split_whitespace();
-    while let Some(part) = parts.next() {
-        match part {
-            "-i" => incremental = true,
-            "-j" => {
-                let n = parts.next().ok_or_else(usage)?;
-                workers = Some(n.parse::<usize>().ok().filter(|w| *w >= 1).ok_or_else(|| {
-                    format!("usage: :audit [-j N] [-i] (N must be a positive integer, got {n})")
-                })?);
-            }
-            _ => return Err(usage()),
-        }
-    }
-    let workers = workers.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
-    Ok((workers, incremental))
-}
-
-impl Session {
-    /// Run one interaction with the session kept alive across faults: the
-    /// cancellation token is rearmed first (a Ctrl-C that landed after the
-    /// previous query finished must not poison this one), and a panic
-    /// escaping the interaction — a buggy native, an injected fault — is
-    /// contained and reported instead of tearing the shell down.
-    fn guarded(&mut self, f: impl FnOnce(&mut Session) -> bool) -> bool {
-        self.spec.cancel_token().reset();
-        match catch_unwind(AssertUnwindSafe(|| f(self))) {
-            Ok(keep_going) => keep_going,
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                println!("internal panic (session kept): {message}");
-                true
-            }
-        }
-    }
-
-    /// Print one specification-layer failure, reporting interrupts and
-    /// deadlines as first-class outcomes with the steps they consumed.
-    fn report_spec_error(&self, e: &SpecError) {
-        match e {
-            SpecError::Engine(EngineError::Cancelled) => {
-                println!("cancelled. ({} steps used)", self.spec.solver_stats().steps);
-            }
-            SpecError::Engine(EngineError::DeadlineExceeded { .. }) => {
-                println!(
-                    "deadline exceeded. ({} steps used)",
-                    self.spec.solver_stats().steps
-                );
-            }
-            other => println!("error: {other}"),
-        }
-    }
-
-    fn run_source(&mut self, source: &str) {
-        // Rearm the cancellation token before every statement, not just
-        // once per interaction: a Ctrl-C that lands during one statement
-        // of a multi-statement source (or a `:load`ed file) must kill
-        // only that query — without this, the tripped token makes every
-        // later statement in the same source die instantly with a stale
-        // `Cancelled`.
-        let token = self.spec.cancel_token();
-        match Loader::with_spatial(&mut self.spec, &self.reg)
-            .load_str_guarded(source, || token.reset())
-        {
-            Ok(summary) => {
-                for answers in &summary.query_results {
-                    if answers.is_empty() {
-                        println!("no.");
-                        continue;
-                    }
-                    // Deduplicate repeated derivations for display.
-                    let mut seen = Vec::new();
-                    for answer in answers {
-                        let line = if answer.bindings().is_empty() {
-                            "yes.".to_string()
-                        } else {
-                            answer
-                                .bindings()
-                                .iter()
-                                .map(|(name, value)| format!("{name} = {value}"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        };
-                        if !seen.contains(&line) {
-                            println!("{line}");
-                            seen.push(line);
-                        }
-                    }
-                }
-                let loaded = summary.facts + summary.rules + summary.constraints;
-                if loaded > 0 {
-                    println!(
-                        "ok ({} facts, {} rules, {} constraints)",
-                        summary.facts, summary.rules, summary.constraints
-                    );
-                }
-            }
-            Err(e) => {
-                // One line per diagnostic: the loader recovers at clause
-                // boundaries, so a multi-defect source reports everything.
-                for d in e.diagnostics() {
-                    match d {
-                        LangError::Load {
-                            error:
-                                error @ SpecError::Engine(
-                                    EngineError::Cancelled | EngineError::DeadlineExceeded { .. },
-                                ),
-                            ..
-                        } => self.report_spec_error(error),
-                        other => println!("error: {other}"),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Returns false to quit.
-    fn command(&mut self, input: &str) -> bool {
-        let (cmd, rest) = match input.split_once(' ') {
-            Some((c, r)) => (c, r.trim()),
-            None => (input, ""),
-        };
-        match cmd {
-            ":quit" | ":q" | ":exit" => return false,
-            ":help" | ":h" => println!("{HELP}"),
-            ":load" => match std::fs::read_to_string(rest) {
-                Ok(source) => self.run_source(&source),
-                Err(e) => println!("error: cannot read {rest}: {e}"),
-            },
-            ":why" => match parse_formula(rest) {
-                Ok(gdp::core::Formula::Fact(pat)) => match self.spec.explain_fact(pat) {
-                    Ok(Some(proof)) => print!("{}", proof.render()),
-                    Ok(None) => println!("not provable."),
-                    Err(e) => println!("error: {e}"),
-                },
-                Ok(_) => println!("error: :why takes a single fact goal"),
-                Err(e) => println!("error: {e}"),
-            },
-            ":check" => match self.spec.check_consistency() {
-                Ok(violations) if violations.is_empty() => {
-                    println!("consistent (no constraint violations).")
-                }
-                Ok(violations) => {
-                    for v in violations {
-                        println!("{v}");
-                    }
-                }
-                Err(e) => self.report_spec_error(&e),
-            },
-            ":begin" => match self.spec.begin_txn() {
-                Ok(()) => println!("transaction open (:commit or :rollback)."),
-                Err(e) => println!("error: {e}"),
-            },
-            ":commit" => match self.spec.commit_txn() {
-                Ok(delta) => {
-                    let mut dirty: Vec<String> = delta
-                        .dirty_preds()
-                        .into_iter()
-                        .map(|k| format!("{}/{}", k.name.as_str(), k.arity))
-                        .collect();
-                    dirty.sort();
-                    println!(
-                        "committed {} operation(s); dirtied: {}",
-                        delta.len(),
-                        if dirty.is_empty() {
-                            "nothing".to_string()
-                        } else {
-                            dirty.join(", ")
-                        }
-                    );
-                    self.pending.merge(delta);
-                }
-                Err(e) => println!("error: {e}"),
-            },
-            ":rollback" => match self.spec.rollback_txn() {
-                Ok(undone) => println!("rolled back {undone} operation(s)."),
-                Err(e) => println!("error: {e}"),
-            },
-            ":audit" => {
-                let (workers, incremental) = match parse_audit_workers(rest) {
-                    Ok(parsed) => parsed,
-                    Err(msg) => {
-                        println!("{msg}");
-                        return true;
-                    }
-                };
-                let result = if incremental {
-                    // First use arms per-member caching; this (full) audit
-                    // seeds the cache for the next delta-driven one.
-                    if !self.spec.incremental_enabled() {
-                        self.spec.set_incremental(true);
-                    }
-                    self.spec.audit_incremental(&self.pending, workers)
-                } else {
-                    self.spec.audit_world_views(workers)
-                };
-                if incremental && result.is_ok() {
-                    self.pending = gdp::engine::Delta::new();
-                }
-                match result {
-                    Ok(report) => {
-                        if report.violations.is_empty() && report.is_complete() {
-                            println!(
-                                "consistent across {} world-view member(s) ({} workers).",
-                                report.per_model.len(),
-                                report.workers
-                            );
-                        } else {
-                            for v in &report.violations {
-                                println!("{v}");
-                            }
-                            let breakdown = report
-                                .per_model
-                                .iter()
-                                .map(|(m, n)| format!("{m}: {n}"))
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            println!(
-                                "{} violation(s) ({}); {} workers",
-                                report.violations.len(),
-                                breakdown,
-                                report.workers
-                            );
-                        }
-                        for f in &report.incomplete {
-                            println!(
-                                "incomplete: {} — {} (after {} retr{})",
-                                f.model,
-                                f.error,
-                                f.attempts,
-                                if f.attempts == 1 { "y" } else { "ies" }
-                            );
-                        }
-                        if !report.is_complete() {
-                            println!(
-                                "degraded audit: {}/{} member(s) reported.",
-                                report.per_model.len() - report.incomplete.len(),
-                                report.per_model.len()
-                            );
-                        }
-                        let s = report.stats;
-                        println!(
-                            "merged: {} steps, {} clause resolutions, table {} hit / {} miss / {} fallback",
-                            s.steps, s.resolutions, s.table_hits, s.table_misses, s.table_fallbacks
-                        );
-                    }
-                    Err(e) => self.report_spec_error(&e),
-                }
-            }
-            ":views" => {
-                println!("world view: {}", self.spec.world_view().join(", "));
-                println!("meta view:  {}", self.spec.meta_view().join(", "));
-            }
-            ":stats" => {
-                println!(
-                    "{} clauses across {} predicates; grids: {}",
-                    self.spec.kb().clause_count(),
-                    self.spec.kb().predicate_count(),
-                    self.reg.grid_names().join(", ")
-                );
-                let s = self.spec.solver_stats();
-                println!(
-                    "last query: {} steps, {} clause resolutions, table {} hit / {} miss / {} fallback",
-                    s.steps, s.resolutions, s.table_hits, s.table_misses, s.table_fallbacks
-                );
-                let t = self.spec.table_stats();
-                println!(
-                    "answer table ({}, {} cycles): {} entries; lifetime {} hits, {} misses, {} inserts, {} invalidations, {} fallbacks",
-                    if self.spec.tabling_enabled() { "on" } else { "off" },
-                    self.spec.cycle_policy(),
-                    self.spec.kb().table().len(),
-                    t.hits, t.misses, t.inserts, t.invalidations, t.fallbacks
-                );
-            }
-            ":index" => match rest {
-                "on" => {
-                    self.spec.kb_mut().set_indexing(true);
-                    println!("indexing on (hash + range candidate selection).");
-                }
-                "off" => {
-                    self.spec.kb_mut().set_indexing(false);
-                    println!("indexing off: every call scans all clauses.");
-                }
-                "status" => println!(
-                    "indexing is {}.",
-                    if self.spec.kb().indexing() {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                ),
-                "" => {
-                    println!(
-                        "indexing is {}.",
-                        if self.spec.kb().indexing() {
-                            "on"
-                        } else {
-                            "off"
-                        }
-                    );
-                    let reports: Vec<_> = self
-                        .spec
-                        .kb()
-                        .index_stats()
-                        .into_iter()
-                        .filter(|r| {
-                            !r.hash_positions.is_empty()
-                                || !r.range_specs.is_empty()
-                                || r.consults > 0
-                        })
-                        .collect();
-                    if reports.is_empty() {
-                        println!("no indexed predicates consulted yet.");
-                    } else {
-                        println!(
-                            "{:<14} {:>7}  {:<9} {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}",
-                            "predicate",
-                            "clauses",
-                            "hash",
-                            "range",
-                            "consults",
-                            "hashhit",
-                            "rangehit",
-                            "pruned",
-                            "scans"
-                        );
-                        for r in reports {
-                            let hash = if r.hash_positions.is_empty() {
-                                "-".to_string()
-                            } else {
-                                r.hash_positions
-                                    .iter()
-                                    .map(|p| p.to_string())
-                                    .collect::<Vec<_>>()
-                                    .join(",")
-                            };
-                            let (ivs, grids) =
-                                r.range_specs.iter().fold((0, 0), |(i, g), s| match s {
-                                    gdp::engine::RangeSpec::Interval(_) => (i + 1, g),
-                                    gdp::engine::RangeSpec::Grid { .. } => (i, g + 1),
-                                });
-                            let range = match (ivs, grids) {
-                                (0, 0) => "-".to_string(),
-                                (i, 0) => format!("{i} iv"),
-                                (0, g) => format!("{g} grid"),
-                                (i, g) => format!("{i} iv,{g} grid"),
-                            };
-                            println!(
-                                "{:<14} {:>7}  {:<9} {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}",
-                                r.pred.to_string(),
-                                r.clauses,
-                                hash,
-                                range,
-                                r.consults,
-                                r.hash_hits,
-                                r.range_hits,
-                                r.pruned,
-                                r.scans
-                            );
-                        }
-                    }
-                }
-                other => println!("usage: :index [on|off|status] (got {other})"),
-            },
-            ":table" => match rest {
-                "on" => {
-                    self.spec.enable_tabling(true);
-                    println!("answer tabling on (nominated predicates).");
-                }
-                "off" => {
-                    self.spec.enable_tabling(false);
-                    println!("answer tabling off.");
-                }
-                "all" => {
-                    self.spec.enable_tabling(true);
-                    self.spec.set_table_all(true);
-                    println!("answer tabling on for every user predicate.");
-                }
-                "inductive" => {
-                    self.spec.set_cycle_policy(CyclePolicy::Inductive);
-                    println!("cycle policy inductive (recursive re-entry fails; least fixpoint).");
-                }
-                "coinductive" => {
-                    self.spec.set_cycle_policy(CyclePolicy::Coinductive);
-                    println!("cycle policy coinductive (recursive re-entry succeeds).");
-                }
-                "status" | "" => {
-                    let t = self.spec.table_stats();
-                    println!(
-                        "answer tabling is {} ({} cached call patterns, {} cycle policy, {} SLD fallback(s) in non-tablable contexts).",
-                        if self.spec.tabling_enabled() {
-                            "on"
-                        } else {
-                            "off"
-                        },
-                        self.spec.kb().table().len(),
-                        self.spec.cycle_policy(),
-                        t.fallbacks,
-                    );
-                }
-                other => {
-                    println!("usage: :table on|off|all|status|inductive|coinductive (got {other})")
-                }
-            },
-            ":trace" => match rest {
-                "on" => {
-                    self.spec.set_trace(true);
-                    println!("port-event tracing on (:trace show after a query).");
-                }
-                "off" => {
-                    self.spec.set_trace(false);
-                    println!("port-event tracing off.");
-                }
-                "show" | "" => match self.spec.last_trace() {
-                    Some(trace) => print!("{}", trace.render()),
-                    None => println!("no traced query yet (:trace on, then run one)."),
-                },
-                "status" => println!(
-                    "port-event tracing is {}.",
-                    if self.spec.trace_enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                ),
-                other => println!("usage: :trace on|off|show|status (got {other})"),
-            },
-            ":profile" => match rest {
-                "on" => {
-                    self.spec.set_profile(true);
-                    println!("per-predicate profiling on.");
-                }
-                "off" => {
-                    self.spec.set_profile(false);
-                    println!("per-predicate profiling off.");
-                }
-                "reset" => {
-                    self.spec.reset_profile();
-                    println!("profile cleared.");
-                }
-                "" => {
-                    let prof = self.spec.profile();
-                    if prof.is_empty() {
-                        println!(
-                            "no profile data ({}).",
-                            if self.spec.profile_enabled() {
-                                "run a query first"
-                            } else {
-                                ":profile on, then run a query"
-                            }
-                        );
-                    } else {
-                        print!("{}", prof.render());
-                    }
-                }
-                other => println!("usage: :profile [on|off|reset] (got {other})"),
-            },
-            ":budget" => {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                match (
-                    parts.first().and_then(|s| s.parse::<u64>().ok()),
-                    parts.get(1).and_then(|s| s.parse::<u32>().ok()),
-                ) {
-                    (Some(steps), Some(depth)) => {
-                        self.spec.set_budget(steps, depth);
-                        println!("budget: {steps} steps, depth {depth}");
-                    }
-                    _ => println!("usage: :budget <steps> <depth>"),
-                }
-            }
-            ":deadline" => match rest {
-                "off" => {
-                    self.spec.set_deadline(None);
-                    println!("deadline off.");
-                }
-                ms => match ms.parse::<u64>() {
-                    Ok(ms) if ms >= 1 => {
-                        self.spec.set_deadline(Some(Duration::from_millis(ms)));
-                        println!("deadline: {ms} ms per query.");
-                    }
-                    _ => println!("usage: :deadline <ms>|off"),
-                },
-            },
-            ":retry" => match rest {
-                "" => {
-                    let policy = self.spec.retry();
-                    println!(
-                        "retry policy: {} attempt(s), x{} step escalation per attempt.",
-                        policy.attempts, policy.escalation
-                    );
-                }
-                n => match n.parse::<u32>() {
-                    Ok(attempts) => {
-                        self.spec.set_retry(RetryPolicy::retries(attempts));
-                        println!(
-                            "audit retries: {attempts} attempt(s) with escalating step limits."
-                        );
-                    }
-                    Err(_) => println!("usage: :retry [<attempts>]"),
-                },
-            },
-            other => println!("unknown command {other} (:help for help)"),
-        }
-        true
-    }
+    let _ = out.flush();
 }

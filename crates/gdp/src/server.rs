@@ -1,26 +1,40 @@
-//! The serving layer behind `gdp-serve`: REPL-protocol sessions over any
-//! byte stream, with MVCC snapshot isolation per session.
+//! The command layer of both `gdp-serve` and `gdp-repl`: protocol
+//! [`Session`]s over a shared [`ServerState`], with MVCC snapshot
+//! isolation per session.
 //!
 //! One process hosts one [`ServerState`] — a [`SpecStore`] plus the shared
-//! spatial registry — and any number of concurrent sessions. Each session
-//! pins a *snapshot* of the specification (a generation-tagged, copy-on-
-//! write view; see [`SpecStore::snapshot`]) and runs every query, `:check`
-//! and `:audit` against it: a writer committing on another connection
-//! never changes what an open session observes until it re-pins.
+//! spatial registry — and any number of sessions. `gdp-serve` runs one per
+//! connection, over a durable or an in-memory store; `gdp-repl` runs one
+//! over an in-memory store, with no socket and no write-ahead log. There
+//! is one protocol and one dispatcher: the shell adds only its terminal
+//! (Ctrl-C and `:load FILE`).
 //!
-//! The wire protocol is the `gdp-repl` protocol verbatim — statements
-//! terminated by `.`, `:`-commands for session control, one `gdp> `
-//! prompt after each response — so the shell and the server speak the
-//! same language, and anything scriptable against one drives the other.
-//! Session-level additions:
+//! The protocol: statements terminated by `.` (lines accumulate under a
+//! `...> ` prompt until one ends in `.`; blank lines between statements
+//! are ignored), `:`-commands for session control, and one `gdp> ` prompt
+//! after each response. Its transaction semantics:
 //!
-//! * statement blocks outside a transaction commit **atomically**: any
-//!   diagnostic rolls the whole block back (the shell instead applies
-//!   the statements that parsed);
-//! * `:begin` buffers statement blocks client-side of the store and
-//!   `:commit` applies them as one commit; `:rollback` discards them;
+//! * a block that parses cleanly and holds only `?-` queries runs on the
+//!   session's pinned snapshot and never takes the write lock;
+//! * any other block commits **atomically**: any diagnostic — a parse
+//!   error, a rejected statement, a failing query, a cancellation —
+//!   rolls the whole block back;
+//! * `:begin` buffers blocks, `:commit` applies them as one commit and
+//!   `:rollback` discards them; the session does not see its buffered
+//!   writes before `:commit`;
 //! * `:snapshot [SEQ]` re-pins the session (head, or a retained earlier
 //!   commit); `:seq` shows the pinned and head sequence numbers.
+//!
+//! State is split by who owns it. `:table` and `:index on|off` change the
+//! knowledge base every session pins, through [`SpecStore::update`].
+//! Limits, deadline, retries, tracing, profiling and the audit member
+//! cache belong to the session and follow it across re-pins
+//! ([`Specification::swap_session`]). The base image's step and depth
+//! limits and the operator's statement deadline are ceilings the session
+//! may lower but never lift. `:audit -i` re-solves only the members that
+//! the commits between its member cache's pin and the current pin can
+//! have changed, reading those commits from the store's retained records
+//! ([`SpecStore::delta_between`]).
 //!
 //! The socket layer is hardened for unattended operation
 //! ([`ServeOptions`]): admission control turns away connections past
@@ -37,37 +51,74 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gdp_core::{DurabilityOptions, SpecError, SpecResult, SpecStore, Specification};
-use gdp_engine::{CancelToken, Delta, EngineError};
-use gdp_lang::Loader;
+use gdp_core::{
+    AuditReport, DurabilityOptions, Formula, SpecError, SpecResult, SpecStore, Specification,
+};
+use gdp_engine::{
+    CancelToken, CyclePolicy, EngineError, IndexReport, KnowledgeBase, RangeSpec, SolverStats,
+};
+use gdp_lang::{parse_formula, parse_program_diagnostics, LangError, Loader, Pos, Statement};
 use gdp_spatial::SpatialRegistry;
 
-const PROMPT: &str = "gdp> ";
+/// The prompt in front of a new statement or command.
+pub const PROMPT: &str = "gdp> ";
 const CONT_PROMPT: &str = "...> ";
 
 /// How often blocked socket reads wake up to notice drain/idle state,
 /// and how often the accept loop polls its non-blocking listener.
 const TICK: Duration = Duration::from_millis(50);
 
+/// The stack of each socket session's thread: a main thread's customary
+/// 8 MiB rather than a spawned thread's 2 MiB. The solver recurses on the
+/// host stack once per `not`/`forall`/aggregate sub-solver, up to the base
+/// depth limit of 256 levels, and on x86-64 Linux an unoptimised build
+/// needs about 3 MiB for those (an optimised one under 1 MiB). A stack
+/// overflow cannot be contained: it would abort every session.
+const SESSION_STACK: usize = 8 << 20;
+
 const HELP: &str = "\
 statements  any specification-language statement ending in `.`
             (facts, rules, constraints, #directives, `?- query.`)
-            queries run against this session's pinned snapshot;
-            other statements commit atomically to the live store
+            a block of queries runs against this session's pinned
+            snapshot; any other block commits atomically to the store
+            (one diagnostic rolls the whole block back)
+:load FILE  (gdp-repl only) run a specification file as one block
 :begin      buffer statement blocks; :commit applies them as ONE commit
 :commit     commit the buffered blocks (all-or-nothing)
 :rollback   discard the buffered blocks
 :snapshot [SEQ]  re-pin this session: at head, or at a retained commit
 :seq        this session's pinned sequence and the store's head
+:why GOAL   explain why a fact is provable (proof tree)
 :check      consistency check against the pinned snapshot
 :audit [-j N] [-i]  parallel world-view audit of the pinned snapshot
+            (N workers; default: all cores). `-i`: re-solve only the
+            members that the commits since this session's last audit
+            can have changed
 :views      the active world view and meta-view
-:stats      knowledge-base and solver statistics (pinned snapshot)
+:stats      knowledge-base, solver, and answer-table statistics
+:index [MODE]  clause indexing: no argument prints the per-predicate
+            index report (hash/range configuration, hit and prune
+            counters); status; on | off switch candidate selection
+            for every session
+:table MODE answer tabling for every session: on | off | all | status,
+            plus the recursive-cycle policy: inductive | coinductive
+:trace MODE port-event tracing: on | off | show | status
+            (`show` prints the last traced query's final events)
+:profile [MODE]  per-predicate profiler: no argument prints the
+            hot-predicate table; on | off | reset manage it
+:budget S D this session's per-query step and depth budget, never
+            above the base budget the session started with
+:deadline MS|off  this session's wall-clock limit per query, never
+            above the server's --deadline (Ctrl-C cancels in gdp-repl)
+:retry [N]  audit retry attempts for budget-limited goals (escalating
+            step limits, never past the base budget); no argument
+            prints the current policy
 :shutdown   drain the whole server: stop accepting, finish sessions,
             write a final checkpoint, exit
 :help       this text
@@ -118,10 +169,10 @@ pub struct ServerState {
     next_session: AtomicU64,
 }
 
-/// The base image every `gdp-serve` process starts from: the standard
-/// spatial + temporal specification with the fuzzy rule packs registered
-/// (exactly what `gdp-repl` builds). Durable stores replay their WAL over
-/// this base, so it must stay deterministic.
+/// The base image every `gdp-serve` and `gdp-repl` process starts from:
+/// the standard spatial + temporal specification with the fuzzy rule
+/// packs registered. Durable stores replay their WAL over this base, so
+/// it must stay deterministic.
 fn base_spec() -> SpecResult<(Specification, SpatialRegistry)> {
     let (mut spec, registry) = crate::standard_spec()?;
     spec.register_meta_model(gdp_fuzzy::unified_fuzzy(gdp_fuzzy::UnifyPolicy::Max));
@@ -231,8 +282,7 @@ impl ServerState {
         Some(id)
     }
 
-    /// Point session `id`'s registry slot at `token` (called whenever a
-    /// session pins a new view, whose snapshot carries a fresh token).
+    /// Point session `id`'s registry slot at the session's cancel token.
     fn set_session_token(&self, id: u64, token: CancelToken) {
         if let Some(slot) = self.sessions.lock().unwrap().get_mut(&id) {
             *slot = token;
@@ -264,48 +314,27 @@ impl Drop for SessionGuard {
     }
 }
 
-/// Drive one session over a byte stream until `:quit` or EOF. This is
-/// the whole protocol — the socket listeners just hand their streams
-/// here, and in-process tests can run it over pipes. (Pipes block
-/// without timeouts, so idle/drain ticks only fire on socket sessions.)
-pub fn serve_connection(
-    state: Arc<ServerState>,
-    reader: impl BufRead,
-    writer: impl Write,
-) -> std::io::Result<()> {
-    run_session(state, reader, writer, &ServeOptions::default(), None)
-}
-
-/// The protocol loop. `id` is the admission-registry slot for socket
-/// sessions; direct [`serve_connection`] callers pass `None` and skip
-/// registration. Reads that time out (socket read timeouts double as
-/// ticks) check the drain flag and the idle budget; a partial line
-/// survives across ticks in the reader's buffer.
+/// The socket side of a session: `id` is its admission-registry slot.
+/// Reads that time out (socket read timeouts double as ticks) check the
+/// drain flag and the idle budget; a partial line survives across ticks
+/// in the reader's buffer.
 fn run_session(
     state: Arc<ServerState>,
     mut reader: impl BufRead,
     mut writer: impl Write,
     opts: &ServeOptions,
-    id: Option<u64>,
+    id: u64,
 ) -> std::io::Result<()> {
-    let (seq, view) = state.store.snapshot();
-    let mut session = Session {
-        state,
-        view,
-        seq,
-        pending: Delta::new(),
-        txn: None,
-        deadline: opts.statement_deadline,
-        id,
-    };
-    session.arm_view();
+    let mut session = Session::new(state, opts);
+    // The token survives every re-pin, so the registry is set once.
+    session.state.set_session_token(id, session.cancel_token());
     writeln!(
         writer,
-        "gdp-serve — formal GDP requirements server (snapshot pinned at seq {seq}; :help for help)"
+        "gdp-serve — formal GDP requirements server (snapshot pinned at seq {}; :help for help)",
+        session.seq
     )?;
     write!(writer, "{PROMPT}")?;
     writer.flush()?;
-    let mut buffer = String::new();
     let mut line = String::new();
     let mut last_activity = Instant::now();
     loop {
@@ -313,31 +342,10 @@ fn run_session(
             Ok(0) => return Ok(()), // EOF
             Ok(_) => {
                 last_activity = Instant::now();
-                let raw = std::mem::take(&mut line);
-                let trimmed = raw.trim();
-                if buffer.is_empty() && trimmed.starts_with(':') {
-                    if !session.command(trimmed, &mut writer)? {
-                        return Ok(());
-                    }
-                    write!(writer, "{PROMPT}")?;
-                    writer.flush()?;
-                    continue;
+                if !session.line(&std::mem::take(&mut line), &mut writer)? {
+                    return Ok(());
                 }
-                buffer.push_str(raw.trim_end_matches(['\n', '\r']));
-                buffer.push('\n');
-                if trimmed.ends_with('.') {
-                    let source = std::mem::take(&mut buffer);
-                    session.statement(&source, &mut writer)?;
-                }
-                write!(
-                    writer,
-                    "{}",
-                    if buffer.is_empty() {
-                        PROMPT
-                    } else {
-                        CONT_PROMPT
-                    }
-                )?;
+                write!(writer, "{}", session.prompt())?;
                 writer.flush()?;
             }
             Err(e)
@@ -411,7 +419,7 @@ fn run_socket_session<S: SessionStream>(
     let result = (|| -> std::io::Result<()> {
         stream.read_tick(TICK)?;
         let reader = BufReader::new(stream.split_reader()?);
-        run_session(state, reader, stream, &opts, Some(id))
+        run_session(state, reader, stream, &opts, id)
     })();
     match result {
         Ok(()) => {}
@@ -449,9 +457,11 @@ fn accept_loop<S: SessionStream>(
                     Some(id) => {
                         let state = Arc::clone(&state);
                         let opts = opts.clone();
-                        handles.push(std::thread::spawn(move || {
-                            run_socket_session(state, stream, peer, opts, id)
-                        }));
+                        let session = std::thread::Builder::new()
+                            .stack_size(SESSION_STACK)
+                            .spawn(move || run_socket_session(state, stream, peer, opts, id))
+                            .expect("spawn a session thread");
+                        handles.push(session);
                     }
                     None => {
                         // Admission control: a clean, parseable refusal.
@@ -552,129 +562,283 @@ pub fn serve_unix_opts(
     })
 }
 
-struct Session {
+/// One parsed statement block: the statements that parsed and the
+/// diagnostics of those that did not.
+type Parsed = (Vec<(Pos, Statement)>, Vec<LangError>);
+
+/// One protocol session: the only command layer, behind every `gdp-serve`
+/// connection and the `gdp-repl` shell. It pins a snapshot of the
+/// store, reads protocol lines ([`Session::line`]) and answers each on a
+/// writer. See the module docs for the protocol.
+pub struct Session {
     state: Arc<ServerState>,
-    /// The pinned snapshot every read runs against.
+    /// The pinned snapshot every read runs against. It also holds the
+    /// session-owned state, moved across re-pins with
+    /// [`Specification::swap_session`].
     view: Specification,
     /// The sequence number `view` is pinned at.
     seq: u64,
-    /// Deltas of this session's commits since its last `:audit -i`.
-    pending: Delta,
+    /// The pin of the session's last audit, which built its member cache.
+    audited_at: Option<u64>,
+    /// Lines of a statement still waiting for its terminating `.`.
+    partial: String,
     /// Statement blocks buffered since `:begin`, awaiting `:commit`.
-    txn: Option<Vec<String>>,
-    /// Per-statement wall-clock deadline (from [`ServeOptions`]).
-    deadline: Option<Duration>,
-    /// Admission-registry id for socket sessions (drain cancellation).
-    id: Option<u64>,
+    txn: Option<Vec<Parsed>>,
+    /// The operator's per-statement deadline: `:deadline` never lifts it.
+    ceiling: Option<Duration>,
+    /// The base image's step and depth limits: `:budget` and `:retry`
+    /// never lift a solve past them.
+    max_budget: (u64, u32),
 }
 
 impl Session {
-    /// Wire the current view into the session plumbing: apply the
-    /// per-statement deadline and (socket sessions) point the drain
-    /// registry at the view's fresh cancel token.
-    fn arm_view(&mut self) {
-        self.view.set_deadline(self.deadline);
-        if let Some(id) = self.id {
-            self.state.set_session_token(id, self.view.cancel_token());
+    /// A session pinned at the store's head, under the statement deadline
+    /// of `opts`.
+    pub fn new(state: Arc<ServerState>, opts: &ServeOptions) -> Session {
+        let (seq, mut view) = state.store.snapshot();
+        view.set_deadline(opts.statement_deadline);
+        Session {
+            state,
+            seq,
+            audited_at: None,
+            partial: String::new(),
+            txn: None,
+            ceiling: opts.statement_deadline,
+            max_budget: view.limits(),
+            view,
         }
     }
 
-    /// Re-pin the session at the store's head.
-    fn repin(&mut self) {
-        let (seq, view) = self.state.store.snapshot();
-        self.seq = seq;
-        self.view = view;
-        self.arm_view();
+    /// The session's cancel token. It stays the same across re-pins, so a
+    /// signal handler or the drain registry can hold it.
+    pub fn cancel_token(&self) -> CancelToken {
+        self.view.cancel_token()
     }
 
-    /// Handle one completed statement block.
-    fn statement(&mut self, source: &str, w: &mut impl Write) -> std::io::Result<()> {
-        if source.trim_start().starts_with("?-") {
-            // Pure query: runs on the pinned snapshot, never takes the
+    /// The prompt for the next line: [`PROMPT`], or `...> ` inside an
+    /// unterminated statement.
+    pub fn prompt(&self) -> &'static str {
+        if self.partial.is_empty() {
+            PROMPT
+        } else {
+            CONT_PROMPT
+        }
+    }
+
+    /// Handle one protocol line and write its response (without the
+    /// prompt). A `:`-command runs at once; statement lines accumulate
+    /// until one ends in `.`, and the block then runs. `Ok(false)` ends
+    /// the session (`:quit`, `:shutdown`).
+    pub fn line(&mut self, line: &str, w: &mut impl Write) -> std::io::Result<bool> {
+        let trimmed = line.trim();
+        if self.partial.is_empty() {
+            if trimmed.is_empty() {
+                return Ok(true);
+            }
+            if trimmed.starts_with(':') {
+                return self.guarded(w, |s, w| s.command(trimmed, w));
+            }
+        }
+        self.partial.push_str(line.trim_end_matches(['\n', '\r']));
+        self.partial.push('\n');
+        if trimmed.ends_with('.') {
+            let source = std::mem::take(&mut self.partial);
+            self.block(&source, w)?;
+        }
+        Ok(true)
+    }
+
+    /// Run `source` as one statement block: queries only on the pinned
+    /// snapshot, anything else as one commit (or into an open `:begin`).
+    pub fn block(&mut self, source: &str, w: &mut impl Write) -> std::io::Result<()> {
+        self.guarded(w, |s, w| s.run_block(source, w).map(|()| true))
+            .map(drop)
+    }
+
+    /// Run one statement or command with the session kept alive across
+    /// faults: the cancel token is rearmed first, and a panic escaping the
+    /// work is reported instead of ending the session.
+    fn guarded<W: Write>(
+        &mut self,
+        w: &mut W,
+        f: impl FnOnce(&mut Session, &mut W) -> std::io::Result<bool>,
+    ) -> std::io::Result<bool> {
+        self.rearm();
+        match contained(|| f(self, w)) {
+            Ok(result) => result,
+            Err(message) => {
+                writeln!(w, "internal panic (session kept): {message}")?;
+                Ok(true)
+            }
+        }
+    }
+
+    /// Rearm the cancel token, so that a Ctrl-C which landed after the
+    /// previous statement cannot kill the next one — unless the server is
+    /// draining, whose cancellation must stand.
+    fn rearm(&self) {
+        if !self.state.is_shutting_down() {
+            self.view.cancel_token().reset();
+        }
+    }
+
+    fn run_block(&mut self, source: &str, w: &mut impl Write) -> std::io::Result<()> {
+        let (statements, errors) = parse_program_diagnostics(source);
+        if errors.is_empty()
+            && statements
+                .iter()
+                .all(|(_, s)| matches!(s, Statement::Query(_)))
+        {
+            // Read-only: runs on the pinned snapshot, never takes the
             // write lock, and is untouched by concurrent commits.
-            return self.run_queries(source, w);
+            return self.queries(statements, w);
         }
-        if let Some(buffered) = self.txn.as_mut() {
-            buffered.push(source.to_string());
-            writeln!(
-                w,
-                "buffered ({} block(s); :commit applies).",
-                buffered.len()
-            )?;
-            return Ok(());
-        }
-        self.apply(&[source.to_string()], w)
-    }
-
-    /// Load a query-only source against the pinned snapshot and print
-    /// the answers.
-    fn run_queries(&mut self, source: &str, w: &mut impl Write) -> std::io::Result<()> {
-        match Loader::with_spatial(&mut self.view, &self.state.registry).load_str(source) {
-            Ok(summary) => {
-                for answers in &summary.query_results {
-                    write_answers(w, answers)?;
-                }
-                Ok(())
+        match self.txn.as_mut() {
+            Some(buffered) => {
+                buffered.push((statements, errors));
+                writeln!(
+                    w,
+                    "buffered ({} block(s); :commit applies).",
+                    buffered.len()
+                )
             }
-            Err(e) => {
-                for d in e.diagnostics() {
-                    writeln!(w, "error: {d}")?;
-                }
-                Ok(())
-            }
+            None => self.commit(vec![(statements, errors)], w),
         }
     }
 
-    /// Commit one or more statement blocks atomically and re-pin at the
-    /// new head on success.
-    fn apply(&mut self, sources: &[String], w: &mut impl Write) -> std::io::Result<()> {
-        let registry = self.state.registry.clone();
-        let deadline = self.deadline;
+    /// Answer a block's queries on the pinned snapshot, rearming the
+    /// cancel token ahead of each: a Ctrl-C kills only the query it lands
+    /// in.
+    fn queries(
+        &mut self,
+        statements: Vec<(Pos, Statement)>,
+        w: &mut impl Write,
+    ) -> std::io::Result<()> {
+        for (idx, (pos, statement)) in statements.into_iter().enumerate() {
+            let Statement::Query(formula) = statement else {
+                continue;
+            };
+            self.rearm();
+            match self.view.satisfy(&formula) {
+                Ok(answers) => write_answers(w, &answers)?,
+                Err(e)
+                    if matches!(
+                        e,
+                        SpecError::Engine(
+                            EngineError::Cancelled | EngineError::DeadlineExceeded { .. }
+                        )
+                    ) =>
+                {
+                    writeln!(w, "{}", render_spec_error(&self.view, &e))?
+                }
+                Err(error) => {
+                    let error = LangError::Load {
+                        statement: idx,
+                        line: pos.line,
+                        error,
+                    };
+                    writeln!(w, "error: {error}")?
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Commit statement blocks atomically and re-pin at the new head on
+    /// success. The blocks run on the live specification under this
+    /// session's budget, deadline and cancel token, lent to it with
+    /// [`Specification::swap_session`]; a panic among them rolls the
+    /// commit back like any other failure.
+    fn commit(&mut self, blocks: Vec<Parsed>, w: &mut impl Write) -> std::io::Result<()> {
+        let registry = &self.state.registry;
+        let view = &mut self.view;
         let result = self.state.store.commit(|spec| {
-            // The statement deadline also bounds the commit block; the
-            // live spec's deadline is restored on every exit path.
-            spec.set_deadline(deadline);
-            let out = (|| {
-                let mut summaries = Vec::new();
-                for source in sources {
-                    let summary = Loader::with_spatial(spec, &registry)
-                        .load_str(source)
-                        .map_err(|e| {
-                            let rendered: Vec<String> =
-                                e.diagnostics().iter().map(|d| d.to_string()).collect();
-                            SpecError::Transaction(rendered.join("; "))
-                        })?;
-                    summaries.push(summary);
+            spec.swap_session(view);
+            let loaded = contained(|| {
+                blocks
+                    .into_iter()
+                    .map(|(statements, errors)| {
+                        Loader::with_spatial(spec, registry).load_parsed(statements, errors)
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+            });
+            spec.swap_session(view);
+            match loaded {
+                Ok(Ok(summaries)) => Ok(summaries),
+                Ok(Err(e)) => {
+                    let rendered: Vec<String> =
+                        e.diagnostics().iter().map(|d| d.to_string()).collect();
+                    Err(SpecError::Transaction(rendered.join("; ")))
                 }
-                Ok(summaries)
-            })();
-            spec.set_deadline(None);
-            out
+                Err(message) => Err(SpecError::Transaction(format!("internal panic: {message}"))),
+            }
         });
         match result {
             Ok((committed, summaries)) => {
-                let (mut facts, mut rules, mut constraints) = (0, 0, 0);
-                for summary in &summaries {
-                    for answers in &summary.query_results {
-                        write_answers(w, answers)?;
-                    }
-                    facts += summary.facts;
-                    rules += summary.rules;
-                    constraints += summary.constraints;
+                for answers in summaries.iter().flat_map(|s| &s.query_results) {
+                    write_answers(w, answers)?;
                 }
+                let (facts, rules, constraints) = summaries.iter().fold((0, 0, 0), |t, s| {
+                    (t.0 + s.facts, t.1 + s.rules, t.2 + s.constraints)
+                });
                 writeln!(
                     w,
                     "ok ({facts} facts, {rules} rules, {constraints} constraints) committed as seq {}",
                     committed.seq
                 )?;
-                self.pending.merge(committed.delta);
                 self.repin();
             }
-            Err(e) => {
-                writeln!(w, "rolled back: {}", render_spec_error(&self.view, &e))?;
-            }
+            Err(e) => writeln!(w, "rolled back: {}", render_spec_error(&self.view, &e))?,
         }
         Ok(())
+    }
+
+    /// Pin `view` at `seq`, moving the session's own state onto it.
+    fn pin(&mut self, seq: u64, mut view: Specification) {
+        view.swap_session(&mut self.view);
+        self.view = view;
+        self.seq = seq;
+    }
+
+    /// Re-pin at the store's head.
+    fn repin(&mut self) {
+        let (seq, view) = self.state.store.snapshot();
+        self.pin(seq, view);
+    }
+
+    /// Change the knowledge base every session pins (`:table`, `:index`),
+    /// then re-pin at head. As [`SpecStore::update`] documents, this
+    /// clears the store's retained window.
+    fn reconfigure(&mut self, f: impl FnOnce(&mut Specification)) {
+        let _ = self.state.store.update(|spec| {
+            f(spec);
+            Ok(())
+        });
+        self.repin();
+    }
+
+    /// Set this session's budget and audit retries under the base image's
+    /// budget, a ceiling like the operator's deadline: no solve, escalated
+    /// retries included, runs past its step or depth limit. The depth
+    /// limit is what bounds the solver's host-stack recursion (`not`,
+    /// `forall`, aggregates); past it a negation cycle would overflow the
+    /// session thread's stack and abort the whole process.
+    fn limit(&mut self, steps: u64, depth: u32, attempts: u32) {
+        let (max_steps, max_depth) = self.max_budget;
+        let steps = steps.min(max_steps);
+        self.view.set_budget(steps, depth.min(max_depth));
+        let mut retry = self.view.retry();
+        let factor = retry.escalation.max(2);
+        let mut escalated = steps.max(1);
+        retry.attempts = 0;
+        while retry.attempts < attempts {
+            match escalated.checked_mul(factor) {
+                Some(next) if next <= max_steps => escalated = next,
+                _ => break,
+            }
+            retry.attempts += 1;
+        }
+        self.view.set_retry(retry);
     }
 
     /// Handle one `:`-command; `Ok(false)` closes the session.
@@ -683,6 +847,7 @@ impl Session {
             Some((c, r)) => (c, r.trim()),
             None => (input, ""),
         };
+        let view = &mut self.view;
         match cmd {
             ":quit" | ":q" | ":exit" => return Ok(false),
             ":help" | ":h" => writeln!(w, "{HELP}")?,
@@ -692,23 +857,19 @@ impl Session {
                 self.seq,
                 self.state.store.head_seq()
             )?,
-            ":snapshot" => match rest {
-                "" => {
-                    self.repin();
-                    writeln!(w, "re-pinned at head (seq {}).", self.seq)?;
-                }
-                n => match n.parse::<u64>() {
-                    Ok(seq) => match self.state.store.snapshot_at(seq) {
-                        Ok(view) => {
-                            self.view = view;
-                            self.seq = seq;
-                            self.arm_view();
-                            writeln!(w, "pinned at seq {seq}.")?;
-                        }
-                        Err(e) => writeln!(w, "error: {e}")?,
-                    },
-                    Err(_) => writeln!(w, "usage: :snapshot [SEQ]")?,
+            ":snapshot" if rest.is_empty() => {
+                self.repin();
+                writeln!(w, "re-pinned at head (seq {}).", self.seq)?;
+            }
+            ":snapshot" => match rest.parse::<u64>() {
+                Ok(seq) => match self.state.store.snapshot_at(seq) {
+                    Ok(pinned) => {
+                        self.pin(seq, pinned);
+                        writeln!(w, "pinned at seq {seq}.")?;
+                    }
+                    Err(e) => writeln!(w, "error: {e}")?,
                 },
+                Err(_) => writeln!(w, "usage: :snapshot [SEQ]")?,
             },
             ":shutdown" => {
                 self.state.request_shutdown();
@@ -718,26 +879,31 @@ impl Session {
                 )?;
                 return Ok(false);
             }
-            ":begin" => {
-                if self.txn.is_some() {
-                    writeln!(w, "error: transaction error: a transaction is already open")?;
-                } else {
-                    self.txn = Some(Vec::new());
-                    writeln!(w, "transaction open (:commit or :rollback).")?;
-                }
+            ":begin" if self.txn.is_some() => {
+                writeln!(w, "error: transaction error: a transaction is already open")?;
             }
-            ":commit" => match self.txn.take() {
+            ":begin" => {
+                self.txn = Some(Vec::new());
+                writeln!(w, "transaction open (:commit or :rollback).")?;
+            }
+            ":commit" | ":rollback" => match self.txn.take() {
                 None => writeln!(w, "error: transaction error: no transaction is open")?,
-                Some(sources) if sources.is_empty() => {
-                    writeln!(w, "nothing to commit.")?;
+                Some(blocks) if cmd == ":rollback" => {
+                    writeln!(w, "discarded {} buffered block(s).", blocks.len())?;
                 }
-                Some(sources) => self.apply(&sources, w)?,
+                Some(blocks) if blocks.is_empty() => writeln!(w, "nothing to commit.")?,
+                Some(blocks) => self.commit(blocks, w)?,
             },
-            ":rollback" => match self.txn.take() {
-                None => writeln!(w, "error: transaction error: no transaction is open")?,
-                Some(sources) => writeln!(w, "discarded {} buffered block(s).", sources.len())?,
+            ":why" => match parse_formula(rest) {
+                Ok(Formula::Fact(pat)) => match view.explain_fact(pat) {
+                    Ok(Some(proof)) => write!(w, "{}", proof.render())?,
+                    Ok(None) => writeln!(w, "not provable.")?,
+                    Err(e) => writeln!(w, "error: {}", render_spec_error(view, &e))?,
+                },
+                Ok(_) => writeln!(w, "error: :why takes a single fact goal")?,
+                Err(e) => writeln!(w, "error: {e}")?,
             },
-            ":check" => match self.view.check_consistency() {
+            ":check" => match view.check_consistency() {
                 Ok(violations) if violations.is_empty() => {
                     writeln!(w, "consistent (no constraint violations).")?;
                 }
@@ -746,87 +912,243 @@ impl Session {
                         writeln!(w, "{v}")?;
                     }
                 }
-                Err(e) => writeln!(w, "error: {}", render_spec_error(&self.view, &e))?,
+                Err(e) => writeln!(w, "error: {}", render_spec_error(view, &e))?,
             },
-            ":audit" => {
-                let (workers, incremental) = match parse_audit_args(rest) {
-                    Ok(parsed) => parsed,
-                    Err(msg) => {
-                        writeln!(w, "{msg}")?;
-                        return Ok(true);
-                    }
-                };
-                let result = if incremental {
-                    if !self.view.incremental_enabled() {
-                        self.view.set_incremental(true);
-                    }
-                    self.view.audit_incremental(&self.pending, workers)
-                } else {
-                    self.view.audit_world_views(workers)
-                };
-                if incremental && result.is_ok() {
-                    self.pending = Delta::new();
-                }
-                match result {
-                    Ok(report) => {
-                        if report.violations.is_empty() && report.is_complete() {
-                            writeln!(
-                                w,
-                                "consistent across {} world-view member(s) ({} workers).",
-                                report.per_model.len(),
-                                report.workers
-                            )?;
-                        } else {
-                            for v in &report.violations {
-                                writeln!(w, "{v}")?;
-                            }
-                            writeln!(
-                                w,
-                                "{} violation(s); {} workers",
-                                report.violations.len(),
-                                report.workers
-                            )?;
-                        }
-                        for f in &report.incomplete {
-                            writeln!(w, "incomplete: {} — {}", f.model, f.error)?;
-                        }
-                        let s = report.stats;
-                        writeln!(
-                            w,
-                            "merged: {} steps, {} clause resolutions, table {} hit ({} snapshot) / {} miss",
-                            s.steps, s.resolutions, s.table_hits, s.snapshot_hits, s.table_misses
-                        )?;
-                    }
-                    Err(e) => writeln!(w, "error: {}", render_spec_error(&self.view, &e))?,
-                }
-            }
+            ":audit" => self.audit(rest, w)?,
             ":views" => {
-                writeln!(w, "world view: {}", self.view.world_view().join(", "))?;
-                writeln!(w, "meta view:  {}", self.view.meta_view().join(", "))?;
+                writeln!(w, "world view: {}", view.world_view().join(", "))?;
+                writeln!(w, "meta view:  {}", view.meta_view().join(", "))?;
             }
             ":stats" => {
                 writeln!(
                     w,
-                    "{} clauses across {} predicates (snapshot seq {}).",
-                    self.view.kb().clause_count(),
-                    self.view.kb().predicate_count(),
-                    self.seq
+                    "{} clauses across {} predicates (snapshot seq {}); grids: {}",
+                    view.kb().clause_count(),
+                    view.kb().predicate_count(),
+                    self.seq,
+                    self.state.registry.grid_names().join(", ")
                 )?;
-                let s = self.view.solver_stats();
+                writeln!(w, "last query: {}", stats_line(&view.solver_stats()))?;
+                let t = view.table_stats();
                 writeln!(
                     w,
-                    "last query: {} steps, {} clause resolutions, table {} hit ({} snapshot) / {} miss",
-                    s.steps, s.resolutions, s.table_hits, s.snapshot_hits, s.table_misses
+                    "answer table ({}, {} cycles): {} entries; lifetime {} hits, {} misses, {} inserts, {} invalidations, {} fallbacks",
+                    on_off(view.tabling_enabled()),
+                    view.cycle_policy(),
+                    view.kb().table().len(),
+                    t.hits, t.misses, t.inserts, t.invalidations, t.fallbacks
                 )?;
             }
+            ":index" => match rest {
+                "on" | "off" => {
+                    let on = rest == "on";
+                    self.reconfigure(|spec| spec.kb_mut().set_indexing(on));
+                    writeln!(
+                        w,
+                        "{}",
+                        if on {
+                            "indexing on (hash + range candidate selection)."
+                        } else {
+                            "indexing off: every call scans all clauses."
+                        }
+                    )?;
+                }
+                "status" => writeln!(w, "indexing is {}.", on_off(view.kb().indexing()))?,
+                "" => write_index_report(w, view.kb())?,
+                other => writeln!(w, "usage: :index [on|off|status] (got {other})")?,
+            },
+            ":table" if matches!(rest, "status" | "") => writeln!(
+                w,
+                "answer tabling is {} ({} cached call patterns, {} cycle policy, {} SLD fallback(s) in non-tablable contexts).",
+                on_off(view.tabling_enabled()),
+                view.kb().table().len(),
+                view.cycle_policy(),
+                view.table_stats().fallbacks,
+            )?,
+            ":table" => {
+                let reply = match rest {
+                    "on" => "answer tabling on (nominated predicates).",
+                    "off" => "answer tabling off.",
+                    "all" => "answer tabling on for every user predicate.",
+                    "inductive" => "cycle policy inductive (recursive re-entry fails; least fixpoint).",
+                    "coinductive" => "cycle policy coinductive (recursive re-entry succeeds).",
+                    other => {
+                        let usage = "usage: :table on|off|all|status|inductive|coinductive";
+                        writeln!(w, "{usage} (got {other})")?;
+                        return Ok(true);
+                    }
+                };
+                self.reconfigure(|spec| match rest {
+                    "on" | "off" => spec.enable_tabling(rest == "on"),
+                    "all" => {
+                        spec.enable_tabling(true);
+                        spec.set_table_all(true);
+                    }
+                    "inductive" => spec.set_cycle_policy(CyclePolicy::Inductive),
+                    _ => spec.set_cycle_policy(CyclePolicy::Coinductive),
+                });
+                writeln!(w, "{reply}")?;
+            }
+            ":trace" => match rest {
+                "on" | "off" => {
+                    view.set_trace(rest == "on");
+                    writeln!(
+                        w,
+                        "{}",
+                        if rest == "on" {
+                            "port-event tracing on (:trace show after a query)."
+                        } else {
+                            "port-event tracing off."
+                        }
+                    )?;
+                }
+                "show" | "" => match view.last_trace() {
+                    Some(trace) => write!(w, "{}", trace.render())?,
+                    None => writeln!(w, "no traced query yet (:trace on, then run one).")?,
+                },
+                "status" => writeln!(w, "port-event tracing is {}.", on_off(view.trace_enabled()))?,
+                other => writeln!(w, "usage: :trace on|off|show|status (got {other})")?,
+            },
+            ":profile" => match rest {
+                "on" | "off" => {
+                    view.set_profile(rest == "on");
+                    writeln!(w, "per-predicate profiling {rest}.")?;
+                }
+                "reset" => {
+                    view.reset_profile();
+                    writeln!(w, "profile cleared.")?;
+                }
+                "" if view.profile().is_empty() => writeln!(
+                    w,
+                    "no profile data ({}).",
+                    if view.profile_enabled() {
+                        "run a query first"
+                    } else {
+                        ":profile on, then run a query"
+                    }
+                )?,
+                "" => write!(w, "{}", view.profile().render())?,
+                other => writeln!(w, "usage: :profile [on|off|reset] (got {other})")?,
+            },
+            ":budget" => {
+                let mut parts = rest.split_whitespace();
+                match (
+                    parts.next().and_then(|s| s.parse::<u64>().ok()),
+                    parts.next().and_then(|s| s.parse::<u32>().ok()),
+                ) {
+                    (Some(steps), Some(depth)) => {
+                        let retries = view.retry().attempts;
+                        self.limit(steps, depth, retries);
+                        let (s, d) = self.view.limits();
+                        write!(w, "budget: {s} steps, depth {d}")?;
+                        if (s, d) != (steps, depth) {
+                            write!(w, " (capped at the base budget)")?;
+                        }
+                        let granted = self.view.retry().attempts;
+                        if granted != retries {
+                            write!(w, "; audit retries cut to {granted}")?;
+                        }
+                        writeln!(w)?;
+                    }
+                    _ => writeln!(w, "usage: :budget <steps> <depth>")?,
+                }
+            }
+            ":deadline" => {
+                let asked = match rest.parse::<u64>() {
+                    _ if rest == "off" => None,
+                    Ok(ms) if ms >= 1 => Some(Duration::from_millis(ms)),
+                    _ => {
+                        writeln!(w, "usage: :deadline <ms>|off")?;
+                        return Ok(true);
+                    }
+                };
+                // The operator's deadline is a ceiling: tighten, never lift.
+                let deadline = asked.into_iter().chain(self.ceiling).min();
+                view.set_deadline(deadline);
+                match deadline {
+                    None => writeln!(w, "deadline off.")?,
+                    Some(d) => writeln!(w, "deadline: {} ms per query.", d.as_millis())?,
+                }
+            }
+            ":retry" if rest.is_empty() => {
+                let policy = view.retry();
+                writeln!(
+                    w,
+                    "retry policy: {} attempt(s), x{} step escalation per attempt.",
+                    policy.attempts, policy.escalation
+                )?;
+            }
+            ":retry" => match rest.parse::<u32>() {
+                Ok(attempts) => {
+                    let (steps, depth) = view.limits();
+                    self.limit(steps, depth, attempts);
+                    let granted = self.view.retry().attempts;
+                    write!(
+                        w,
+                        "audit retries: {granted} attempt(s) with escalating step limits"
+                    )?;
+                    if granted != attempts {
+                        write!(w, " (capped: no retry passes the base budget)")?;
+                    }
+                    writeln!(w, ".")?;
+                }
+                Err(_) => writeln!(w, "usage: :retry [<attempts>]")?,
+            },
             other => writeln!(w, "unknown command {other} (:help for help)")?,
         }
         Ok(true)
     }
+
+    /// `:audit [-j N] [-i]`. The incremental audit's dirty set is the
+    /// store's retained commits between the pin its member cache was
+    /// built at and this one; when those are no longer retained (or there
+    /// is no audit yet) the audit runs in full and rebuilds the cache.
+    fn audit(&mut self, rest: &str, w: &mut impl Write) -> std::io::Result<()> {
+        let (workers, incremental) = match parse_audit_args(rest) {
+            Ok(parsed) => parsed,
+            Err(usage) => return writeln!(w, "{usage}"),
+        };
+        let delta = if incremental {
+            self.view.set_incremental(true);
+            self.audited_at
+                .and_then(|at| self.state.store.delta_between(at, self.seq).ok())
+        } else {
+            None
+        };
+        let result = match delta {
+            Some(delta) => self.view.audit_incremental(&delta, workers),
+            None => self.view.audit_world_views(workers),
+        };
+        match result {
+            Ok(report) => {
+                self.audited_at = Some(self.seq);
+                write_audit(w, &report)
+            }
+            Err(e) => writeln!(w, "error: {}", render_spec_error(&self.view, &e)),
+        }
+    }
 }
 
-/// Print one query's answers the way the shell does, deduplicating
-/// repeated derivations.
+/// Run `f`, turning a panic into its message.
+fn contained<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
+fn on_off(on: bool) -> &'static str {
+    if on {
+        "on"
+    } else {
+        "off"
+    }
+}
+
+/// Print one query's answers, deduplicating repeated derivations.
 fn write_answers(w: &mut impl Write, answers: &[gdp_core::Answer]) -> std::io::Result<()> {
     if answers.is_empty() {
         return writeln!(w, "no.");
@@ -851,8 +1173,122 @@ fn write_answers(w: &mut impl Write, answers: &[gdp_core::Answer]) -> std::io::R
     Ok(())
 }
 
+/// One line of solver counters: steps, resolutions and the answer-table
+/// counters.
+fn stats_line(s: &SolverStats) -> String {
+    format!(
+        "{} steps, {} clause resolutions, table {} hit ({} snapshot) / {} miss / {} fallback",
+        s.steps, s.resolutions, s.table_hits, s.snapshot_hits, s.table_misses, s.table_fallbacks
+    )
+}
+
+/// An audit report: the violations with a per-member breakdown (or a
+/// consistency line), each member that failed and after how many
+/// retries, and the merged counters.
+fn write_audit(w: &mut impl Write, report: &AuditReport) -> std::io::Result<()> {
+    let members = report.per_model.len();
+    if report.violations.is_empty() && report.is_complete() {
+        writeln!(
+            w,
+            "consistent across {members} world-view member(s) ({} workers).",
+            report.workers
+        )?;
+    } else {
+        for v in &report.violations {
+            writeln!(w, "{v}")?;
+        }
+        let breakdown: Vec<String> = report
+            .per_model
+            .iter()
+            .map(|(m, n)| format!("{m}: {n}"))
+            .collect();
+        writeln!(
+            w,
+            "{} violation(s) ({}); {} workers",
+            report.violations.len(),
+            breakdown.join(", "),
+            report.workers
+        )?;
+    }
+    for f in &report.incomplete {
+        let retries = if f.attempts == 1 { "retry" } else { "retries" };
+        writeln!(
+            w,
+            "incomplete: {} — {} (after {} {retries})",
+            f.model, f.error, f.attempts
+        )?;
+    }
+    if !report.is_complete() {
+        let reported = members - report.incomplete.len();
+        writeln!(
+            w,
+            "degraded audit: {reported}/{members} member(s) reported."
+        )?;
+    }
+    writeln!(w, "merged: {}", stats_line(&report.stats))
+}
+
+/// The `:index` report: whether indexing is on, then one row per
+/// predicate that has an index or was consulted — its hash positions,
+/// range indexes, and hit, prune and scan counters.
+fn write_index_report(w: &mut impl Write, kb: &KnowledgeBase) -> std::io::Result<()> {
+    writeln!(w, "indexing is {}.", on_off(kb.indexing()))?;
+    let reports: Vec<IndexReport> = kb
+        .index_stats()
+        .into_iter()
+        .filter(|r| !r.hash_positions.is_empty() || !r.range_specs.is_empty() || r.consults > 0)
+        .collect();
+    if reports.is_empty() {
+        return writeln!(w, "no indexed predicates consulted yet.");
+    }
+    writeln!(
+        w,
+        "{:<14} {:>7}  {:<9} {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}",
+        "predicate",
+        "clauses",
+        "hash",
+        "range",
+        "consults",
+        "hashhit",
+        "rangehit",
+        "pruned",
+        "scans"
+    )?;
+    for r in reports {
+        let hash: Vec<String> = r.hash_positions.iter().map(|p| p.to_string()).collect();
+        let (ivs, grids) = r.range_specs.iter().fold((0, 0), |(i, g), s| match s {
+            RangeSpec::Interval(_) => (i + 1, g),
+            RangeSpec::Grid { .. } => (i, g + 1),
+        });
+        let range = match (ivs, grids) {
+            (0, 0) => "-".to_string(),
+            (i, 0) => format!("{i} iv"),
+            (0, g) => format!("{g} grid"),
+            (i, g) => format!("{i} iv,{g} grid"),
+        };
+        writeln!(
+            w,
+            "{:<14} {:>7}  {:<9} {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}",
+            r.pred.to_string(),
+            r.clauses,
+            if hash.is_empty() {
+                "-".to_string()
+            } else {
+                hash.join(",")
+            },
+            range,
+            r.consults,
+            r.hash_hits,
+            r.range_hits,
+            r.pruned,
+            r.scans
+        )?;
+    }
+    Ok(())
+}
+
 /// Render a specification error, reporting interrupts and deadlines as
-/// first-class outcomes (the shell's convention).
+/// first-class outcomes with the steps they consumed.
 fn render_spec_error(spec: &Specification, e: &SpecError) -> String {
     match e {
         SpecError::Engine(EngineError::Cancelled) => {
@@ -879,12 +1315,9 @@ fn parse_audit_args(rest: &str) -> Result<(usize, bool), String> {
             "-i" => incremental = true,
             "-j" => {
                 let n = parts.next().ok_or_else(usage)?;
-                workers = Some(
-                    n.parse::<usize>()
-                        .ok()
-                        .filter(|v| *v >= 1)
-                        .ok_or_else(usage)?,
-                );
+                workers = Some(n.parse::<usize>().ok().filter(|v| *v >= 1).ok_or_else(|| {
+                    format!("usage: :audit [-j N] [-i] (N must be a positive integer, got {n})")
+                })?);
             }
             _ => return Err(usage()),
         }

@@ -16,6 +16,24 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Examples: the fast ones run in release and must print what the verify
+# skill and their paper sections promise — quickstart ends with the
+# rumor model's violation, bridge_network finds the one violation of the
+# widest world view, ocean_survey runs clean.
+echo "==> examples"
+example() { cargo run -q --release -p gdp --example "$1"; }
+quickstart=$(example quickstart)
+if [ "$(tail -n 1 <<<"$quickstart" | sed 's/^ *//')" != "omega'ERROR(two_capitals, missouri)" ]; then
+    echo "quickstart does not end with omega'ERROR(two_capitals, missouri)"
+    exit 1
+fi
+bridges=$(example bridge_network)
+if ! grep -Fqx 'world view ["omega", "planning", "field_report"]: 1 violations' <<<"$bridges"; then
+    echo "bridge_network does not report the widest world view's violation"
+    exit 1
+fi
+example ocean_survey >/dev/null
+
 # The serving benchmark (perfbench/) is a workspace of its own, so the
 # build above never compiles it: build it the way perfbench/run.py does,
 # into the same target directory, so a `gdp` API change cannot break it

@@ -3,12 +3,17 @@
 //! byte-identical to a full `audit_world_views` re-audit — tabling off and
 //! on, at several worker counts — rollback restores the exact pre-
 //! transaction audit and answer sets, and mutation inverses (assert then
-//! retract, group assert then group retract) are perfect round-trips.
+//! retract, group assert then group retract) are perfect round-trips. The
+//! same holds one layer up, for `:audit -i` in protocol sessions sharing
+//! one server.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use gdp::core::{CmpOp, Constraint, FactPat, Formula, Pat, RawClause, Specification};
-use gdp::engine::{Delta, Term};
+use gdp::engine::{CyclePolicy, Delta, Term};
+use gdp::server::{ServeOptions, ServerState, Session};
 
 const MODELS: [&str; 3] = ["m0", "m1", "m2"];
 const CELLS: [&str; 4] = ["c0", "c1", "c2", "c3"];
@@ -290,4 +295,210 @@ fn corpus_spec_incremental_audit_matches_full() {
         incremental.violations,
         spec.check_consistency().expect("sequential")
     );
+}
+
+/// A cycle-policy switch changes what a recursive member derives without
+/// touching a clause, so the member cache must not survive it.
+#[test]
+fn cycle_policy_switch_invalidates_the_member_cache() {
+    let mut spec = Specification::new();
+    spec.set_incremental(true);
+    spec.enable_tabling(true);
+    spec.set_table_all(true);
+    gdp::lang::load(
+        &mut spec,
+        "site(a). loop(X) :- site(X), loop(X). constraint bad(X) :- loop(X).",
+    )
+    .expect("probe loads");
+    let inductive = spec.audit_world_views(1).expect("inductive audit");
+    assert!(
+        inductive.violations.is_empty(),
+        "{:?}",
+        inductive.violations
+    );
+    spec.set_cycle_policy(CyclePolicy::Coinductive);
+    let incremental = spec
+        .audit_incremental(&Delta::new(), 1)
+        .expect("incremental audit");
+    let full = spec.audit_world_views(1).expect("full audit");
+    let rendered: Vec<String> = full.violations.iter().map(|v| v.to_string()).collect();
+    assert_eq!(rendered, ["omega'ERROR(bad, a)"]);
+    assert_eq!(incremental.violations, full.violations);
+    assert_eq!(
+        incremental.violations,
+        spec.check_consistency().expect("sequential")
+    );
+}
+
+/// One protocol line through `session`; returns its response.
+fn reply(session: &mut Session, line: &str) -> String {
+    let mut out = Vec::new();
+    let open = session.line(line, &mut out).expect("in-memory write");
+    assert!(open, "{line} closed the session");
+    String::from_utf8(out).expect("utf8")
+}
+
+/// The violation and degraded-member lines of an audit response.
+fn findings(audit: &str) -> Vec<&str> {
+    audit
+        .lines()
+        .filter(|l| l.contains("'ERROR(") || l.starts_with("incomplete:"))
+        .collect()
+}
+
+/// The steps on an audit response's `merged:` line.
+fn merged_steps(audit: &str) -> u64 {
+    audit
+        .lines()
+        .find_map(|l| l.strip_prefix("merged: "))
+        .and_then(|l| l.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no merged line in {audit}"))
+}
+
+/// The sequence number `session` is pinned at.
+fn pinned(session: &mut Session) -> u64 {
+    let seq = reply(session, ":seq");
+    seq.strip_prefix("pinned at seq ")
+        .and_then(|rest| rest.split(';').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected :seq reply {seq}"))
+}
+
+/// `:audit -i` on `auditor`, checked against a full `:audit` of a fresh
+/// session pinned at the same commit; returns both responses.
+fn audit_like_full(state: &Arc<ServerState>, auditor: &mut Session) -> (String, String) {
+    let seq = pinned(auditor);
+    let incremental = reply(auditor, ":audit -j 2 -i");
+    let mut reference = Session::new(Arc::clone(state), &ServeOptions::default());
+    let pin = reply(&mut reference, &format!(":snapshot {seq}"));
+    assert!(pin.contains(&format!("seq {seq}")), "{pin}");
+    let full = reply(&mut reference, ":audit -j 2");
+    assert_eq!(
+        findings(&incremental),
+        findings(&full),
+        "incremental audit at seq {seq} diverges:\n{incremental}\nfull:\n{full}"
+    );
+    (incremental, full)
+}
+
+/// ROADMAP item 7's acceptance: two sessions on one server interleave
+/// commits while one of them runs `:audit -i` across forward re-pins, a
+/// re-pin to an older commit, an `:index off` and a `:table coinductive`.
+/// Every incremental report lists exactly the violations of a full
+/// `:audit` at the same pin, tabling off and on; and after a commit to a
+/// model that no constraint reads, the incremental audit re-solves less
+/// than the full one.
+#[test]
+fn interleaved_sessions_audit_incrementally_like_a_full_audit() {
+    for tabled in [false, true] {
+        let state = ServerState::new().expect("server state");
+        let opts = ServeOptions::default();
+        let mut writer = Session::new(Arc::clone(&state), &opts);
+        let mut auditor = Session::new(Arc::clone(&state), &opts);
+        let mut world = String::from(
+            "#model m0. #model m1. #model m2. #world_view { omega, m0, m1, m2 }. \
+             m0'reading(a, 1). m0'reading(b, 5). m1'reading(c, 2). m1'site(s1). \
+             constraint gap(X, Y) :- m0'reading(X, V1), m0'reading(Y, V2), V1 < V2. \
+             constraint high(X) :- m1'reading(X, V), V > 3.",
+        );
+        if tabled {
+            // Recursive only through itself: no violation under the
+            // inductive policy, one under the coinductive one.
+            world.push_str(
+                " omega'loop(X) :- m1'site(X), omega'loop(X). \
+                 constraint bad(X) :- omega'loop(X).",
+            );
+            reply(&mut writer, ":table all");
+        }
+        assert!(reply(&mut writer, &world).contains("committed as seq 1"));
+
+        reply(&mut auditor, ":snapshot");
+        audit_like_full(&state, &mut auditor);
+        reply(&mut writer, "m0'reading(d, 9).");
+        reply(&mut writer, "m2'reading(z, 1).");
+        reply(&mut auditor, ":snapshot");
+        audit_like_full(&state, &mut auditor);
+
+        // A commit to m2, which no constraint reads: only m2 is re-solved.
+        reply(&mut writer, "m2'reading(y, 2).");
+        reply(&mut auditor, ":snapshot");
+        let (incremental, full) = audit_like_full(&state, &mut auditor);
+        assert!(
+            merged_steps(&incremental) < merged_steps(&full),
+            "tabled={tabled}: incremental\n{incremental}\nfull\n{full}"
+        );
+
+        // Back to an older commit, then forward again past commits by
+        // both sessions.
+        reply(&mut writer, "m1'reading(e, 7).");
+        reply(&mut auditor, ":snapshot");
+        let (incremental, _) = audit_like_full(&state, &mut auditor);
+        assert!(
+            incremental.contains("omega'ERROR(high, e)"),
+            "{incremental}"
+        );
+        assert!(reply(&mut auditor, ":snapshot 2").contains("pinned at seq 2."));
+        let (incremental, _) = audit_like_full(&state, &mut auditor);
+        assert!(
+            !incremental.contains("omega'ERROR(high, e)"),
+            "{incremental}"
+        );
+        reply(&mut auditor, "m1'reading(f, 8).");
+        reply(&mut writer, "#retract m0'reading(d, 9).");
+        reply(&mut auditor, ":snapshot");
+        audit_like_full(&state, &mut auditor);
+
+        // Configuration changes through the other session.
+        reply(&mut writer, ":index off");
+        reply(&mut writer, "m0'reading(g, 0).");
+        reply(&mut auditor, ":snapshot");
+        audit_like_full(&state, &mut auditor);
+        reply(&mut writer, ":table coinductive");
+        reply(&mut auditor, ":snapshot");
+        let (incremental, _) = audit_like_full(&state, &mut auditor);
+        assert_eq!(
+            incremental.contains("omega'ERROR(bad, s1)"),
+            tabled,
+            "{incremental}"
+        );
+        if tabled {
+            // Tabling off changes what `loop` derives (untabled resolution
+            // never closes its cycle) without a commit, so the coinductive
+            // audit's member cache must not answer for it. A small budget
+            // ends the divergent member quickly in both sessions; one
+            // worker, because workers share the step budget across the
+            // members they take, so with two the members that run out
+            // would depend on scheduling.
+            reply(&mut writer, ":table off");
+            reply(&mut auditor, ":snapshot");
+            reply(&mut auditor, ":budget 20000 256");
+            let incremental = reply(&mut auditor, ":audit -j 1 -i");
+            let mut reference = Session::new(Arc::clone(&state), &opts);
+            reply(&mut reference, ":budget 20000 256");
+            let full = reply(&mut reference, ":audit -j 1");
+            assert!(
+                !incremental.contains("omega'ERROR(bad, s1)"),
+                "{incremental}"
+            );
+            assert_eq!(
+                findings(&incremental),
+                findings(&full),
+                "after :table off:\n{incremental}\nfull:\n{full}"
+            );
+            reply(&mut writer, ":table all");
+            reply(&mut auditor, ":snapshot");
+            reply(&mut auditor, ":budget 10000000 256");
+        }
+
+        // A commit after the pin is invisible until the next re-pin.
+        reply(&mut writer, "m1'reading(h, 9).");
+        audit_like_full(&state, &mut auditor);
+        reply(&mut auditor, ":snapshot");
+        let (incremental, _) = audit_like_full(&state, &mut auditor);
+        assert!(
+            incremental.contains("omega'ERROR(high, h)"),
+            "{incremental}"
+        );
+    }
 }

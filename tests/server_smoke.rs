@@ -1,16 +1,23 @@
 //! gdp-serve smoke suite: the REPL protocol over real TCP sockets, with
 //! N concurrent snapshot-reader sessions racing one writer.
 //!
-//! Each test hosts an in-process [`gdp::server::ServerState`] behind a
-//! `TcpListener` on an ephemeral port and drives it with plain
+//! Most tests host an in-process [`gdp::server::ServerState`] behind a
+//! `TcpListener` on an ephemeral port and drive it with plain
 //! `TcpStream` clients that read until the `gdp> ` prompt — exactly what
-//! a human with netcat would see.
+//! a human with netcat would see. The shell test runs the real `gdp-repl`
+//! binary over its stdin, and the session's own regressions drive a
+//! [`gdp::server::Session`] line by line.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use gdp::server::{serve_tcp, ServerState};
+use gdp::core::{reify, RawClause};
+use gdp::engine::{CancelToken, Term};
+use gdp::server::{serve_tcp, ServeOptions, ServerState, Session};
 
 const PROMPT: &str = "gdp> ";
 
@@ -59,6 +66,45 @@ impl Client {
         self.stream.flush().expect("flush");
         self.read_to_prompt()
     }
+
+    /// Send raw protocol text and read until `prompts` prompts have come
+    /// back, failing instead of hanging when they do not come.
+    fn exchange(&mut self, input: &str, prompts: usize) -> String {
+        let timeout = Some(Duration::from_secs(20));
+        self.stream.set_read_timeout(timeout).expect("timeout");
+        self.stream.write_all(input.as_bytes()).expect("write");
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 1024];
+        let done = |buf: &[u8]| {
+            let text = String::from_utf8_lossy(buf);
+            text.matches(PROMPT).count() >= prompts && text.ends_with(PROMPT)
+        };
+        while !done(&buf) {
+            let n = self.stream.read(&mut chunk).expect("a prompt per line");
+            assert!(n > 0, "server closed the connection mid-response");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        self.stream.set_read_timeout(None).expect("timeout");
+        String::from_utf8(buf).expect("utf8")
+    }
+}
+
+/// Run the real `gdp-repl` over `input` from the repository root; returns
+/// everything it printed.
+fn shell(input: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gdp-repl"))
+        .current_dir(root)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn gdp-repl");
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin.write_all(input.as_bytes()).expect("write");
+    drop(stdin);
+    let out = child.wait_with_output().expect("gdp-repl runs");
+    assert!(out.status.success(), "gdp-repl failed: {out:?}");
+    String::from_utf8(out.stdout).expect("utf8")
 }
 
 #[test]
@@ -91,6 +137,67 @@ fn statements_queries_and_commands_round_trip() {
     assert!(reply.contains("no."), "rollback leaked a fact: {reply}");
     let reply = c.send(":seq");
     assert!(reply.contains("head is seq 2."), "{reply}");
+
+    // A blank line at the prompt is ignored: the line after it is still
+    // read as a command, not as statement text.
+    let reply = c.exchange("\n:seq\n", 2);
+    assert!(reply.contains("pinned at seq 2; head is seq 2."), "{reply}");
+
+    // A block that opens with a query but also asserts is committed
+    // whole: its fact reaches head, where another session sees it.
+    let reply = c.send("?- bridge(X). bridge(b9).");
+    assert!(reply.contains("committed as seq 3"), "{reply}");
+    let mut other = Client::connect(addr);
+    let reply = other.send("?- bridge(b9).");
+    assert!(reply.contains("yes."), "{reply}");
+
+    // Any diagnostic sends a block down the commit path, queries or not,
+    // and rolls it back whole: no answers, no commit.
+    let reply = c.send("junk junk junk.");
+    assert!(reply.starts_with("rolled back:"), "{reply}");
+    let reply = c.send("?- bridge(X). ?- junk junk.");
+    assert!(reply.starts_with("rolled back:"), "{reply}");
+    assert!(!reply.contains("X = "), "{reply}");
+    let reply = c.send(":seq");
+    assert!(reply.contains("head is seq 3."), "{reply}");
+}
+
+/// The shell is one session over an in-memory store: the verify-skill
+/// transcript through the real binary, and `:audit -i` after a commit
+/// made outside `:begin`/`:commit` (which it used to miss).
+#[test]
+fn shell_speaks_the_session_protocol() {
+    let out = shell(
+        ":load specs/missouri.gdp\n?- linked(saint_louis, X).\n\
+         :why open_road(i70)\n:check\n:quit\n",
+    );
+    assert!(
+        out.contains("ok (19 facts, 5 rules, 2 constraints) committed as seq 1"),
+        "{out}"
+    );
+    assert!(out.contains("X = kansas_city"), "{out}");
+    assert!(
+        out.contains("gdp> open_road(i70)   ["),
+        "no proof tree: {out}"
+    );
+    assert!(
+        out.contains("consistent (no constraint violations)."),
+        "{out}"
+    );
+
+    let out = shell(
+        "bridge(b1). bridge(b2). open(b1).\n\
+         constraint shut(X) :- bridge(X), not(open(X)).\n\
+         :audit -i\nbridge(b3).\n:audit -i\n",
+    );
+    let audits: Vec<&str> = out
+        .split(PROMPT)
+        .filter(|reply| reply.contains("violation(s)"))
+        .collect();
+    assert_eq!(audits.len(), 2, "{out}");
+    assert!(audits[0].contains("omega'ERROR(shut, b2)"), "{out}");
+    assert!(!audits[0].contains("omega'ERROR(shut, b3)"), "{out}");
+    assert!(audits[1].contains("omega'ERROR(shut, b3)"), "{out}");
 }
 
 #[test]
@@ -263,4 +370,140 @@ fn audit_runs_against_the_pinned_snapshot() {
     reader.send(":snapshot");
     let head = reader.send(":audit -j 2");
     assert!(head.contains("unopened_bridge"), "{head}");
+}
+
+/// A token tripped between two queries of one block kills neither: the
+/// session rearms it ahead of each query. `?- trip.` trips the session's
+/// token from inside the first query, and the second one — a join costing
+/// well over one budget check interval — must still answer.
+#[test]
+fn a_token_tripped_between_two_queries_of_one_block_is_rearmed() {
+    let state = ServerState::new().expect("server state");
+    let token: Arc<OnceLock<CancelToken>> = Arc::default();
+    let trip = Arc::clone(&token);
+    let mut world: String = (0..48).map(|i| format!("p(a{i}). ")).collect();
+    world.push_str("pair(X, Y) :- p(X), p(Y).");
+    state
+        .store()
+        .update(|spec| {
+            spec.kb_mut().register_native("trip_token", 0, move |_, _| {
+                trip.get().expect("session token").cancel();
+                Ok(true)
+            });
+            let (m, s, t, a) = (Term::var(0), Term::var(1), Term::var(2), Term::var(3));
+            let head = reify::holds(m, s, t, Term::atom("trip"), a);
+            spec.assert_raw(
+                "test",
+                RawClause::rule(head, Term::pred("trip_token", vec![])),
+            );
+            gdp::lang::load(spec, &world)
+                .map_err(|e| gdp::core::SpecError::Transaction(e.to_string()))
+        })
+        .expect("world loads");
+    let mut session = Session::new(state, &ServeOptions::default());
+    token.set(session.cancel_token()).expect("set once");
+
+    let mut out = Vec::new();
+    session
+        .line("?- trip. ?- card(pair(X, Y), N).", &mut out)
+        .expect("in-memory write");
+    let out = String::from_utf8(out).expect("utf8");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert_eq!(lines[0], "yes.", "{out}");
+    assert!(lines[1].contains("N = 2304"), "{out}");
+}
+
+/// A panic is contained per statement: a read-only block reports it and
+/// the session goes on; inside a commit block it rolls the commit back,
+/// leaving head and the live store's transaction state as they were.
+#[test]
+fn a_panic_is_contained_and_rolls_its_commit_back() {
+    let state = ServerState::new().expect("server state");
+    state
+        .store()
+        .update(|spec| {
+            spec.kb_mut()
+                .register_native("explode", 0, |_, _| panic!("native exploded"));
+            let (m, s, t, a) = (Term::var(0), Term::var(1), Term::var(2), Term::var(3));
+            let head = reify::holds(m, s, t, Term::atom("boom"), a);
+            spec.assert_raw("test", RawClause::rule(head, Term::pred("explode", vec![])));
+            Ok(())
+        })
+        .expect("native installs");
+    let mut session = Session::new(Arc::clone(&state), &ServeOptions::default());
+    let mut reply = |line: &str| {
+        let mut out = Vec::new();
+        assert!(session.line(line, &mut out).expect("in-memory write"));
+        String::from_utf8(out).expect("utf8")
+    };
+    let out = reply("?- boom.");
+    assert!(
+        out.contains("internal panic (session kept): native exploded"),
+        "{out}"
+    );
+    let out = reply("bridge(b1). ?- boom.");
+    assert!(
+        out.contains("rolled back:") && out.contains("native exploded"),
+        "{out}"
+    );
+    assert_eq!(state.store().head_seq(), 0);
+    let out = reply("bridge(b2).");
+    assert!(out.contains("committed as seq 1"), "{out}");
+    assert_eq!(reply("?- bridge(X)."), "X = b2\n");
+}
+
+/// The operator's statement deadline is a ceiling: `:deadline` may
+/// tighten it, never lift it, and `off` returns to it.
+#[test]
+fn the_operator_deadline_is_a_ceiling() {
+    let state = ServerState::new().expect("server state");
+    let opts = ServeOptions {
+        statement_deadline: Some(Duration::from_millis(50)),
+        ..ServeOptions::default()
+    };
+    let mut session = Session::new(state, &opts);
+    for (line, want) in [
+        (":deadline 10", "deadline: 10 ms per query.\n"),
+        (":deadline 900", "deadline: 50 ms per query.\n"),
+        (":deadline off", "deadline: 50 ms per query.\n"),
+    ] {
+        let mut out = Vec::new();
+        session.line(line, &mut out).expect("in-memory write");
+        assert_eq!(String::from_utf8(out).expect("utf8"), want, "{line}");
+    }
+}
+
+/// The base image's budget is a ceiling, like the operator's deadline:
+/// `:budget` and `:retry` above it are capped. So a negation cycle, which
+/// recurses on the host stack once per sub-solver level, ends in a
+/// depth-limit error instead of overflowing the session thread's stack
+/// and aborting the server with every session in it.
+#[test]
+fn the_base_budget_is_a_ceiling() {
+    let (_state, addr) = boot();
+    let mut c = Client::connect(addr);
+    let reply = c.send(":budget 10000000000 4000000000");
+    assert!(reply.contains("(capped at the base budget)"), "{reply}");
+    assert!(!reply.contains("4000000000"), "{reply}");
+    let reply = c.send(":retry 1000");
+    assert!(
+        reply.contains("(capped: no retry passes the base budget)"),
+        "{reply}"
+    );
+    let reply = c.send("q :- not(q).");
+    assert!(reply.contains("committed as seq 1"), "{reply}");
+    let reply = c.send("?- q.");
+    assert!(reply.contains("depth limit exhausted"), "{reply}");
+
+    // A lowered budget is the session's own; retries may climb back
+    // towards the base from it.
+    assert_eq!(c.send(":budget 100 4"), "budget: 100 steps, depth 4\n");
+    assert_eq!(
+        c.send(":retry 3"),
+        "audit retries: 3 attempt(s) with escalating step limits.\n"
+    );
+    let mut other = Client::connect(addr);
+    let reply = other.send(":seq");
+    assert!(reply.contains("head is seq 1."), "{reply}");
 }
