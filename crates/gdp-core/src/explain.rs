@@ -7,9 +7,11 @@
 //! proof tree; [`Proof::render`] prints it with reified facts decoded back
 //! into the paper's notation (`model'@p q(args)`).
 
-use gdp_engine::{resolve_deep, symbols, Budget, EngineError, GroupId, PredKey, Solver, Term};
+use std::time::Instant;
 
-use crate::error::SpecResult;
+use gdp_engine::{resolve_deep, symbols, EngineError, GroupId, PredKey, Term};
+
+use crate::error::{SpecError, SpecResult};
 use crate::reify::functors;
 use crate::spec::Specification;
 
@@ -207,9 +209,12 @@ const MAX_DEPTH: usize = 64;
 /// is provable. Returns `None` when it is not provable at all.
 ///
 /// If the goal has variables, the explanation covers its *first* solution.
+/// Every sub-solve runs through the specification's session: under its
+/// step and depth limits and cancel token, counted in its stats, and with
+/// one deadline instant for the whole explanation.
 pub fn explain(spec: &Specification, goal: Term) -> SpecResult<Option<Proof>> {
-    let solver = Solver::new(spec.kb(), Budget::default());
-    let solutions = solver.solve(goal.clone(), 1)?;
+    let started = Instant::now();
+    let solutions = spec.solve_since(goal.clone(), 1, started)?;
     if solutions.is_empty() {
         return Ok(None);
     }
@@ -218,7 +223,7 @@ pub fn explain(spec: &Specification, goal: Term) -> SpecResult<Option<Proof>> {
     for (var, value) in solutions[0].bindings() {
         grounded = substitute(&grounded, *var, value);
     }
-    Ok(Some(explain_ground(spec, &grounded, 0)?))
+    Ok(Some(explain_ground(spec, &grounded, 0, started)?))
 }
 
 fn substitute(t: &Term, var: gdp_engine::Var, value: &Term) -> Term {
@@ -232,7 +237,12 @@ fn substitute(t: &Term, var: gdp_engine::Var, value: &Term) -> Term {
     }
 }
 
-fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult<Proof> {
+fn explain_ground(
+    spec: &Specification,
+    goal: &Term,
+    depth: usize,
+    started: Instant,
+) -> SpecResult<Proof> {
     if depth > MAX_DEPTH {
         return Ok(Proof::Builtin { goal: goal.clone() });
     }
@@ -244,8 +254,8 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
         if f == symbols::and() && args.len() == 2 {
             // Flatten conjunctions into one Rule-less list by explaining
             // both sides and merging (callers wrap them).
-            let left = explain_ground(spec, &args[0], depth + 1)?;
-            let right = explain_ground(spec, &args[1], depth + 1)?;
+            let left = explain_ground(spec, &args[0], depth + 1, started)?;
+            let right = explain_ground(spec, &args[1], depth + 1, started)?;
             return Ok(Proof::Rule {
                 goal: goal.clone(),
                 group: GroupId::named("conjunction"),
@@ -254,11 +264,9 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
         }
         if f == symbols::or() && args.len() == 2 {
             // Explain whichever branch holds (prefer the left).
-            let solver = Solver::new(spec.kb(), Budget::default());
-            if solver.prove(args[0].clone())? {
-                return explain_ground(spec, &args[0], depth + 1);
-            }
-            return explain_ground(spec, &args[1], depth + 1);
+            let held = !spec.solve_since(args[0].clone(), 1, started)?.is_empty();
+            let branch = if held { &args[0] } else { &args[1] };
+            return explain_ground(spec, branch, depth + 1, started);
         }
         if (f == symbols::not() || f == symbols::absent()) && args.len() == 1 {
             // `absent((C, absent(T)))` is the compiled form of
@@ -269,7 +277,7 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
                     if *c == symbols::and() && conj.len() == 2 {
                         if let Term::Compound(inner, t) = &conj[1] {
                             if *inner == symbols::absent() && t.len() == 1 {
-                                return explain_forall(spec, goal, &conj[0], &t[0], depth);
+                                return explain_forall(spec, goal, &conj[0], &t[0], depth, started);
                             }
                         }
                     }
@@ -280,7 +288,7 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
             });
         }
         if f == symbols::forall() && args.len() == 2 {
-            return explain_forall(spec, goal, &args[0], &args[1], depth);
+            return explain_forall(spec, goal, &args[0], &args[1], depth, started);
         }
     }
 
@@ -310,13 +318,12 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
                 }
                 // The body may still have free variables; take its first
                 // solution and ground it before recursing.
-                let solver = Solver::new(spec.kb(), Budget::default());
-                let solutions = match solver.solve(body.clone(), 1) {
+                let solutions = match spec.solve_since(body.clone(), 1, started) {
                     Ok(s) => s,
-                    Err(EngineError::StepLimit { .. }) | Err(EngineError::DepthLimit { .. }) => {
-                        continue
-                    }
-                    Err(e) => return Err(e.into()),
+                    Err(SpecError::Engine(
+                        EngineError::StepLimit { .. } | EngineError::DepthLimit { .. },
+                    )) => continue,
+                    Err(e) => return Err(e),
                 };
                 let Some(solution) = solutions.first() else {
                     continue;
@@ -325,7 +332,7 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
                 for (var, value) in solution.bindings() {
                     grounded = substitute(&grounded, *var, value);
                 }
-                let children = explain_conjuncts(spec, &grounded, depth + 1)?;
+                let children = explain_conjuncts(spec, &grounded, depth + 1, started)?;
                 return Ok(Proof::Rule {
                     goal: goal.clone(),
                     group: clause.group,
@@ -339,7 +346,6 @@ fn explain_ground(spec: &Specification, goal: &Term, depth: usize) -> SpecResult
     Ok(Proof::Builtin { goal: goal.clone() })
 }
 
-/// Explain a (ground) conjunction as a flat list of child proofs.
 /// Explain a held universal quantifier (`forall(C, T)` or its compiled
 /// `absent((C, absent(T)))` form): one child proof of the conclusion per
 /// condition instance.
@@ -349,9 +355,9 @@ fn explain_forall(
     cond: &Term,
     then_tpl: &Term,
     depth: usize,
+    started: Instant,
 ) -> SpecResult<Proof> {
-    let solver = Solver::new(spec.kb(), Budget::default());
-    let cond_solutions = solver.solve_all(cond.clone())?;
+    let cond_solutions = spec.solve_since(cond.clone(), usize::MAX, started)?;
     let mut children = Vec::new();
     for sol in cond_solutions {
         let mut then = then_tpl.clone();
@@ -362,7 +368,7 @@ fn explain_forall(
         // variable of a `visible` lookup) are grounded by its own first
         // solution before recursing.
         if !then.is_ground() {
-            let sols = solver.solve(then.clone(), 1)?;
+            let sols = spec.solve_since(then.clone(), 1, started)?;
             if let Some(sol) = sols.first() {
                 for (var, value) in sol.bindings() {
                     then = substitute(&then, *var, value);
@@ -370,7 +376,7 @@ fn explain_forall(
             }
         }
         if then.is_ground() {
-            children.push(explain_ground(spec, &then, depth + 1)?);
+            children.push(explain_ground(spec, &then, depth + 1, started)?);
         }
     }
     Ok(Proof::Forall {
@@ -379,16 +385,22 @@ fn explain_forall(
     })
 }
 
-fn explain_conjuncts(spec: &Specification, body: &Term, depth: usize) -> SpecResult<Vec<Proof>> {
+/// Explain a (ground) conjunction as a flat list of child proofs.
+fn explain_conjuncts(
+    spec: &Specification,
+    body: &Term,
+    depth: usize,
+    started: Instant,
+) -> SpecResult<Vec<Proof>> {
     if let Some(f) = body.functor() {
         if f == symbols::and() && body.args().len() == 2 {
-            let mut left = explain_conjuncts(spec, &body.args()[0], depth)?;
-            let right = explain_conjuncts(spec, &body.args()[1], depth)?;
+            let mut left = explain_conjuncts(spec, &body.args()[0], depth, started)?;
+            let right = explain_conjuncts(spec, &body.args()[1], depth, started)?;
             left.extend(right);
             return Ok(left);
         }
     }
-    Ok(vec![explain_ground(spec, body, depth)?])
+    Ok(vec![explain_ground(spec, body, depth, started)?])
 }
 
 #[cfg(test)]

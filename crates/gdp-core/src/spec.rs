@@ -7,14 +7,15 @@
 //! query, and consistency-checking API the rest of the system builds on.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
 use gdp_engine::{
     list_from_iter, list_to_vec, Budget, CancelToken, ChaosConfig, CommitRecord, CyclePolicy,
-    Delta, EngineError, FxHashMap, FxHashSet, GroupId, KnowledgeBase, ObserverSink, Port, PredKey,
-    Profiler, RingTrace, Solver, SolverStats, Term, TraceEvent, TraceSink,
+    Delta, EngineError, EngineResult, FxHashMap, GroupId, KnowledgeBase, ObserverSink,
+    ParallelSolver, Port, PredKey, Profiler, RingTrace, Solution, Solver, SolverStats, Sym, Term,
+    TraceEvent, TraceSink,
 };
 
 use crate::domains::{register_domain_native, DomainDef, DomainTable, Sort};
@@ -220,11 +221,8 @@ pub struct Specification {
     kb: KnowledgeBase,
     domains: Arc<RwLock<DomainTable>>,
     signatures: FxHashMap<(String, usize), Vec<Sort>>,
-    objects: FxHashSet<String>,
-    models: FxHashSet<String>,
     meta_models: FxHashMap<String, MetaModel>,
     active_meta: Vec<String>,
-    world_view: Vec<String>,
     sort_enforcement: SortEnforcement,
     /// Ring capacity used while tracing: the last N port events survive.
     trace_capacity: usize,
@@ -243,9 +241,12 @@ pub struct Specification {
 struct SessionState {
     step_limit: u64,
     depth_limit: u32,
-    /// Execution counters of the most recent query (interior mutability:
-    /// queries take `&self`).
+    /// Execution counters of the most recent query or audit (interior
+    /// mutability: queries take `&self`).
     last_stats: Mutex<SolverStats>,
+    /// Running totals of every query, audit and explanation this session
+    /// ran; they follow the session across re-pins.
+    totals: Mutex<SolverStats>,
     /// Keep a bounded port-event ring for each query (off by default).
     trace_enabled: bool,
     /// Accumulate a per-predicate profile across queries (off by default).
@@ -280,7 +281,8 @@ impl SessionState {
         SessionState {
             step_limit: self.step_limit,
             depth_limit: self.depth_limit,
-            last_stats: Mutex::new(SolverStats::default()),
+            last_stats: Mutex::default(),
+            totals: Mutex::default(),
             trace_enabled: self.trace_enabled,
             profile_enabled: self.profile_enabled,
             profiler: Mutex::new(Profiler::new()),
@@ -291,6 +293,13 @@ impl SessionState {
             incremental: self.incremental,
             audit_cache: Mutex::new(audit_cache),
         }
+    }
+
+    /// Record one solve's counters: as the most recent, and into the
+    /// running totals.
+    fn record(&self, stats: SolverStats) {
+        *self.last_stats.lock() = stats;
+        self.totals.lock().absorb(&stats);
     }
 }
 
@@ -304,9 +313,9 @@ impl std::fmt::Debug for Specification {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Specification")
             .field("clauses", &self.kb.clause_count())
-            .field("objects", &self.objects.len())
-            .field("models", &self.models.len())
-            .field("world_view", &self.world_view)
+            .field("objects", &self.objects().len())
+            .field("models", &self.models().len())
+            .field("world_view", &self.world_view())
             .field("meta_view", &self.active_meta)
             .finish()
     }
@@ -320,11 +329,8 @@ impl Specification {
             kb: KnowledgeBase::new(),
             domains: Arc::new(RwLock::new(DomainTable::default())),
             signatures: FxHashMap::default(),
-            objects: FxHashSet::default(),
-            models: FxHashSet::default(),
             meta_models: FxHashMap::default(),
             active_meta: Vec::new(),
-            world_view: vec![DEFAULT_MODEL.to_string()],
             sort_enforcement: SortEnforcement::default(),
             trace_capacity: 512,
             chaos: None,
@@ -332,7 +338,8 @@ impl Specification {
             session: SessionState {
                 step_limit: 10_000_000,
                 depth_limit: 256,
-                last_stats: Mutex::new(SolverStats::default()),
+                last_stats: Mutex::default(),
+                totals: Mutex::default(),
                 trace_enabled: false,
                 profile_enabled: false,
                 profiler: Mutex::new(Profiler::new()),
@@ -347,7 +354,8 @@ impl Specification {
         register_domain_native(&mut spec.kb, Arc::clone(&spec.domains));
         spec.install_kernel();
         spec.declare_model(DEFAULT_MODEL);
-        spec.apply_world_view();
+        spec.set_world_view(&[DEFAULT_MODEL])
+            .expect("the default model is declared");
         // Ablation hook: `GDP_TABLING=on` (nominated predicates) or
         // `GDP_TABLING=all` flips answer tabling on for every
         // specification, so whole harnesses (the E1–E16 experiment runner,
@@ -487,25 +495,13 @@ impl Specification {
 
     /// Declare an object designator (§II.A). Idempotent.
     pub fn declare_object(&mut self, name: &str) {
-        if self.objects.insert(name.to_string()) {
-            self.kb.assert_clause_in(
-                GroupId::named(groups::REGISTRY),
-                Term::compound(functors::is_object(), vec![Term::atom(name)]),
-                Term::atom("true"),
-            );
-        }
+        self.register(functors::is_object(), name);
     }
 
     /// Declare a model (§III.D). Idempotent. Declaring does not activate:
     /// a model's facts stay invisible until a world view includes it.
     pub fn declare_model(&mut self, name: &str) {
-        if self.models.insert(name.to_string()) {
-            self.kb.assert_clause_in(
-                GroupId::named(groups::REGISTRY),
-                Term::compound(functors::is_model(), vec![Term::atom(name)]),
-                Term::atom("true"),
-            );
-        }
+        self.register(functors::is_model(), name);
     }
 
     /// Declare a semantic domain (§III.B).
@@ -536,13 +532,29 @@ impl Specification {
     }
 
     fn register_predicate(&mut self, name: &str) {
-        let head = Term::compound(functors::is_pred(), vec![Term::atom(name)]);
-        // Idempotence: only assert the registry fact once.
-        let already = self
-            .kb
+        self.register(functors::is_pred(), name);
+    }
+
+    /// Assert the registry fact `registry(name)` unless the knowledge base
+    /// already holds it. The registries live only there, so snapshots,
+    /// rollbacks and the write-ahead log carry them like any fact.
+    fn register(&mut self, registry: Sym, name: &str) {
+        if !self.is_registered(registry, name) {
+            self.kb.assert_clause_in(
+                GroupId::named(groups::REGISTRY),
+                Term::compound(registry, vec![Term::atom(name)]),
+                Term::atom("true"),
+            );
+        }
+    }
+
+    /// Does the knowledge base hold the registry fact `registry(name)`?
+    fn is_registered(&self, registry: Sym, name: &str) -> bool {
+        let head = Term::compound(registry, vec![Term::atom(name)]);
+        self.kb
             .candidates(
-                gdp_engine::PredKey {
-                    name: functors::is_pred(),
+                PredKey {
+                    name: registry,
                     arity: 1,
                 },
                 &gdp_engine::BindStore::new(),
@@ -550,11 +562,20 @@ impl Specification {
                 &gdp_engine::BoundSet::default(),
             )
             .iter()
-            .any(|c| c.head == head);
-        if !already {
-            self.kb
-                .assert_clause_in(GroupId::named(groups::REGISTRY), head, Term::atom("true"));
-        }
+            .any(|c| c.head == head)
+    }
+
+    /// The names in the one-argument facts of `registry`, in clause order.
+    fn registered(&self, registry: Sym) -> Vec<String> {
+        self.kb
+            .clauses_of(PredKey {
+                name: registry,
+                arity: 1,
+            })
+            .iter()
+            .filter_map(|c| c.head.args().first()?.as_atom())
+            .map(Sym::as_str)
+            .collect()
     }
 
     // ----- assertions -----------------------------------------------------
@@ -762,33 +783,32 @@ impl Specification {
     // ----- world view (§III.E) ---------------------------------------------
 
     /// Replace the world view: the set of models whose facts and
-    /// constraints are visible. Every model must have been declared.
+    /// constraints are visible. Every model must have been declared. The
+    /// world view is the `active_model/1` facts, so it is versioned,
+    /// rolled back and logged with the clauses.
     pub fn set_world_view(&mut self, models: &[&str]) -> SpecResult<()> {
-        for m in models {
-            if !self.models.contains(*m) {
-                return Err(SpecError::UnknownModel((*m).to_string()));
-            }
+        if let Some(m) = models
+            .iter()
+            .find(|m| !self.is_registered(functors::is_model(), m))
+        {
+            return Err(SpecError::UnknownModel((*m).to_string()));
         }
-        self.world_view = models.iter().map(|m| m.to_string()).collect();
-        self.apply_world_view();
-        Ok(())
-    }
-
-    fn apply_world_view(&mut self) {
         let g = GroupId::named(groups::WORLD_VIEW);
         self.kb.retract_group(g);
-        for m in &self.world_view {
+        for m in models {
             self.kb.assert_clause_in(
                 g,
                 Term::compound(functors::active_model(), vec![Term::atom(m)]),
                 Term::atom("true"),
             );
         }
+        Ok(())
     }
 
-    /// The currently active world view.
-    pub fn world_view(&self) -> &[String] {
-        &self.world_view
+    /// The currently active world view: the `active_model/1` facts in
+    /// clause order, which is the order `visible/5` enumerates them in.
+    pub fn world_view(&self) -> Vec<String> {
+        self.registered(functors::active_model())
     }
 
     // ----- meta-view (§IV) --------------------------------------------------
@@ -880,24 +900,16 @@ impl Specification {
 
     // ----- queries ----------------------------------------------------------
 
-    fn budget(&self) -> Budget {
-        self.budget_with_steps(self.session.step_limit)
-    }
-
-    /// A query budget with an explicit step limit (retries escalate it)
-    /// and the session's deadline and cancellation token attached.
-    fn budget_with_steps(&self, step_limit: u64) -> Budget {
+    /// A query budget with an explicit step limit (retries escalate it),
+    /// the session's depth limit and cancellation token, and its deadline
+    /// counted from `started`.
+    fn budget_since(&self, step_limit: u64, started: Instant) -> Budget {
         let mut budget = Budget::new(step_limit, self.session.depth_limit)
             .with_cancel(self.session.cancel.clone());
         if let Some(d) = self.session.deadline {
-            budget = budget.with_deadline_in(d);
+            budget = budget.with_deadline_after(started, d);
         }
         budget
-    }
-
-    /// Snapshot a solver's counters as the most recent query's stats.
-    fn record_stats<S: TraceSink>(&self, solver: &Solver<'_, S>) {
-        *self.session.last_stats.lock() = solver.stats();
     }
 
     /// Is any observation (tracing or profiling) requested? When false,
@@ -926,60 +938,64 @@ impl Specification {
         }
     }
 
-    /// The shared solve path: every `&self` query funnels through here (or
-    /// [`Self::prove_inner`]) so observation is wired in exactly once.
-    fn solve_n_goal(&self, goal: Term, limit: usize) -> SpecResult<Vec<gdp_engine::Solution>> {
-        self.solve_n_goal_budget(goal, limit, self.budget())
+    /// Up to `limit` answers to `goal` under the session's budget.
+    fn solve_n_goal(&self, goal: Term, limit: usize) -> SpecResult<Vec<Solution>> {
+        self.solve_since(goal, limit, Instant::now())
     }
 
-    /// [`Self::solve_n_goal`] with an explicit budget (the retry path
-    /// escalates step limits per attempt).
+    /// Up to `limit` answers to `goal` under the session's limits, with
+    /// the deadline counted from `started`, so that several solves can
+    /// share one deadline instant (an explanation's sub-solves do).
+    pub(crate) fn solve_since(
+        &self,
+        goal: Term,
+        limit: usize,
+        started: Instant,
+    ) -> SpecResult<Vec<Solution>> {
+        let budget = self.budget_since(self.session.step_limit, started);
+        self.solve_n_goal_budget(goal, limit, budget)
+    }
+
+    /// The shared solve path: every `&self` query funnels through here, so
+    /// observation and counting are wired in exactly once.
     fn solve_n_goal_budget(
         &self,
         goal: Term,
         limit: usize,
         budget: Budget,
-    ) -> SpecResult<Vec<gdp_engine::Solution>> {
-        if self.observing() {
+    ) -> SpecResult<Vec<Solution>> {
+        let out = if self.observing() {
             let solver = Solver::with_sink(&self.kb, budget, self.observer_sink());
             let out = solver.solve(goal, limit);
-            self.record_stats(&solver);
+            self.session.record(solver.stats());
             self.harvest(solver.into_sink());
-            Ok(out?)
+            out
         } else {
             let solver = Solver::new(&self.kb, budget);
             let out = solver.solve(goal, limit);
-            self.record_stats(&solver);
-            Ok(out?)
-        }
+            self.session.record(solver.stats());
+            out
+        };
+        Ok(out?)
     }
 
-    /// The shared prove path; see [`Self::solve_n_goal`].
+    /// Is `goal` provable: does it have a first answer?
     fn prove_inner(&self, goal: Term) -> SpecResult<bool> {
-        if self.observing() {
-            let solver = Solver::with_sink(&self.kb, self.budget(), self.observer_sink());
-            let out = solver.prove(goal);
-            self.record_stats(&solver);
-            self.harvest(solver.into_sink());
-            Ok(out?)
-        } else {
-            let solver = Solver::new(&self.kb, self.budget());
-            let out = solver.prove(goal);
-            self.record_stats(&solver);
-            Ok(out?)
-        }
+        Ok(!self.solve_n_goal(goal, 1)?.is_empty())
     }
 
-    /// Execution counters of the most recent query run through this
-    /// specification (steps, clause resolutions, and answer-table
+    /// Execution counters of the most recent query or audit run through
+    /// this specification (steps, clause resolutions, and answer-table
     /// hit/miss/insert/invalidation counts).
     pub fn solver_stats(&self) -> SolverStats {
         *self.session.last_stats.lock()
     }
 
-    /// Cumulative answer-table counters over the KB's lifetime.
-    pub fn table_stats(&self) -> gdp_engine::TableStats {
-        self.kb.table().stats()
+    /// The session's running totals of the same counters, over every
+    /// query, audit and explanation it ran. They follow the session across
+    /// re-pins ([`Self::swap_session`]); a snapshot starts from zero.
+    pub fn session_stats(&self) -> SolverStats {
+        *self.session.totals.lock()
     }
 
     // ----- tabling ----------------------------------------------------------
@@ -1242,11 +1258,11 @@ impl Specification {
         );
         let mut attempt = 0u32;
         let solutions = loop {
-            let budget = self.budget_with_steps(
-                self.session
-                    .retry
-                    .escalated(self.session.step_limit, attempt),
-            );
+            let steps = self
+                .session
+                .retry
+                .escalated(self.session.step_limit, attempt);
+            let budget = self.budget_since(steps, Instant::now());
             match self.solve_n_goal_budget(goal.clone(), usize::MAX, budget) {
                 Ok(solutions) => break solutions,
                 Err(SpecError::Engine(e))
@@ -1331,93 +1347,112 @@ impl Specification {
     /// The step budget is global: each worker receives an equal share, so
     /// the audit can consume at most the same budget as the sequential
     /// check. Merged per-worker counters (including any retry attempts)
-    /// are recorded as the specification's last stats and returned in the
-    /// report.
+    /// are recorded as the specification's last stats, added to the
+    /// session's totals and returned in the report.
     ///
     /// ## Degraded-mode evaluation
     ///
     /// A failing goal no longer aborts the audit. Each member's goal that
     /// errors — budget exhaustion, deadline, cancellation, or a contained
     /// panic — is first re-attempted under the active [`RetryPolicy`]
-    /// (budget-recoverable errors only, sequentially, with escalated step
-    /// limits), and if it still fails it is recorded in
-    /// [`AuditReport::incomplete`] with a zero count in
+    /// (budget-recoverable errors only, sequentially, each as a one-goal
+    /// batch at an escalated step limit), and if it still fails it is
+    /// recorded in [`AuditReport::incomplete`] with a zero count in
     /// [`AuditReport::per_model`], while every other member's violations
     /// are reported normally. Callers decide whether a partial audit is
     /// acceptable via [`AuditReport::is_complete`].
     pub fn audit_world_views(&self, workers: usize) -> SpecResult<AuditReport> {
-        let members = vec![MemberOutcome::Solved(Vec::new()); self.world_view.len()];
+        let view = self.world_view();
+        let members = vec![MemberOutcome::Solved(Vec::new()); view.len()];
         let stale: Vec<usize> = (0..members.len()).collect();
-        self.audit_members(members, &stale, workers)
+        self.audit_members(view, members, &stale, workers)
     }
 
     /// The fan-out both audits share — a full audit is an incremental one
     /// with every member stale. Solve the audit goals of the `stale`
-    /// world-view members in parallel (retrying budget-exhausted ones),
-    /// splice their outcomes into `members`, merge, refresh the member
-    /// cache (incremental mode), and record the merged counters as the
-    /// last stats. `workers` reads 0 in the report when nothing was
-    /// re-solved.
+    /// members of world view `view` in parallel, re-run each recoverable
+    /// failure as a one-goal batch under the retry policy, splice their
+    /// outcomes into `members`, merge, refresh the member cache
+    /// (incremental mode), and record the merged counters. `workers` reads
+    /// 0 in the report when nothing was re-solved.
     fn audit_members(
         &self,
+        view: Vec<String>,
         mut members: Vec<MemberOutcome>,
         stale: &[usize],
         workers: usize,
     ) -> SpecResult<AuditReport> {
-        let goals: Vec<Term> = stale
-            .iter()
-            .map(|&i| Self::audit_goal(&self.world_view[i]))
-            .collect();
-        let mut par = gdp_engine::ParallelSolver::with_budget(
-            &self.kb,
-            workers,
-            self.session.step_limit,
-            self.session.depth_limit,
-        );
-        if self.session.profile_enabled {
-            // Per-worker profiles merge at the batch join, exactly like
-            // the per-worker stats. (The trace ring stays sequential-only:
-            // interleaved per-worker event orders are not meaningful.)
-            par.enable_profile();
+        let goals: Vec<Term> = stale.iter().map(|&i| Self::audit_goal(&view[i])).collect();
+        let mut stats = SolverStats::default();
+        let step_limit = self.session.step_limit;
+        let results = self.audit_batch(&goals, workers, step_limit, self.chaos, &mut stats);
+        for ((&i, goal), mut result) in stale.iter().zip(&goals).zip(results) {
+            // Retries leave the fault-injection sink off, so an injected
+            // fault costs one attempt, not the whole policy.
+            let mut attempts = 0u32;
+            while matches!(&result, Err(e) if e.is_recoverable())
+                && attempts < self.session.retry.attempts
+            {
+                attempts += 1;
+                let steps = self.session.retry.escalated(step_limit, attempts);
+                let goal = std::slice::from_ref(goal);
+                result = self.audit_batch(goal, 1, steps, None, &mut stats).remove(0);
+            }
+            members[i] = Self::member_outcome(&view[i], result.map_err(|e| (e, attempts)));
         }
-        par.set_deadline(self.session.deadline);
-        par.set_cancel(self.session.cancel.clone());
-        par.set_chaos(self.chaos);
-        let results = par.solve_batch(&goals);
-        let mut stats = par.stats();
-        if let Some(p) = par.profile() {
-            self.session.profiler.lock().absorb(&p);
-        }
-        for ((&i, goal), result) in stale.iter().zip(&goals).zip(results) {
-            let result = match result {
-                Ok(solutions) => Ok(solutions),
-                Err(e) => self.retry_audit_goal(goal, e, &mut stats),
-            };
-            members[i] = Self::member_outcome(&self.world_view[i], result);
-        }
-        let (violations, per_model, incomplete) = self.merge_member_outcomes(&members);
+        let (violations, per_model, incomplete) = Self::merge_member_outcomes(&view, &members);
         if self.session.incremental {
             *self.session.audit_cache.lock() = Some(AuditCache {
-                world_view: self.world_view.clone(),
+                world_view: view,
                 config: self.audit_config(),
                 members,
             });
         }
-        *self.session.last_stats.lock() = stats;
+        self.session.record(stats);
         Ok(AuditReport {
             violations,
             per_model,
             stats,
             incomplete,
-            workers: if goals.is_empty() { 0 } else { par.workers() },
+            workers: if goals.is_empty() { 0 } else { workers.max(1) },
         })
+    }
+
+    /// Solve `goals` as one [`ParallelSolver`] batch over `workers`
+    /// threads sharing `step_limit`, under the session's depth limit,
+    /// deadline and cancel token and the given fault injection. The
+    /// batch's counters fold into `stats` and its per-worker profiles into
+    /// the session's profile. (The trace ring stays sequential-only:
+    /// interleaved per-worker event orders are not meaningful.)
+    fn audit_batch(
+        &self,
+        goals: &[Term],
+        workers: usize,
+        step_limit: u64,
+        chaos: Option<ChaosConfig>,
+        stats: &mut SolverStats,
+    ) -> Vec<EngineResult<Vec<Solution>>> {
+        let mut par =
+            ParallelSolver::with_budget(&self.kb, workers, step_limit, self.session.depth_limit);
+        if self.session.profile_enabled {
+            par.enable_profile();
+        }
+        par.set_deadline(self.session.deadline);
+        par.set_cancel(self.session.cancel.clone());
+        par.set_chaos(chaos);
+        let results = par.solve_batch(goals);
+        stats.absorb(&par.stats());
+        if let Some(p) = par.profile() {
+            self.session.profiler.lock().absorb(&p);
+        }
+        results
     }
 
     /// Decode one member's (possibly retried) solve result into a cached
     /// outcome: the raw violation list, or the terminal failure.
     fn member_outcome(
         name: &str,
-        result: Result<Vec<gdp_engine::Solution>, (EngineError, u32)>,
+        result: Result<Vec<Solution>, (EngineError, u32)>,
     ) -> MemberOutcome {
         match result {
             Ok(solutions) => MemberOutcome::Solved(
@@ -1439,13 +1474,13 @@ impl Specification {
     /// of cached and freshly solved members reproduces the full audit
     /// byte-for-byte.
     fn merge_member_outcomes(
-        &self,
+        view: &[String],
         members: &[MemberOutcome],
     ) -> (Vec<Violation>, Vec<(String, usize)>, Vec<AuditFailure>) {
         let mut violations: Vec<Violation> = Vec::new();
         let mut per_model = Vec::with_capacity(members.len());
         let mut incomplete = Vec::new();
-        for (name, outcome) in self.world_view.iter().zip(members) {
+        for (name, outcome) in view.iter().zip(members) {
             match outcome {
                 MemberOutcome::Solved(raw) => {
                     let mut count = 0usize;
@@ -1469,68 +1504,6 @@ impl Specification {
             }
         }
         (violations, per_model, incomplete)
-    }
-
-    /// Re-attempt one audit goal that failed in the parallel fan-out.
-    /// Only budget-recoverable errors ([`EngineError::is_recoverable`])
-    /// are retried, sequentially, each attempt under an escalated step
-    /// limit; the fault-injection token is deliberately *not* re-attached,
-    /// so an injected fault costs one attempt, not the whole policy. Every
-    /// attempt's counters fold into `stats` so the merged ledger still
-    /// reconciles with the absorbed profile. Returns the solutions, or the
-    /// final error together with the number of retry attempts made.
-    fn retry_audit_goal(
-        &self,
-        goal: &Term,
-        first: EngineError,
-        stats: &mut SolverStats,
-    ) -> Result<Vec<gdp_engine::Solution>, (EngineError, u32)> {
-        let mut error = first;
-        let mut attempt = 0u32;
-        while error.is_recoverable() && attempt < self.session.retry.attempts {
-            attempt += 1;
-            let budget = self.budget_with_steps(
-                self.session
-                    .retry
-                    .escalated(self.session.step_limit, attempt),
-            );
-            // catch_unwind mirrors the parallel solver's per-goal isolation:
-            // a panicking native must degrade this member, not the audit.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if self.session.profile_enabled {
-                    let solver = Solver::with_sink(&self.kb, budget, Profiler::new());
-                    let out = solver.solve(goal.clone(), usize::MAX);
-                    let s = solver.stats();
-                    (out, s, Some(solver.into_sink()))
-                } else {
-                    let solver = Solver::new(&self.kb, budget);
-                    let out = solver.solve(goal.clone(), usize::MAX);
-                    let s = solver.stats();
-                    (out, s, None)
-                }
-            }));
-            match outcome {
-                Ok((out, s, prof)) => {
-                    stats.absorb(&s);
-                    if let Some(p) = prof {
-                        self.session.profiler.lock().absorb(&p);
-                    }
-                    match out {
-                        Ok(solutions) => return Ok(solutions),
-                        Err(e) => error = e,
-                    }
-                }
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    error = EngineError::GoalPanicked { message };
-                }
-            }
-        }
-        Err((error, attempt))
     }
 
     // ----- transactions & incremental audits (map-data revision) -------------
@@ -1648,19 +1621,19 @@ impl Specification {
     /// `audit_incremental` calls. Requires incremental mode
     /// ([`Self::set_incremental`]) for the cache to populate.
     pub fn audit_incremental(&self, delta: &Delta, workers: usize) -> SpecResult<AuditReport> {
+        let view = self.world_view();
         let cache = self
             .session
             .audit_cache
             .lock()
             .clone()
-            .filter(|c| c.world_view == self.world_view && c.config == self.audit_config());
+            .filter(|c| c.world_view == view && c.config == self.audit_config());
         let Some(cache) = cache else {
             return self.audit_world_views(workers);
         };
         let dirty = delta.dirty_nodes();
         let graph = self.kb.dep_graph();
-        let stale: Vec<usize> = self
-            .world_view
+        let stale: Vec<usize> = view
             .iter()
             .zip(&cache.members)
             .enumerate()
@@ -1672,7 +1645,7 @@ impl Specification {
             })
             .map(|(i, _)| i)
             .collect();
-        self.audit_members(cache.members, &stale, workers)
+        self.audit_members(view, cache.members, &stale, workers)
     }
 
     /// What the audit member cache is keyed on besides the world view:
@@ -1712,8 +1685,9 @@ impl Specification {
     /// An MVCC snapshot of this specification at its current generation:
     /// the knowledge base is shared copy-on-write (no clause is cloned),
     /// the answer table is a pinned copy whose hits surface as `S-HIT`
-    /// port events, and the session state — registries, world view, limits,
-    /// trace/profile switches, audit cache — is carried over. The snapshot
+    /// port events, the registries and world view are its facts, and the
+    /// session state — limits, trace/profile switches, audit cache — is
+    /// carried over. The snapshot
     /// gets a *fresh* cancel token and empty counters, so readers can be
     /// cancelled and profiled independently of the live writer. The
     /// semantic-domain table stays shared (domain natives captured its
@@ -1743,11 +1717,8 @@ impl Specification {
             kb,
             domains: Arc::clone(&self.domains),
             signatures: self.signatures.clone(),
-            objects: self.objects.clone(),
-            models: self.models.clone(),
             meta_models: self.meta_models.clone(),
             active_meta: self.active_meta.clone(),
-            world_view: self.world_view.clone(),
             sort_enforcement: self.sort_enforcement,
             trace_capacity: self.trace_capacity,
             chaos: self.chaos,
@@ -1758,8 +1729,9 @@ impl Specification {
 
     /// Exchange the session-owned state with `other`: step and depth
     /// limits, deadline, cancel token, retry policy, the trace and profile
-    /// switches with the accumulated profile, the last trace ring and the
-    /// last query's counters, incremental mode and the audit member cache.
+    /// switches with the accumulated profile, the last trace ring, the
+    /// last query's counters and the running totals, incremental mode and
+    /// the audit member cache.
     /// Everything the knowledge base holds — clauses, configuration, the
     /// answer table — stays put. A session re-pinning onto a fresh
     /// [`Self::snapshot`] moves its state across with this, and lends it
@@ -1800,14 +1772,14 @@ impl Specification {
         self.solve_n_goal(goal, usize::MAX)
     }
 
-    /// Declared objects.
-    pub fn objects(&self) -> impl Iterator<Item = &str> {
-        self.objects.iter().map(String::as_str)
+    /// Declared objects, in declaration order.
+    pub fn objects(&self) -> Vec<String> {
+        self.registered(functors::is_object())
     }
 
-    /// Declared models.
-    pub fn models(&self) -> impl Iterator<Item = &str> {
-        self.models.iter().map(String::as_str)
+    /// Declared models, in declaration order.
+    pub fn models(&self) -> Vec<String> {
+        self.registered(functors::is_model())
     }
 
     /// Switch sort enforcement mode.
@@ -2008,7 +1980,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SpecError::SortViolation { .. }));
         // Objects auto-registered from Sort::Object positions.
-        assert!(spec.objects().any(|o| o == "saint_louis"));
+        assert!(spec.objects().iter().any(|o| o == "saint_louis"));
     }
 
     #[test]
@@ -2278,6 +2250,74 @@ mod tests {
         // still accounts for every recorded step.
         let prof = spec.profile();
         assert_eq!(prof.total_steps(), report.stats.steps);
+    }
+
+    /// A spec whose `bad` member grinds through a 40 × 40 bounded `forall`
+    /// and then calls `boom`, whose only clause reaches the native `native`.
+    fn spec_with_grinding_member(native: &str) -> Specification {
+        let mut spec = Specification::new();
+        spec.assert_fact(fact("capital_of", &["jc", "mo"])).unwrap();
+        spec.assert_fact(fact("capital_of", &["stl", "mo"]))
+            .unwrap();
+        spec.constrain(
+            Constraint::new("two_capitals")
+                .witness("Z")
+                .when(Formula::all(vec![
+                    Formula::fact(fact("capital_of", &["X", "Z"])),
+                    Formula::fact(fact("capital_of", &["Y", "Z"])),
+                    Formula::Cmp(CmpOp::NotUnify, Pat::var("X"), Pat::var("Y")),
+                ])),
+        )
+        .unwrap();
+        for i in 0..40 {
+            spec.assert_fact(fact("p", &[format!("x{i}").as_str()]))
+                .unwrap();
+        }
+        let (m, sp, t, a) = (Term::var(0), Term::var(1), Term::var(2), Term::var(3));
+        let head = reify::holds(m, sp, t, Term::atom("boom"), a);
+        spec.assert_raw("test", RawClause::rule(head, Term::pred(native, vec![])));
+        let grind = Formula::forall(
+            Formula::and(
+                Formula::fact(fact("p", &["X"])),
+                Formula::fact(fact("p", &["Y"])),
+            ),
+            Formula::Cmp(CmpOp::NotUnify, Pat::var("X"), Pat::atom("zzz")),
+        );
+        spec.constrain(
+            Constraint::new("explodes")
+                .model("bad")
+                .when(Formula::and(grind, Formula::fact(fact("boom", &[])))),
+        )
+        .unwrap();
+        spec.set_world_view(&["omega", "bad"]).unwrap();
+        spec
+    }
+
+    /// A retry runs behind the batch's fault boundary: a panic on the
+    /// first escalated attempt degrades that member only, and the ledger
+    /// still reconciles.
+    #[test]
+    fn a_panic_on_a_retry_degrades_only_its_member() {
+        let mut spec = spec_with_grinding_member("explode");
+        spec.kb_mut()
+            .register_native("explode", 0, |_, _| panic!("native exploded"));
+        spec.set_chaos(None);
+        // `bad` needs about 5,300 steps: past its worker's half of the
+        // base budget, within the first escalated retry's 16,000.
+        spec.set_budget(4_000, 64);
+        spec.set_retry(RetryPolicy::retries(3));
+        spec.set_profile(true);
+        let report = spec.audit_world_views(2).unwrap();
+        assert_eq!(report.incomplete.len(), 1, "{report:?}");
+        let failure = &report.incomplete[0];
+        assert_eq!(failure.model, "bad");
+        assert_eq!(failure.attempts, 1);
+        assert!(
+            matches!(&failure.error, EngineError::GoalPanicked { message } if message.contains("native exploded")),
+            "{failure:?}"
+        );
+        assert_eq!(report.per_model[0], ("omega".to_string(), 1));
+        assert_eq!(spec.profile().total_steps(), report.stats.steps);
     }
 
     #[test]

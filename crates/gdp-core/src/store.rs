@@ -55,9 +55,12 @@
 //! hashes differently — a changed `--load` file — is a hard error, not
 //! silent divergence.
 //!
-//! The store records only *clause* operations. Configuration changes —
-//! world view, tabling, index layout, declarations of models or domains —
-//! go through [`SpecStore::update`], which invalidates retained history
+//! The store records only *clause* operations. The world view and the
+//! object, model and predicate registries are clauses (`active_model/1`,
+//! `is_model/1`, …), so a `#world_view` or `#model` commit is versioned,
+//! rolled back and logged like any fact. Configuration that lives outside
+//! the knowledge base — tabling, index layout, declarations of domains —
+//! goes through [`SpecStore::update`], which invalidates retained history
 //! (old snapshots would lie about configuration) and is not logged; on
 //! recovery the caller rebuilds the same base configuration first, then
 //! replays the log (the standard "base image + log" arrangement).
@@ -550,8 +553,9 @@ impl SpecStore {
     /// its delta is appended to the WAL and fsynced before this returns.
     ///
     /// `f` must confine itself to clause operations (assert / retract /
-    /// define): configuration changes inside a commit closure are neither
-    /// recorded nor logged — route them through [`SpecStore::update`].
+    /// define, declarations of objects and models, the world view):
+    /// configuration changes inside a commit closure are neither recorded
+    /// nor logged — route them through [`SpecStore::update`].
     ///
     /// The WAL append happens while the transaction is still open. If the
     /// write or its fsync fails, the transaction is rolled back (the live
@@ -629,8 +633,8 @@ impl SpecStore {
         Ok((Committed { seq, delta }, value))
     }
 
-    /// Run a configuration change (world view, tabling, declarations,
-    /// index layout, …) against the live specification. Not logged, and
+    /// Run a configuration change (tabling, domain declarations, index
+    /// layout, …) against the live specification. Not logged, and
     /// retained history is cleared: snapshots of earlier sequences would
     /// otherwise resurrect old clauses under the *new* configuration.
     /// Head-pinned snapshots keep working.

@@ -32,6 +32,15 @@ use crate::error::{EngineError, EngineResult};
 /// counter, so the common case adds one AND and one branch per step.
 pub const CHECK_INTERVAL: u64 = 1024;
 
+/// The stack of every thread that runs a solver: session threads and
+/// [`crate::ParallelSolver`] workers alike. A main thread's customary
+/// 8 MiB rather than a spawned thread's 2 MiB: the solver recurses on the
+/// host stack once per `not`/`forall`/aggregate sub-solver, up to the
+/// default depth limit of 256 levels, and on x86-64 Linux an unoptimised
+/// build needs about 3 MiB for those (an optimised one under 1 MiB). A
+/// stack overflow cannot be contained; it aborts the process.
+pub const SOLVER_STACK: usize = 8 << 20;
+
 const FAULT_NONE: u8 = 0;
 const FAULT_CANCELLED: u8 = 1;
 const FAULT_EXPIRED: u8 = 2;
@@ -154,13 +163,14 @@ impl Budget {
         self
     }
 
-    /// Attach a wall-clock deadline `after` from now. A duration so large
+    /// Attach a wall-clock deadline `after` past `start`: solves that pass
+    /// the same `start` share one deadline instant. A duration so large
     /// that the absolute instant overflows (`Duration::MAX` and friends)
     /// saturates to "no effective deadline": the budget is returned
     /// unchanged rather than panicking in `Instant + Duration`.
-    pub fn with_deadline_in(self, after: Duration) -> Budget {
+    pub fn with_deadline_after(self, start: Instant, after: Duration) -> Budget {
         let ms = after.as_millis().min(u128::from(u64::MAX)) as u64;
-        match Instant::now().checked_add(after) {
+        match start.checked_add(after) {
             Some(at) => self.with_deadline(at, ms),
             None => self,
         }
@@ -359,13 +369,14 @@ mod tests {
     fn huge_deadline_saturates_instead_of_panicking() {
         // `Instant::now() + Duration::MAX` would overflow-panic; the
         // saturating path must instead behave as "no effective deadline".
-        let b = Budget::new(16, 8).with_deadline_in(Duration::MAX);
+        let b = Budget::new(16, 8).with_deadline_after(Instant::now(), Duration::MAX);
         for _ in 0..16 {
             assert!(b.step().is_ok());
         }
         assert_eq!(b.step(), Err(EngineError::StepLimit { limit: 16 }));
         // A representable huge-but-finite deadline still attaches normally.
-        let b = Budget::new(u64::MAX, 8).with_deadline_in(Duration::from_secs(3600));
+        let b =
+            Budget::new(u64::MAX, 8).with_deadline_after(Instant::now(), Duration::from_secs(3600));
         assert!(b.step().is_ok());
     }
 

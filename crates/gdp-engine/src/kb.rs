@@ -2019,7 +2019,7 @@ impl KnowledgeBase {
     /// every clause entry is shared behind its `Arc` (writers copy-on-write
     /// the entries they later touch), the answer table is carried over as a
     /// snapshot clone (hits against it are reported separately, see
-    /// [`crate::table::TableStats::snapshot_hits`]), and the delta recorder
+    /// [`crate::SolverStats::snapshot_hits`]), and the delta recorder
     /// is *not* carried — snapshots are for readers.
     pub fn snapshot(&self) -> KnowledgeBase {
         KnowledgeBase {

@@ -60,7 +60,7 @@ pub mod wal;
 
 pub mod arith;
 
-pub use budget::{Budget, CancelToken, DepthGuard, CHECK_INTERVAL};
+pub use budget::{Budget, CancelToken, DepthGuard, CHECK_INTERVAL, SOLVER_STACK};
 pub use chaos::{ChaosConfig, ChaosFile, ChaosSink, FaultKind, IoFaultConfig, IoFaultKind};
 pub use checkpoint::{fingerprint, CheckpointImage};
 pub use delta::{CommitRecord, Delta, DeltaOp};
@@ -75,7 +75,7 @@ pub use list::{list_from_iter, list_to_vec, ListIter};
 pub use parallel::ParallelSolver;
 pub use solver::{Solution, SolutionIter, Solver, SolverStats};
 pub use symbol::{symbols, Sym};
-pub use table::{AnswerSet, AnswerTable, CachedAnswer, CyclePolicy, TableStats, TableValidity};
+pub use table::{AnswerSet, AnswerTable, CachedAnswer, CyclePolicy, TableValidity};
 pub use term::{Term, Var, F64};
 pub use trace::{
     NullSink, ObserverSink, Port, PredProfile, PrintSink, Profiler, RingTrace, TraceEvent,

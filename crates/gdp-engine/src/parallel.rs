@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::budget::{Budget, CancelToken};
+use crate::budget::{Budget, CancelToken, SOLVER_STACK};
 use crate::chaos::{ChaosConfig, ChaosSink};
 use crate::error::{EngineError, EngineResult};
 use crate::kb::KnowledgeBase;
@@ -59,48 +59,6 @@ const _: fn() = || {
     assert_send_sync::<crate::table::AnswerTable>();
     assert_send_sync::<ParallelSolver<'_>>();
 };
-
-/// Expand the four sink configurations (profiling × chaos) of one batch
-/// entry point. A macro rather than a helper function because the `eval`
-/// closure must be monomorphized per sink type and closures cannot be
-/// generic over a type parameter.
-macro_rules! dispatch_batch {
-    ($self:expr, $goals:expr, $eval:expr) => {{
-        let this = $self;
-        match (&this.profile, this.chaos) {
-            (Some(profile), None) => this.run_batch(
-                $goals,
-                $eval,
-                Profiler::new,
-                |p| profile.lock().absorb(&p),
-                None,
-            ),
-            (None, None) => this.run_batch($goals, $eval, || NullSink, |_| {}, None),
-            (Some(profile), Some(cfg)) => {
-                let token = CancelToken::new();
-                let mk = {
-                    let token = token.clone();
-                    move || ChaosSink::new(cfg, token.clone(), Profiler::new())
-                };
-                this.run_batch(
-                    $goals,
-                    $eval,
-                    mk,
-                    |s: ChaosSink<Profiler>| profile.lock().absorb(&s.into_inner()),
-                    Some(token),
-                )
-            }
-            (None, Some(cfg)) => {
-                let token = CancelToken::new();
-                let mk = {
-                    let token = token.clone();
-                    move || ChaosSink::new(cfg, token.clone(), NullSink)
-                };
-                this.run_batch($goals, $eval, mk, |_: ChaosSink| {}, Some(token))
-            }
-        }
-    }};
-}
 
 /// A fan-out driver: solves batches of independent goals across worker
 /// threads sharing one read-only [`KnowledgeBase`].
@@ -214,23 +172,33 @@ impl<'kb> ParallelSolver<'kb> {
     /// solutions, same solution order), regardless of worker count or
     /// scheduling — only wall-clock and the step-budget partition differ.
     pub fn solve_batch(&self, goals: &[Term]) -> Vec<EngineResult<Vec<Solution>>> {
-        // The eval closure cannot be generic over the sink type, so each
-        // sink configuration (profiling × chaos) gets its own (identical)
-        // closure literal, spelled once by the macro below.
-        dispatch_batch!(self, goals, |solver, goal| solver.solve_all(goal.clone()))
+        // One arm per sink configuration (profiling × chaos): each worker
+        // builds its own sink, so the sink type is fixed per batch.
+        match (&self.profile, self.chaos) {
+            (Some(profile), None) => {
+                self.run_batch(goals, Profiler::new, |p| profile.lock().absorb(&p), None)
+            }
+            (None, None) => self.run_batch(goals, || NullSink, |_| {}, None),
+            (Some(profile), Some(cfg)) => {
+                let token = CancelToken::new();
+                let mk = || ChaosSink::new(cfg, token.clone(), Profiler::new());
+                let merge = |s: ChaosSink<Profiler>| profile.lock().absorb(&s.into_inner());
+                self.run_batch(goals, mk, merge, Some(&token))
+            }
+            (None, Some(cfg)) => {
+                let token = CancelToken::new();
+                let mk = || ChaosSink::new(cfg, token.clone(), NullSink);
+                self.run_batch(goals, mk, |_: ChaosSink| {}, Some(&token))
+            }
+        }
     }
 
-    /// Batched provability: one `Solver::prove` outcome per goal, in input
-    /// order.
-    pub fn prove_batch(&self, goals: &[Term]) -> Vec<EngineResult<bool>> {
-        dispatch_batch!(self, goals, |solver, goal| solver.prove(goal.clone()))
-    }
-
-    /// The shared fan-out loop. `mk_sink` builds one private trace sink
-    /// per worker (sinks, like solvers, never cross threads); `merge` is
+    /// The fan-out loop. `mk_sink` builds one private trace sink per
+    /// worker (sinks, like solvers, never cross threads); `merge` is
     /// called with each worker's sink at the join point; `extra_cancel` is
     /// an additional token attached to every worker budget (the chaos
-    /// harness's channel from sink to budget).
+    /// harness's channel from sink to budget). Workers run on
+    /// [`SOLVER_STACK`]-sized stacks, like the sessions that start them.
     ///
     /// Each goal is evaluated inside `catch_unwind`: a panicking native
     /// (or injected fault) is converted into an
@@ -243,42 +211,35 @@ impl<'kb> ParallelSolver<'kb> {
     /// only ever stores *completed* answer sets (its lock is never held
     /// across an emission site, so a panic cannot poison a half-written
     /// entry). The worker then continues with the same solver and sink.
-    fn run_batch<S: TraceSink, T: Send>(
+    fn run_batch<S: TraceSink>(
         &self,
         goals: &[Term],
-        eval: impl Fn(&Solver<'_, S>, &Term) -> EngineResult<T> + Sync,
         mk_sink: impl Fn() -> S + Sync,
         merge: impl Fn(S) + Sync,
-        extra_cancel: Option<CancelToken>,
-    ) -> Vec<EngineResult<T>> {
+        extra_cancel: Option<&CancelToken>,
+    ) -> Vec<EngineResult<Vec<Solution>>> {
         if goals.is_empty() {
             return Vec::new();
         }
         let active = self.workers.min(goals.len());
         let cursor = AtomicUsize::new(0);
         // One shared deadline instant for the whole batch.
-        let deadline = self.deadline.map(|d| {
-            (
-                Instant::now() + d,
-                d.as_millis().min(u64::MAX.into()) as u64,
-            )
-        });
+        let started = Instant::now();
         // One pre-allocated slot per goal: workers write disjoint indices,
         // so the per-slot locks are uncontended; they exist to satisfy the
         // borrow checker, not to serialize anything.
-        let slots: Vec<Mutex<Option<EngineResult<T>>>> =
+        let slots: Vec<Mutex<Option<EngineResult<Vec<Solution>>>>> =
             goals.iter().map(|_| Mutex::new(None)).collect();
         thread::scope(|scope| {
             for w in 0..active {
-                let (cursor, slots, eval, mk_sink, merge, extra_cancel) =
-                    (&cursor, &slots, &eval, &mk_sink, &merge, &extra_cancel);
-                scope.spawn(move || {
+                let (cursor, slots, mk_sink, merge) = (&cursor, &slots, &mk_sink, &merge);
+                let worker = move || {
                     // Budgets, solvers, and sinks are built *inside* the
                     // worker: the first two are Rc-based and deliberately
                     // !Send, and the sink follows the same discipline.
                     let mut budget = self.worker_budget(w, active);
-                    if let Some((at, ms)) = deadline {
-                        budget = budget.with_deadline(at, ms);
+                    if let Some(d) = self.deadline {
+                        budget = budget.with_deadline_after(started, d);
                     }
                     if let Some(token) = &self.cancel {
                         budget = budget.with_cancel(token.clone());
@@ -290,17 +251,22 @@ impl<'kb> ParallelSolver<'kb> {
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(goal) = goals.get(i) else { break };
-                        let result = catch_unwind(AssertUnwindSafe(|| eval(&solver, goal)))
-                            .unwrap_or_else(|payload| {
-                                Err(EngineError::GoalPanicked {
-                                    message: panic_message(payload.as_ref()),
-                                })
-                            });
+                        let result =
+                            catch_unwind(AssertUnwindSafe(|| solver.solve_all(goal.clone())))
+                                .unwrap_or_else(|payload| {
+                                    Err(EngineError::GoalPanicked {
+                                        message: panic_message(payload.as_ref()),
+                                    })
+                                });
                         *slots[i].lock() = Some(result);
                     }
                     self.stats.lock().absorb(&solver.stats());
                     merge(solver.into_sink());
-                });
+                };
+                thread::Builder::new()
+                    .stack_size(SOLVER_STACK)
+                    .spawn_scoped(scope, worker)
+                    .expect("spawn an audit worker thread");
             }
         });
         slots
@@ -427,23 +393,6 @@ mod tests {
         let par2 = ParallelSolver::new(&kb, 4);
         par2.solve_batch(&goals);
         assert!(par2.stats().table_hits > 0);
-    }
-
-    #[test]
-    fn prove_batch_matches_sequential() {
-        let kb = kb_edges(false);
-        let goals = vec![
-            Term::pred("t", vec![Term::atom("a"), Term::atom("d")]),
-            Term::pred("t", vec![Term::atom("d"), Term::atom("a")]),
-            Term::not(Term::pred("e", vec![Term::atom("d"), Term::atom("a")])),
-        ];
-        let par = ParallelSolver::new(&kb, 2);
-        let proved: Vec<bool> = par
-            .prove_batch(&goals)
-            .into_iter()
-            .map(Result::unwrap)
-            .collect();
-        assert_eq!(proved, vec![true, false, true]);
     }
 
     #[test]

@@ -162,30 +162,6 @@ impl std::fmt::Debug for AnswerSet {
     }
 }
 
-/// Cumulative counters for table activity (monotonic over the table's
-/// lifetime; snapshot via [`AnswerTable::stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Lookups answered from a completed table.
-    pub hits: u64,
-    /// Lookups that found no usable entry.
-    pub misses: u64,
-    /// Completed answer sets recorded.
-    pub inserts: u64,
-    /// Entries dropped because their epoch no longer matched.
-    pub invalidations: u64,
-    /// Tabled calls resolved by plain SLD because they re-entered an
-    /// active pattern from a context that cannot suspend (negation,
-    /// aggregation, quantifier sub-machines).
-    pub fallbacks: u64,
-    /// Hits served from a *snapshot* table — answers carried over from the
-    /// live KB into an MVCC snapshot and reused by a pinned reader. Always
-    /// counted in addition to [`TableStats::hits`]; this is what makes
-    /// snapshot reuse observable (the serving layer's analogue of a cache
-    /// hit ratio).
-    pub snapshot_hits: u64,
-}
-
 /// Outcome of [`AnswerTable::lookup`].
 pub enum Lookup {
     /// A completed answer set whose validity snapshot still holds.
@@ -204,28 +180,22 @@ struct TableEntry {
     answers: Arc<AnswerSet>,
 }
 
-#[derive(Clone, Default)]
-struct TableInner {
-    entries: FxHashMap<Term, TableEntry>,
-    stats: TableStats,
-}
-
-/// The memoized answer cache. See the module docs.
+/// The memoized answer cache. See the module docs. It keeps no counters:
+/// the solver counts every lookup, insert and fallback in its
+/// [`crate::SolverStats`].
 #[derive(Default)]
 pub struct AnswerTable {
-    inner: Mutex<TableInner>,
+    entries: Mutex<FxHashMap<Term, TableEntry>>,
     /// This table belongs to an MVCC snapshot ([`AnswerTable::snapshot_clone`]):
-    /// hits are additionally counted as [`TableStats::snapshot_hits`] and
-    /// the solver reports them under their own trace port.
+    /// the solver counts its hits as [`crate::SolverStats::snapshot_hits`]
+    /// too and reports them under their own trace port.
     snapshot: bool,
 }
 
 impl std::fmt::Debug for AnswerTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("AnswerTable")
-            .field("entries", &inner.entries.len())
-            .field("stats", &inner.stats)
+            .field("entries", &self.len())
             .finish()
     }
 }
@@ -237,50 +207,38 @@ impl AnswerTable {
     }
 
     /// Look up a canonicalized call pattern. An entry whose validity
-    /// snapshot no longer survives under `current` is dropped (counted as
-    /// an invalidation) and reported as a miss.
+    /// snapshot no longer survives under `current` is dropped and reported
+    /// as an invalidating miss.
     pub fn lookup(&self, pattern: &Term, current: &TableValidity) -> Lookup {
-        let mut inner = self.inner.lock();
-        match inner.entries.get(pattern) {
+        let mut entries = self.entries.lock();
+        match entries.get(pattern) {
             Some(entry) if entry.validity.survives(current) => {
-                let answers = Arc::clone(&entry.answers);
-                inner.stats.hits += 1;
-                if self.snapshot {
-                    inner.stats.snapshot_hits += 1;
-                }
-                Lookup::Hit(answers)
+                Lookup::Hit(Arc::clone(&entry.answers))
             }
             Some(_) => {
-                inner.entries.remove(pattern);
-                inner.stats.invalidations += 1;
-                inner.stats.misses += 1;
+                entries.remove(pattern);
                 Lookup::Miss { invalidated: true }
             }
-            None => {
-                inner.stats.misses += 1;
-                Lookup::Miss { invalidated: false }
-            }
+            None => Lookup::Miss { invalidated: false },
         }
     }
 
     /// Record the complete answer set for a call pattern, together with
     /// the validity snapshot it was built against.
     pub fn insert(&self, pattern: Term, validity: TableValidity, answers: Arc<AnswerSet>) {
-        let mut inner = self.inner.lock();
-        inner
-            .entries
+        self.entries
+            .lock()
             .insert(pattern, TableEntry { validity, answers });
-        inner.stats.inserts += 1;
     }
 
-    /// Drop every entry (stats are kept).
+    /// Drop every entry.
     pub fn clear(&self) {
-        self.inner.lock().entries.clear();
+        self.entries.lock().clear();
     }
 
     /// Number of cached call patterns.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.entries.lock().len()
     }
 
     /// Is the table empty?
@@ -288,27 +246,16 @@ impl AnswerTable {
         self.len() == 0
     }
 
-    /// Record an SLD fallback on an active pattern (see
-    /// [`TableStats::fallbacks`]).
-    pub(crate) fn note_fallback(&self) {
-        self.inner.lock().stats.fallbacks += 1;
-    }
-
-    /// Snapshot of the cumulative counters.
-    pub fn stats(&self) -> TableStats {
-        self.inner.lock().stats
-    }
-
     /// A copy of this table for an MVCC snapshot: same entries (the answer
-    /// sets, range indexes included, are shared behind `Arc`), counters
-    /// carried over, and the snapshot flag set so reuse is observable
-    /// through [`TableStats::snapshot_hits`] and the solver's snapshot-hit
+    /// sets, range indexes included, are shared behind `Arc`), and the
+    /// snapshot flag set so reuse is observable through
+    /// [`crate::SolverStats::snapshot_hits`] and the solver's snapshot-hit
     /// port. Entries recorded *after* the pinned commit carry newer
     /// dependency generations and simply fail validation against the
     /// snapshot's restored counters — no entry filtering is needed here.
     pub fn snapshot_clone(&self) -> AnswerTable {
         AnswerTable {
-            inner: Mutex::new(self.inner.lock().clone()),
+            entries: Mutex::new(self.entries.lock().clone()),
             snapshot: true,
         }
     }
@@ -632,11 +579,6 @@ mod tests {
             Lookup::Miss { invalidated: true }
         ));
         assert!(table.is_empty());
-        let stats = table.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.inserts, 1);
-        assert_eq!(stats.invalidations, 1);
     }
 
     #[test]
@@ -690,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_stats() {
+    fn clear_drops_every_entry() {
         let table = AnswerTable::new();
         table.insert(
             Term::atom("q"),
@@ -700,6 +642,5 @@ mod tests {
         assert_eq!(table.len(), 1);
         table.clear();
         assert!(table.is_empty());
-        assert_eq!(table.stats().inserts, 1);
     }
 }

@@ -27,13 +27,16 @@
 //!
 //! State is split by who owns it. `:table` and `:index on|off` change the
 //! knowledge base every session pins, through [`SpecStore::update`].
-//! Limits, deadline, retries, tracing, profiling and the audit member
-//! cache belong to the session and follow it across re-pins
-//! ([`Specification::swap_session`]). The base image's step and depth
-//! limits and the operator's statement deadline are ceilings the session
-//! may lower but never lift. `:audit -i` re-solves only the members that
-//! the commits between its member cache's pin and the current pin can
-//! have changed, reading those commits from the store's retained records
+//! Limits, deadline, retries, tracing, profiling, the running counter
+//! totals `:stats` prints and the audit member cache belong to the
+//! session and follow it across re-pins ([`Specification::swap_session`]).
+//! The world view is the knowledge base's `active_model/1` facts, so a
+//! `#world_view` block commits, pins and logs like any other. The base
+//! image's step and depth limits and the operator's statement deadline
+//! are ceilings the session may lower but never lift. `:audit -i`
+//! re-solves only the members that the commits between its member
+//! cache's pin and the current pin can have changed, reading those
+//! commits from the store's retained records
 //! ([`SpecStore::delta_between`]).
 //!
 //! The socket layer is hardened for unattended operation
@@ -62,6 +65,7 @@ use gdp_core::{
 };
 use gdp_engine::{
     CancelToken, CyclePolicy, EngineError, IndexReport, KnowledgeBase, RangeSpec, SolverStats,
+    SOLVER_STACK,
 };
 use gdp_lang::{parse_formula, parse_program_diagnostics, LangError, Loader, Pos, Statement};
 use gdp_spatial::SpatialRegistry;
@@ -73,14 +77,6 @@ const CONT_PROMPT: &str = "...> ";
 /// How often blocked socket reads wake up to notice drain/idle state,
 /// and how often the accept loop polls its non-blocking listener.
 const TICK: Duration = Duration::from_millis(50);
-
-/// The stack of each socket session's thread: a main thread's customary
-/// 8 MiB rather than a spawned thread's 2 MiB. The solver recurses on the
-/// host stack once per `not`/`forall`/aggregate sub-solver, up to the base
-/// depth limit of 256 levels, and on x86-64 Linux an unoptimised build
-/// needs about 3 MiB for those (an optimised one under 1 MiB). A stack
-/// overflow cannot be contained: it would abort every session.
-const SESSION_STACK: usize = 8 << 20;
 
 const HELP: &str = "\
 statements  any specification-language statement ending in `.`
@@ -101,7 +97,8 @@ statements  any specification-language statement ending in `.`
             members that the commits since this session's last audit
             can have changed
 :views      the active world view and meta-view
-:stats      knowledge-base, solver, and answer-table statistics
+:stats      knowledge-base statistics, the last query's counters, and
+            this session's running totals of the answer-table counters
 :index [MODE]  clause indexing: no argument prints the per-predicate
             index report (hash/range configuration, hit and prune
             counters); status; on | off switch candidate selection
@@ -458,7 +455,7 @@ fn accept_loop<S: SessionStream>(
                         let state = Arc::clone(&state);
                         let opts = opts.clone();
                         let session = std::thread::Builder::new()
-                            .stack_size(SESSION_STACK)
+                            .stack_size(SOLVER_STACK)
                             .spawn(move || run_socket_session(state, stream, peer, opts, id))
                             .expect("spawn a session thread");
                         handles.push(session);
@@ -929,14 +926,14 @@ impl Session {
                     self.state.registry.grid_names().join(", ")
                 )?;
                 writeln!(w, "last query: {}", stats_line(&view.solver_stats()))?;
-                let t = view.table_stats();
+                let t = view.session_stats();
                 writeln!(
                     w,
-                    "answer table ({}, {} cycles): {} entries; lifetime {} hits, {} misses, {} inserts, {} invalidations, {} fallbacks",
+                    "answer table ({}, {} cycles): {} entries; session {} hits, {} misses, {} inserts, {} invalidations, {} fallbacks",
                     on_off(view.tabling_enabled()),
                     view.cycle_policy(),
                     view.kb().table().len(),
-                    t.hits, t.misses, t.inserts, t.invalidations, t.fallbacks
+                    t.table_hits, t.table_misses, t.table_inserts, t.table_invalidations, t.table_fallbacks
                 )?;
             }
             ":index" => match rest {
@@ -959,11 +956,11 @@ impl Session {
             },
             ":table" if matches!(rest, "status" | "") => writeln!(
                 w,
-                "answer tabling is {} ({} cached call patterns, {} cycle policy, {} SLD fallback(s) in non-tablable contexts).",
+                "answer tabling is {} ({} cached call patterns, {} cycle policy, {} SLD fallback(s) in non-tablable contexts this session).",
                 on_off(view.tabling_enabled()),
                 view.kb().table().len(),
                 view.cycle_policy(),
-                view.table_stats().fallbacks,
+                view.session_stats().table_fallbacks,
             )?,
             ":table" => {
                 let reply = match rest {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The checks enforced before merge (see CONTRIBUTING.md): formatting,
-# lint-free clippy, a release build, and the full test suite — the latter
-# run across the tabling × test-concurrency matrix, because answer tabling
-# (GDP_TABLING) and the parallel audit layer must not change observable
-# behaviour under either knob.
+# lint-free clippy, a release build, and the full test suite — once on a
+# debug build, then in release across the tabling × test-concurrency
+# matrix, because answer tabling (GDP_TABLING) and the parallel audit
+# layer must not change observable behaviour under either knob.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +42,13 @@ echo "==> cargo build perfbench"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> perfbench unit tests"
 python3 -m unittest discover -s perfbench -p 'test_*.py'
+
+# The tier-1 configuration: the whole suite on an unoptimised build. Its
+# stack frames are several times larger than an optimised build's, so a
+# thread whose stack fits a release build's recursion (the solver's
+# sub-solver levels) can still overflow here; every other leg is release.
+echo "==> cargo test [debug]"
+cargo test -q
 
 # GDP_TABLING: unset = solver default (off), on = nominated predicates,
 # all = every user predicate. RUST_TEST_THREADS=1 serializes the test

@@ -392,7 +392,7 @@ fn table_insert_fault_preserves_answer_table_integrity() {
         let report = spec.audit_world_views(2).unwrap();
         assert!(report.is_complete());
         assert!(
-            spec.table_stats().inserts > 0,
+            report.stats.table_inserts > 0,
             "workload must exercise TableInsert events for this test to bite"
         );
         report

@@ -10,10 +10,10 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gdp::core::{reify, RawClause};
 use gdp::engine::{CancelToken, Term};
@@ -87,6 +87,13 @@ impl Client {
         self.stream.set_read_timeout(None).expect("timeout");
         String::from_utf8(buf).expect("utf8")
     }
+}
+
+/// Send one protocol line to an in-process session; returns its reply.
+fn say(session: &mut Session, line: &str) -> String {
+    let mut out = Vec::new();
+    assert!(session.line(line, &mut out).expect("in-memory write"));
+    String::from_utf8(out).expect("utf8")
 }
 
 /// Run the real `gdp-repl` over `input` from the repository root; returns
@@ -506,4 +513,155 @@ fn the_base_budget_is_a_ceiling() {
     let mut other = Client::connect(addr);
     let reply = other.send(":seq");
     assert!(reply.contains("head is seq 1."), "{reply}");
+}
+
+/// `:why` solves through the session: each sub-solve under the session's
+/// step and depth limits, the whole explanation under one deadline and
+/// the session's cancel token, not under a budget of its own. The runaway
+/// is not recursive, so tabling cannot end it early.
+#[test]
+fn why_runs_under_the_session_limits() {
+    let state = ServerState::new().expect("server state");
+    let mut session = Session::new(Arc::clone(&state), &ServeOptions::default());
+    let reply = say(
+        &mut session,
+        "road(a). loop(X) :- road(X), between(1, 1000000000000, N), N < 0.",
+    );
+    assert!(reply.contains("committed as seq 1"), "{reply}");
+    say(&mut session, ":budget 1000 64");
+    let reply = say(&mut session, ":why loop(a)");
+    assert!(reply.contains("(1000 steps)"), "{reply}");
+
+    let mut session = Session::new(state, &ServeOptions::default());
+    say(&mut session, ":deadline 50");
+    let started = Instant::now();
+    let reply = say(&mut session, ":why loop(a)");
+    assert!(reply.contains("deadline exceeded"), "{reply}");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the explanation ran {:?} past a 50 ms deadline",
+        started.elapsed()
+    );
+}
+
+/// The world view is the knowledge base's `active_model/1` facts, so a
+/// session pinned before a `#world_view` commit audits the world view of
+/// its pin, not of head.
+#[test]
+fn a_pinned_snapshot_keeps_its_world_view() {
+    let state = ServerState::new().expect("server state");
+    let mut session = Session::new(state, &ServeOptions::default());
+    for (seq, block) in ["#model m1.", "m1'bridge(b9).", "#world_view { omega, m1 }."]
+        .into_iter()
+        .enumerate()
+    {
+        let reply = say(&mut session, block);
+        assert!(
+            reply.contains(&format!("committed as seq {}", seq + 1)),
+            "{reply}"
+        );
+    }
+    assert_eq!(say(&mut session, "?- bridge(X)."), "X = b9\n");
+    assert_eq!(say(&mut session, ":snapshot 2"), "pinned at seq 2.\n");
+    let views = say(&mut session, ":views");
+    assert!(views.starts_with("world view: omega\n"), "{views}");
+    let audit = say(&mut session, ":audit -j 1");
+    assert!(audit.contains("across 1 world-view member(s)"), "{audit}");
+    assert_eq!(say(&mut session, "?- bridge(X)."), "no.\n");
+}
+
+/// The WAL family under the temp directory for one test, removed first.
+fn fresh_wal(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("gdp-smoke-{tag}-{}.wal", std::process::id()));
+    for suffix in ["", ".prev", ".ckpt", ".ckpt.prev", ".ckpt.tmp"] {
+        let mut os = path.clone().into_os_string();
+        os.push(suffix);
+        let _ = std::fs::remove_file(PathBuf::from(os));
+    }
+    path
+}
+
+/// Directives are clauses in the log like any other commit: after a
+/// restart the world view, and with it the audit, is what it was before.
+#[test]
+fn the_world_view_survives_a_restart() {
+    let wal = fresh_wal("world-view");
+    let audit_before = {
+        let (state, _) = ServerState::durable(&wal).expect("durable state");
+        let mut session = Session::new(state, &ServeOptions::default());
+        for block in ["#model m1.", "m1'bridge(b9).", "#world_view { omega, m1 }."] {
+            let reply = say(&mut session, block);
+            assert!(reply.contains("committed as seq"), "{reply}");
+        }
+        let views = say(&mut session, ":views");
+        assert!(views.starts_with("world view: omega, m1\n"), "{views}");
+        say(&mut session, ":audit -j 1")
+    };
+    assert!(
+        audit_before.contains("across 2 world-view member(s)"),
+        "{audit_before}"
+    );
+    let (state, head) = ServerState::durable(&wal).expect("recovered state");
+    assert_eq!(head, 3);
+    let mut session = Session::new(state, &ServeOptions::default());
+    let views = say(&mut session, ":views");
+    assert!(views.starts_with("world view: omega, m1\n"), "{views}");
+    assert_eq!(say(&mut session, "?- bridge(X)."), "X = b9\n");
+    assert_eq!(say(&mut session, ":audit -j 1"), audit_before);
+    let _ = fresh_wal("world-view");
+}
+
+/// Audit workers run on the session's stack size: a negation cycle ends
+/// in a depth-limit error on the worker, at one worker and at two. An
+/// unoptimised build needs more than a spawned thread's default 2 MiB
+/// for the base depth, and an overflow would abort the test binary.
+#[test]
+fn a_negation_cycle_in_an_audit_member_ends_at_the_depth_limit() {
+    let state = ServerState::new().expect("server state");
+    let mut session = Session::new(state, &ServeOptions::default());
+    say(&mut session, "q :- not(q).");
+    say(&mut session, "constraint loopy :- q.");
+    for workers in [1, 2] {
+        let audit = say(&mut session, &format!(":audit -j {workers}"));
+        assert!(audit.contains("incomplete: omega — "), "{audit}");
+        assert!(audit.contains("depth limit"), "{audit}");
+    }
+}
+
+/// The answer-table hits on `:stats`'s table line.
+fn table_hits(stats: &str) -> u64 {
+    let line = stats
+        .lines()
+        .find(|l| l.starts_with("answer table"))
+        .unwrap_or_else(|| panic!("no answer-table line in {stats}"));
+    let count = line
+        .split(" hits")
+        .next()
+        .and_then(|s| s.rsplit(' ').next());
+    count
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no hit count in {line}"))
+}
+
+/// `:stats` reports the session's running totals, which follow it across
+/// the re-pin a commit makes: the pinned view after a commit is a fresh
+/// snapshot whose own counters start from zero.
+#[test]
+fn session_totals_survive_a_commit() {
+    let state = ServerState::new().expect("server state");
+    let mut session = Session::new(state, &ServeOptions::default());
+    say(&mut session, ":table all");
+    say(&mut session, "road(r1). road(r2). linked(X) :- road(X).");
+    for _ in 0..3 {
+        assert_eq!(say(&mut session, "?- linked(X)."), "X = r1\nX = r2\n");
+    }
+    let before = table_hits(&say(&mut session, ":stats"));
+    assert!(before > 0, "three tabled queries must hit the table");
+    let reply = say(&mut session, "road(r3).");
+    assert!(reply.contains("committed as seq"), "{reply}");
+    let after = table_hits(&say(&mut session, ":stats"));
+    assert!(
+        after >= before,
+        "session totals dropped from {before} to {after}"
+    );
 }
