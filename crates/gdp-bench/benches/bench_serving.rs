@@ -238,6 +238,28 @@ fn bench_recovery(c: &mut Criterion) {
     group.finish();
 }
 
+/// T17 — the checkpoint fold at the `perfbench` ingest base's size: one
+/// `SpecStore::checkpoint` of `audit_world(8, 2500)`, ~2×10⁴ `h/5`
+/// clauses. It captures the store, encodes the image, writes and syncs
+/// it, renames it into place and rotates the WAL: what a `gdp-serve
+/// --wal` commit pays every 32 commits while it holds the write lock.
+fn bench_fold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("T17_fold");
+    group.sample_size(20);
+    group.bench_function("large", |b| {
+        let path =
+            std::env::temp_dir().join(format!("gdp-bench-t17-fold-{}.wal", std::process::id()));
+        remove_family(&path);
+        let world = audit_world(MODELS, LARGE_READINGS);
+        let store = SpecStore::create_durable(world, &path, DurabilityOptions::no_checkpoints())
+            .expect("create");
+        b.iter(|| store.checkpoint().expect("checkpoint"));
+        drop(store);
+        remove_family(&path);
+    });
+    group.finish();
+}
+
 fn remove_family(path: &Path) {
     for suffix in ["", ".prev", ".ckpt", ".ckpt.prev", ".ckpt.tmp"] {
         let mut os = path.as_os_str().to_os_string();
@@ -272,6 +294,7 @@ criterion_group!(
     benches,
     bench_commit_throughput,
     bench_reader_latency,
-    bench_recovery
+    bench_recovery,
+    bench_fold
 );
 criterion_main!(benches);

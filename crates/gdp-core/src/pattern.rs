@@ -175,21 +175,53 @@ impl VarTable {
         self.by_name.iter().map(|(n, &v)| (n.as_str(), v))
     }
 
-    /// Compile a pattern into an engine term under this table.
+    /// Compile a pattern into an engine term under this table. Walks
+    /// without recursion, left to right (variables are numbered in
+    /// first-occurrence order), so a pattern's depth costs no stack here.
     pub fn compile(&mut self, pat: &Pat) -> Term {
-        match pat {
+        if let Some(leaf) = self.leaf(pat) {
+            return leaf;
+        }
+        // Compounds still compiling their arguments: functor, arity, and
+        // where their arguments start in `done`.
+        let mut open: Vec<(&str, usize, usize)> = Vec::new();
+        let mut done: Vec<Term> = Vec::new();
+        let mut todo: Vec<&Pat> = vec![pat];
+        while let Some(pat) = todo.pop() {
+            let Some(leaf) = self.leaf(pat) else {
+                if let Pat::Compound(functor, args) = pat {
+                    open.push((functor, args.len(), done.len()));
+                    todo.extend(args.iter().rev());
+                }
+                continue;
+            };
+            done.push(leaf);
+            // Close every compound whose last argument that was.
+            while let Some(&(functor, arity, start)) = open.last() {
+                if done.len() - start < arity {
+                    break;
+                }
+                open.pop();
+                let args = done.split_off(start);
+                done.push(Term::pred(functor, args));
+            }
+        }
+        done.pop().expect("a pattern compiles to one term")
+    }
+
+    /// `pat` compiled, unless it is a compound with arguments.
+    fn leaf(&mut self, pat: &Pat) -> Option<Term> {
+        Some(match pat {
             Pat::Var(n) => Term::var(self.var(n)),
             Pat::Wild => Term::var(self.fresh()),
             Pat::Atom(a) => Term::atom(a),
             Pat::Int(i) => Term::Int(*i),
             Pat::Float(x) => Term::float(*x),
             Pat::Str(s) => Term::str(s),
-            Pat::Compound(functor, args) => {
-                let compiled: Vec<Term> = args.iter().map(|a| self.compile(a)).collect();
-                Term::pred(functor, compiled)
-            }
+            Pat::Compound(functor, args) if args.is_empty() => Term::atom(functor),
+            Pat::Compound(..) => return None,
             Pat::Term(t) => t.clone(),
-        }
+        })
     }
 }
 

@@ -71,7 +71,7 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::{Mutex, RwLock};
 
-use gdp_engine::wal::{replay, Wal, WalHeader, WalRecord};
+use gdp_engine::wal::{replay, LogEnd, Wal, WalHeader, WalRecord};
 use gdp_engine::{
     fingerprint, CheckpointImage, CommitRecord, Delta, FxHashMap, IoFaultConfig, KnowledgeBase,
     PredKey,
@@ -310,7 +310,7 @@ impl SpecStore {
         ] {
             let _ = std::fs::remove_file(stale);
         }
-        let fp = fingerprint(spec.kb());
+        let fp = base_fingerprint(spec.kb())?;
         let wal = Wal::create_with_faults(&paths.wal, WalHeader::new(fp, 1), opts.io_faults)
             .map_err(wal_err)?;
         let store = SpecStore::new(spec);
@@ -337,13 +337,16 @@ impl SpecStore {
     /// (a changed `--load` file, a different setup script) is a hard
     /// error rather than silent divergence.
     ///
-    /// Fallback ladder when images are torn or corrupt: newest
-    /// checkpoint → previous checkpoint → the base image, each with the
-    /// WAL records newer than it (both retained segments are scanned).
-    /// The chain chosen is the one reaching the furthest *contiguous*
-    /// head; committed records that no retained chain can reach (an
-    /// operator deleted a segment) are a hard error, not silent loss.
-    /// Torn record tails are truncated as usual. Retained history is
+    /// Fallback ladder when images are missing, torn or corrupt: newest
+    /// checkpoint → previous checkpoint → the base image, with the WAL
+    /// records newer than it (both retained segments are scanned). Only
+    /// the first valid image on that ladder is decoded: it reaches the
+    /// furthest *contiguous* head any retained chain can. Committed
+    /// records that chain cannot reach (an operator deleted a segment)
+    /// are a hard error, not silent loss, and so is a current segment
+    /// that does not continue the recovered head. Every check runs before
+    /// anything on disk is touched, so a refused recovery leaves the files
+    /// as they were. Torn record tails are truncated as usual. Retained history is
     /// rebuilt from the replayed records (up to the retention cap), so
     /// pinned snapshots work across a restart. Returns the store and the
     /// recovered head sequence number.
@@ -353,66 +356,46 @@ impl SpecStore {
         opts: DurabilityOptions,
     ) -> SpecResult<(SpecStore, u64)> {
         let paths = DurablePaths::new(path);
-        let fp = fingerprint(base.kb());
+        let fp = base_fingerprint(base.kb())?;
 
-        // Harvest checkpoint candidates, newest first. Torn images are
-        // skipped (fallback); CRC-valid images over a different base are
+        // Take the newest valid image. A chain from an older image (or
+        // the base) either stops before the newer image's seq or runs
+        // through it to the same head, and then the newer start replays
+        // less: so the previous image is read only when the newest is
+        // missing or torn. CRC-valid images over a different base are
         // fatal.
-        let mut images: Vec<CheckpointImage> = Vec::new();
+        let mut image: Option<CheckpointImage> = None;
         for p in [&paths.ckpt, &paths.ckpt_prev] {
-            if let Some(image) = CheckpointImage::read(p).map_err(wal_err)? {
-                if image.fingerprint != fp {
-                    return Err(mismatched_base(
-                        &p.display().to_string(),
-                        image.fingerprint,
-                        fp,
-                    ));
-                }
-                images.push(image);
+            if let Some(found) = CheckpointImage::read(p).map_err(wal_err)? {
+                check_base(p, found.fingerprint, fp)?;
+                image = Some(found);
+                break;
             }
         }
-        images.sort_by_key(|i| std::cmp::Reverse(i.seq));
 
-        // Harvest records from both retained segments. Duplicate seqs
-        // (possible only transiently around rotation) are identical; the
-        // newer segment wins the insert.
+        // Harvest records from both retained segments, read-only: nothing
+        // on disk changes until every check below has passed. Duplicate
+        // seqs (possible only transiently around rotation) are identical;
+        // the newer segment wins the insert.
         let mut records: BTreeMap<u64, WalRecord> = BTreeMap::new();
-        let mut cur_header: Option<WalHeader> = None;
+        let mut current: Option<LogEnd> = None;
         for p in [&paths.wal_prev, &paths.wal] {
-            if let Some((header, recs)) = Wal::scan(p).map_err(wal_err)? {
-                if header.fingerprint != fp {
-                    return Err(mismatched_base(
-                        &p.display().to_string(),
-                        header.fingerprint,
-                        fp,
-                    ));
-                }
+            if let Some((recs, end)) = Wal::read(p).map_err(wal_err)? {
+                check_base(p, end.header().fingerprint, fp)?;
+                records.extend(recs.into_iter().map(|r| (r.seq, r)));
                 if p == &paths.wal {
-                    cur_header = Some(header);
-                }
-                for r in recs {
-                    records.insert(r.seq, r);
+                    current = Some(end);
                 }
             }
         }
 
-        // Pick the chain reaching the furthest contiguous head; ties
-        // prefer the newer start (less replay). `None` = the base image.
-        let contiguous_head = |start: u64| {
-            let mut head = start;
-            while records.contains_key(&(head + 1)) {
-                head += 1;
-            }
-            head
-        };
-        let mut best: (Option<&CheckpointImage>, u64, u64) = (None, 0, contiguous_head(0));
-        for image in &images {
-            let head = contiguous_head(image.seq);
-            if head > best.2 || (head == best.2 && image.seq > best.1) {
-                best = (Some(image), image.seq, head);
-            }
+        // The chain starts at the image (or the base, seq 0) and runs as
+        // far as the records stay contiguous.
+        let start = image.as_ref().map_or(0, |i| i.seq);
+        let mut head = start;
+        while records.contains_key(&(head + 1)) {
+            head += 1;
         }
-        let (image, start, head) = best;
         if let Some((&max_seq, _)) = records.last_key_value() {
             if max_seq > head {
                 return Err(SpecError::Transaction(format!(
@@ -422,10 +405,32 @@ impl SpecStore {
                 )));
             }
         }
+        if let Some(end) = current {
+            // A current segment that starts past head+1 would leave a gap
+            // no future recovery could bridge; one that ends before head
+            // would log the next commits under seqs the chain already
+            // holds, where the next recovery could not find them.
+            if end.header().start_seq > head + 1 {
+                return Err(SpecError::Transaction(format!(
+                    "recovery refused: current WAL segment starts at {} but the \
+                     recovered head is {head}; an intermediate segment is missing",
+                    end.header().start_seq
+                )));
+            }
+            if end.next_seq() != head + 1 {
+                return Err(SpecError::Transaction(format!(
+                    "recovery refused: current WAL segment {} would log the next commit \
+                     as {} but the recovered head is {head}; the segment is older than \
+                     the checkpoint or segment that reaches the head",
+                    paths.wal.display(),
+                    end.next_seq()
+                )));
+            }
+        }
 
         // Restore: install the chosen image (if any), then replay the
         // suffix, rebuilding retained history along the way.
-        if let Some(image) = image {
+        if let Some(image) = &image {
             image.install(base.kb_mut());
         }
         let mut history: VecDeque<CommitRecord> = VecDeque::new();
@@ -446,21 +451,15 @@ impl SpecStore {
             }
         }
 
-        // Position the live segment for the next append. A current
-        // segment that starts past head+1 would leave a gap no future
-        // recovery could bridge — refuse.
-        if let Some(h) = cur_header {
-            if h.start_seq > head + 1 {
-                return Err(SpecError::Transaction(format!(
-                    "recovery refused: current WAL segment starts at {} but the \
-                     recovered head is {head}; an intermediate segment is missing",
-                    h.start_seq
-                )));
+        // Position the live segment for the next append, cutting a torn
+        // tail; a missing one starts at head+1.
+        let wal = match current {
+            Some(end) => Wal::reopen(&paths.wal, end, opts.io_faults),
+            None => {
+                Wal::create_with_faults(&paths.wal, WalHeader::new(fp, head + 1), opts.io_faults)
             }
         }
-        let open_header = cur_header.unwrap_or_else(|| WalHeader::new(fp, head + 1));
-        let (wal, _) =
-            Wal::open_with_faults(&paths.wal, open_header, opts.io_faults).map_err(wal_err)?;
+        .map_err(wal_err)?;
 
         let store = SpecStore::new(base);
         {
@@ -557,10 +556,13 @@ impl SpecStore {
     /// configuration changes inside a commit closure are neither recorded
     /// nor logged — route them through [`SpecStore::update`].
     ///
-    /// The WAL append happens while the transaction is still open. If the
-    /// write or its fsync fails, the transaction is rolled back (the live
-    /// store and head stay as they were) and the log is parked: the
-    /// segment may now end in a torn record, so every later commit is
+    /// The WAL append happens while the transaction is still open. A
+    /// delta the log cannot hold (a term nested deeper than
+    /// [`gdp_engine::MAX_TERM_DEPTH`]) is refused before anything is
+    /// written: the transaction is rolled back and the log stays open.
+    /// If the write or its fsync fails, the transaction is rolled back
+    /// (the live store and head stay as they were) and the log is parked:
+    /// the segment may now end in a torn record, so every later commit is
     /// refused until the operator restarts and recovers.
     pub fn commit<T>(
         &self,
@@ -590,7 +592,18 @@ impl SpecStore {
         let mut checkpoint_due = false;
         if let Some(d) = state.durable.as_mut() {
             let wal = d.wal.as_mut().expect("checked above");
-            if let Err(e) = wal.append(&spec.txn_delta()?) {
+            let record = match wal.encode_next(&spec.txn_delta()?) {
+                Ok(record) => record,
+                Err(e) => {
+                    // Refused before anything was written: the log is
+                    // still clean, so only this commit fails.
+                    spec.rollback_txn()?;
+                    return Err(SpecError::Transaction(format!(
+                        "write-ahead log: commit {seq} was rolled back: {e}"
+                    )));
+                }
+            };
+            if let Err(e) = wal.append_encoded(&record) {
                 spec.rollback_txn()?;
                 d.wal = Err(format!("appending commit {seq} failed: {e}"));
                 return Err(SpecError::Transaction(format!(
@@ -659,16 +672,30 @@ fn pre_commit_gens(kb: &gdp_engine::KnowledgeBase, delta: &Delta) -> Vec<(PredKe
     gens
 }
 
+/// The base image's fingerprint, or why it has none.
+fn base_fingerprint(kb: &KnowledgeBase) -> SpecResult<u64> {
+    fingerprint(kb).map_err(|e| {
+        SpecError::Transaction(format!(
+            "write-ahead log: the base image cannot be logged: {e}"
+        ))
+    })
+}
+
 fn wal_err(e: std::io::Error) -> SpecError {
     SpecError::Transaction(format!("write-ahead log: {e}"))
 }
 
-fn mismatched_base(what: &str, found: u64, expected: u64) -> SpecError {
-    SpecError::Transaction(format!(
-        "recovery refused: {what} was created over a different base image \
+/// Refuse a log or image at `path` created over a different base image.
+fn check_base(path: &Path, found: u64, expected: u64) -> SpecResult<()> {
+    if found == expected {
+        return Ok(());
+    }
+    Err(SpecError::Transaction(format!(
+        "recovery refused: {} was created over a different base image \
          (its fingerprint is {found:016x}, this base hashes to {expected:016x}); \
-         the --load files or base setup changed since the log was created"
-    ))
+         the --load files or base setup changed since the log was created",
+        path.display()
+    )))
 }
 
 #[cfg(test)]

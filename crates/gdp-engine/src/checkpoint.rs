@@ -15,16 +15,22 @@
 //! ```text
 //! [len: u32 LE] [crc32: u32 LE] [payload: len bytes]
 //! payload = magic "GDPC", version: u32 LE, fingerprint: u64 LE,
-//!           seq: u64 LE, epoch: u64 LE,
+//!           seq: u64 LE, epoch: u64 LE, names,
 //!           pred_count: u32, (key, clause_count: u32, clause*)*,
 //!           gen_count: u32, (key, generation: u64)*
 //! ```
 //!
 //! Predicates are sorted by `(name, arity)` so the image is canonical;
 //! clause lists keep assertion order (clause positions are observable
-//! through solution order). Terms reuse the WAL codec, so the image is
-//! portable across processes with different symbol-interning orders and
-//! clause `n_vars` is recomputed on decode.
+//! through solution order). Clauses use the WAL's codec (`codec.rs`):
+//! `names` lists the distinct names the image uses, in first-use order,
+//! and every atom, functor, clause group and predicate key is a `u32`
+//! index into it, so the image is portable across processes with
+//! different symbol-interning orders. The image is encoded straight
+//! into the buffer that is written: its length and CRC are patched in
+//! place once the payload is complete. Version 2 brought the names
+//! table; a CRC-valid image of another version is refused with an error
+//! naming both versions, not taken for a torn one.
 //!
 //! ## Torn images
 //!
@@ -39,63 +45,57 @@
 //! files) between runs, and the store reports a hard error instead of
 //! silently diverging.
 
-use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::chaos::{ChaosFile, IoFaultConfig};
+use crate::codec::{self, Cursor, TooDeep, Writer, KEY, MIN_CLAUSE};
 use crate::delta::DeltaOp;
 use crate::kb::{Clause, KnowledgeBase, PredKey};
-use crate::wal::{crc32, put_clause, put_key, put_u32, put_u64, Cursor};
 
 const MAGIC: &[u8; 4] = b"GDPC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-/// Canonical content hash of a knowledge base: FNV-1a 64 over the sorted
-/// predicate/clause serialization (names, not interned ids — stable
-/// across processes). This is the *base fingerprint* stamped into both
-/// WAL headers and checkpoint images: recovery refuses to proceed when
-/// the base it was handed hashes differently from the base the log and
-/// checkpoints were created over. Validity counters (generations, epoch)
-/// are deliberately excluded — the fingerprint identifies stored
-/// content, which is what replay positions depend on.
-pub fn fingerprint(kb: &KnowledgeBase) -> u64 {
+/// Every stored predicate with its clauses, sorted by `(name, arity)`.
+type Preds = Vec<(PredKey, Vec<Arc<Clause>>)>;
+
+/// Canonical content hash of a knowledge base: FNV-1a 64 over the coded
+/// sorted predicates — the codec and traversal of a checkpoint image's
+/// clause section, with its own names table. Names are listed in
+/// first-use order over that sorted traversal, which no process's
+/// interning order can change, so the hash is stable across processes.
+/// This is the *base fingerprint* stamped into both WAL headers and
+/// checkpoint images: recovery refuses to proceed when the base it was
+/// handed hashes differently from the base the log and checkpoints were
+/// created over. Validity counters (generations, epoch) are deliberately
+/// excluded — the fingerprint identifies stored content, which is what
+/// replay positions depend on. Errs when a clause nests deeper than
+/// [`crate::MAX_TERM_DEPTH`], which no image could hold either.
+pub fn fingerprint(kb: &KnowledgeBase) -> Result<u64, TooDeep> {
     let mut bytes = Vec::new();
-    encode_preds(&mut bytes, &collect_preds(kb));
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let preds = collect_preds(kb);
+    codec::encode(&mut bytes, |w| walk_preds(w, &preds))?;
+    Ok(codec::fnv1a(&bytes))
 }
 
-fn sort_key(key: &PredKey) -> (String, u16) {
-    (key.name.as_str().to_string(), key.arity)
-}
-
-fn collect_preds(kb: &KnowledgeBase) -> Vec<(PredKey, Vec<Arc<Clause>>)> {
-    let mut keys: Vec<PredKey> = kb
-        .iter_clauses()
-        .map(|(k, _)| k)
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
-    keys.sort_by_key(sort_key);
+fn collect_preds(kb: &KnowledgeBase) -> Preds {
+    let mut keys: Vec<PredKey> = kb.stored_preds().collect();
+    keys.sort_by_cached_key(|k| (k.name.as_str(), k.arity));
     keys.into_iter().map(|k| (k, kb.clauses_of(k))).collect()
 }
 
-fn encode_preds(out: &mut Vec<u8>, preds: &[(PredKey, Vec<Arc<Clause>>)]) {
-    put_u32(out, preds.len() as u32);
+fn walk_preds(w: &mut Writer<'_>, preds: &[(PredKey, Vec<Arc<Clause>>)]) -> Result<(), TooDeep> {
+    w.u32(preds.len() as u32);
     for (key, clauses) in preds {
-        put_key(out, *key);
-        put_u32(out, clauses.len() as u32);
+        w.key(*key);
+        w.u32(clauses.len() as u32);
         for clause in clauses {
-            put_clause(out, clause);
+            w.clause(clause)?;
         }
     }
+    Ok(())
 }
 
 /// A decoded (or freshly captured) checkpoint: the full stored content of
@@ -111,7 +111,7 @@ pub struct CheckpointImage {
     pub seq: u64,
     /// Modification epoch of the live KB when the image was taken.
     pub epoch: u64,
-    preds: Vec<(PredKey, Vec<Arc<Clause>>)>,
+    preds: Preds,
     generations: Vec<(PredKey, u64)>,
 }
 
@@ -120,7 +120,7 @@ impl CheckpointImage {
     /// fingerprint `fp`.
     pub fn capture(kb: &KnowledgeBase, fp: u64, seq: u64) -> CheckpointImage {
         let mut generations: Vec<(PredKey, u64)> = kb.generations().collect();
-        generations.sort_by_key(|(k, _)| sort_key(k));
+        generations.sort_by_cached_key(|(k, _)| (k.name.as_str(), k.arity));
         CheckpointImage {
             fingerprint: fp,
             seq,
@@ -130,63 +130,55 @@ impl CheckpointImage {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u64(&mut out, self.fingerprint);
-        put_u64(&mut out, self.seq);
-        put_u64(&mut out, self.epoch);
-        encode_preds(&mut out, &self.preds);
-        put_u32(&mut out, self.generations.len() as u32);
-        for (key, generation) in &self.generations {
-            put_key(&mut out, *key);
-            put_u64(&mut out, *generation);
+    /// The image framed as [`CheckpointImage::write`] writes it. Errors
+    /// (of kind [`io::ErrorKind::InvalidInput`]) when a clause nests
+    /// deeper than [`crate::MAX_TERM_DEPTH`] or the payload outgrows the
+    /// length field.
+    pub fn encode(&self) -> io::Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        let start = codec::begin_frame(&mut buf);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        for field in [self.fingerprint, self.seq, self.epoch] {
+            buf.extend_from_slice(&field.to_le_bytes());
         }
-        out
+        codec::encode(&mut buf, |w| {
+            walk_preds(w, &self.preds)?;
+            w.u32(self.generations.len() as u32);
+            for (key, generation) in &self.generations {
+                w.key(*key);
+                w.u64(*generation);
+            }
+            Ok(())
+        })?;
+        codec::end_frame(&mut buf, start, "checkpoint payload")?;
+        Ok(buf)
     }
 
-    fn decode(buf: &[u8]) -> Option<CheckpointImage> {
-        let len = u32::from_le_bytes(buf.get(0..4)?.try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf.get(4..8)?.try_into().unwrap());
-        let payload = buf.get(8..8 + len)?;
-        if crc32(payload) != crc {
-            return None;
-        }
+    /// Decode a framed image. `Ok(None)` when it is torn or corrupt: a
+    /// short frame, a CRC mismatch, a malformed payload, trailing bytes
+    /// inside the payload. A CRC-valid image of another format version
+    /// is an error naming both versions. Never panics, and allocates no
+    /// more than the payload's own bytes can account for.
+    pub fn decode(buf: &[u8]) -> io::Result<Option<CheckpointImage>> {
+        let Some(payload) = codec::frame(buf) else {
+            return Ok(None);
+        };
         let mut cur = Cursor::new(payload);
-        if cur.take(4)? != MAGIC || cur.u32()? != VERSION {
-            return None;
+        if cur.take(4) != Some(&MAGIC[..]) {
+            return Ok(None);
         }
-        let fingerprint = cur.u64()?;
-        let seq = cur.u64()?;
-        let epoch = cur.u64()?;
-        let pred_count = cur.u32()? as usize;
-        let mut preds = Vec::with_capacity(pred_count);
-        for _ in 0..pred_count {
-            let key = cur.key()?;
-            let clause_count = cur.u32()? as usize;
-            let mut clauses = Vec::with_capacity(clause_count.min(1 << 16));
-            for _ in 0..clause_count {
-                clauses.push(cur.clause()?);
-            }
-            preds.push((key, clauses));
+        match cur.u32() {
+            Some(VERSION) => Ok(decode_body(cur)),
+            Some(found) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint image is format version {found}, but this build \
+                     reads only version {VERSION}"
+                ),
+            )),
+            None => Ok(None),
         }
-        let gen_count = cur.u32()? as usize;
-        let mut generations = Vec::with_capacity(gen_count.min(1 << 16));
-        for _ in 0..gen_count {
-            let key = cur.key()?;
-            generations.push((key, cur.u64()?));
-        }
-        if !cur.finished() {
-            return None; // trailing garbage inside a "valid" payload
-        }
-        Some(CheckpointImage {
-            fingerprint,
-            seq,
-            epoch,
-            preds,
-            generations,
-        })
     }
 
     /// Write the image to `path` atomically: serialize to `path` + `.tmp`,
@@ -194,20 +186,7 @@ impl CheckpointImage {
     /// byte leaves either the old image or the new one, never a blend —
     /// the rename is the commit point.
     pub fn write(&self, path: &Path, faults: Option<IoFaultConfig>) -> io::Result<()> {
-        let payload = self.encode();
-        let len: u32 = payload.len().try_into().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "checkpoint payload of {} bytes overflows the length field",
-                    payload.len()
-                ),
-            )
-        })?;
-        let mut record = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut record, len);
-        put_u32(&mut record, crc32(&payload));
-        record.extend_from_slice(&payload);
+        let record = self.encode()?;
         let tmp = tmp_path(path);
         let file = OpenOptions::new()
             .write(true)
@@ -224,16 +203,18 @@ impl CheckpointImage {
 
     /// Read an image back. `Ok(None)` when the file does not exist *or*
     /// is torn/corrupt (bad CRC, truncated or malformed payload) — the
-    /// caller falls back to an older checkpoint or the base. Only real
-    /// I/O failures surface as errors; fingerprint checking is the
-    /// caller's job (it knows the base, the image only reports it).
+    /// caller falls back to an older checkpoint or the base. Real I/O
+    /// failures and images of another format version surface as errors;
+    /// fingerprint checking is the caller's job (it knows the base, the
+    /// image only reports it).
     pub fn read(path: &Path) -> io::Result<Option<CheckpointImage>> {
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        Ok(CheckpointImage::decode(&buf))
+        CheckpointImage::decode(&buf)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 
     /// Replace `kb`'s stored content and validity counters with this
@@ -243,12 +224,7 @@ impl CheckpointImage {
     /// [`KnowledgeBase::content_eq`] to the KB the image was captured
     /// from.
     pub fn install(&self, kb: &mut KnowledgeBase) {
-        let existing: Vec<PredKey> = kb
-            .iter_clauses()
-            .map(|(k, _)| k)
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
+        let existing: Vec<PredKey> = kb.stored_preds().collect();
         for key in existing {
             kb.retract_predicate(key);
         }
@@ -262,6 +238,39 @@ impl CheckpointImage {
         }
         kb.restore_validity(self.generations.iter().copied(), self.epoch);
     }
+}
+
+/// The rest of a version-2 payload, past its magic and version.
+fn decode_body(mut cur: Cursor<'_>) -> Option<CheckpointImage> {
+    let fingerprint = cur.u64()?;
+    let seq = cur.u64()?;
+    let epoch = cur.u64()?;
+    cur.names()?;
+    let pred_count = cur.count(KEY + 4)?;
+    let mut preds = Vec::with_capacity(pred_count);
+    for _ in 0..pred_count {
+        let key = cur.key()?;
+        let clause_count = cur.count(MIN_CLAUSE)?;
+        let mut clauses = Vec::with_capacity(clause_count);
+        for _ in 0..clause_count {
+            clauses.push(cur.clause()?);
+        }
+        preds.push((key, clauses));
+    }
+    let gen_count = cur.count(KEY + 8)?;
+    let mut generations = Vec::with_capacity(gen_count);
+    for _ in 0..gen_count {
+        let key = cur.key()?;
+        generations.push((key, cur.u64()?));
+    }
+    // Trailing garbage inside a "valid" payload is corruption too.
+    cur.finished().then_some(CheckpointImage {
+        fingerprint,
+        seq,
+        epoch,
+        preds,
+        generations,
+    })
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -310,7 +319,7 @@ mod tests {
     fn capture_write_read_install_roundtrip() {
         let path = temp_path("roundtrip");
         let live = sample_kb();
-        let fp = fingerprint(&KnowledgeBase::new());
+        let fp = fingerprint(&KnowledgeBase::new()).unwrap();
         let image = CheckpointImage::capture(&live, fp, 7);
         image.write(&path, None).unwrap();
         let read = CheckpointImage::read(&path).unwrap().expect("valid image");

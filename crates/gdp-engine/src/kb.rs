@@ -116,6 +116,11 @@ impl GroupId {
     pub fn name(self) -> Sym {
         self.0
     }
+
+    /// The group named by an interned symbol.
+    pub(crate) fn of(name: Sym) -> GroupId {
+        GroupId(name)
+    }
 }
 
 /// A stored Horn clause `head :- body`, with variables numbered `0..n_vars`.
@@ -2471,6 +2476,14 @@ impl KnowledgeBase {
             .get(&key)
             .map(|e| e.clauses().cloned().collect())
             .unwrap_or_default()
+    }
+
+    /// Every predicate that holds at least one clause, in no fixed order.
+    pub(crate) fn stored_preds(&self) -> impl Iterator<Item = PredKey> + '_ {
+        self.preds
+            .iter()
+            .filter(|(_, e)| e.len() > 0)
+            .map(|(k, _)| *k)
     }
 
     /// Iterate over every `(PredKey, clause)` pair (diagnostics).

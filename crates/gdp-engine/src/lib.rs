@@ -43,6 +43,7 @@ mod budget;
 mod builtins;
 pub mod chaos;
 pub mod checkpoint;
+mod codec;
 pub mod delta;
 pub mod deps;
 mod error;
@@ -63,6 +64,7 @@ pub mod arith;
 pub use budget::{Budget, CancelToken, DepthGuard, CHECK_INTERVAL, SOLVER_STACK};
 pub use chaos::{ChaosConfig, ChaosFile, ChaosSink, FaultKind, IoFaultConfig, IoFaultKind};
 pub use checkpoint::{fingerprint, CheckpointImage};
+pub use codec::{TooDeep, MAX_TERM_DEPTH};
 pub use delta::{CommitRecord, Delta, DeltaOp};
 pub use deps::{ArgSpec, Closure, DepGraph};
 pub use error::{EngineError, EngineResult};
@@ -82,4 +84,4 @@ pub use trace::{
     TraceSink,
 };
 pub use unify::{resolve_deep, resolve_shallow, BindStore};
-pub use wal::{replay, Wal, WalHeader, WalRecord};
+pub use wal::{replay, LogEnd, Wal, WalHeader, WalRecord};

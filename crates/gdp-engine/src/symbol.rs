@@ -96,6 +96,15 @@ impl SymbolTable {
     }
 }
 
+/// Run `f` over the names of `syms`, in order, under one read lock of
+/// the symbol table — without the `String` that [`Sym::as_str`] allocates
+/// per call. `f` must not intern: that would wait on this lock.
+pub(crate) fn with_names<R>(syms: &[Sym], f: impl FnOnce(&[&str]) -> R) -> R {
+    let inner = table().inner.read();
+    let names: Vec<&str> = syms.iter().map(|s| &*inner.names[s.0 as usize]).collect();
+    f(&names)
+}
+
 fn table() -> &'static SymbolTable {
     static TABLE: OnceLock<SymbolTable> = OnceLock::new();
     TABLE.get_or_init(|| SymbolTable {

@@ -245,12 +245,26 @@ impl Term {
         }
     }
 
-    /// The largest variable index occurring in the term, if any.
+    /// The largest variable index occurring in the term, if any. The last
+    /// argument is walked in a loop, not by recursion, so a list (or any
+    /// chain nested in last arguments) costs no stack however long.
     pub fn max_var(&self) -> Option<u32> {
-        match self {
-            Term::Var(v) => Some(v.0),
-            Term::Compound(_, args) => args.iter().filter_map(Term::max_var).max(),
-            _ => None,
+        let mut max = None;
+        let mut t = self;
+        loop {
+            match t {
+                Term::Var(v) => return max.max(Some(v.0)),
+                Term::Compound(_, args) => match args.split_last() {
+                    Some((last, rest)) => {
+                        for arg in rest {
+                            max = max.max(arg.max_var());
+                        }
+                        t = last;
+                    }
+                    None => return max,
+                },
+                _ => return max,
+            }
         }
     }
 

@@ -15,18 +15,21 @@
 //!
 //! ```text
 //! [len: u32 LE] [crc32: u32 LE] [payload: len bytes]
-//! payload = seq: u64 LE, op_count: u32 LE, op*
+//! payload = seq: u64 LE, names, op_count: u32 LE, op*
 //! ```
 //!
-//! `crc32` is the IEEE CRC-32 of the payload. Operations serialize the
-//! [`DeltaOp`] variants with a one-byte tag; terms serialize structurally
-//! (atoms and functors by name — the log is portable across processes with
-//! different symbol-interning orders). Clause `n_vars` is recomputed on
-//! decode, so a log can never smuggle in an inconsistent variable count.
+//! `crc32` is the IEEE CRC-32 of the payload. `names` opens the coded
+//! part: the distinct names the record uses, in first-use order, which
+//! every atom, functor, clause group and predicate key then refers to by
+//! a `u32` index (the shared codec in `codec.rs`, also used by checkpoint
+//! images). Operations serialize the [`DeltaOp`] variants with a one-byte
+//! tag. A term nested deeper than [`crate::MAX_TERM_DEPTH`] makes a record
+//! malformed, and [`Wal::encode_next`] refuses to frame one.
 //!
 //! ## Header
 //!
-//! Since format version 2 every log opens with a fixed 28-byte header:
+//! Every log opens with a fixed 28-byte header (since format version 2;
+//! version 3 brought the names table):
 //!
 //! ```text
 //! [magic "GDPW"] [version: u32 LE] [fingerprint: u64 LE]
@@ -53,264 +56,50 @@
 //! the commit they belonged to was never acknowledged. A torn *header* on
 //! a non-empty file is different: the header is synced before the first
 //! append, so it can only mean out-of-band corruption, and it is reported
-//! as an error rather than silently starting a fresh chain.
+//! as an error rather than silently starting a fresh chain. So is a sound
+//! header of another format version, naming both versions: this build
+//! cannot replay that log, and a torn create it is not.
 
 use std::fs::OpenOptions;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 use crate::chaos::{ChaosFile, IoFaultConfig};
-use crate::delta::{Delta, DeltaOp};
-use crate::kb::{Clause, GroupId, KnowledgeBase, PredKey};
-use crate::symbol::Sym;
-use crate::term::{Term, Var, F64};
+use crate::codec::{self, Cursor};
+use crate::delta::Delta;
+use crate::kb::KnowledgeBase;
 
 const MAGIC: &[u8; 4] = b"GDPW";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 28;
+/// Fewest bytes an operation can take (a retracted group with no clauses).
+const MIN_OP: usize = 1 + 4 + 4;
 
-/// IEEE CRC-32 (reflected polynomial 0xEDB88320), bit-serial — WAL
-/// payloads are small and dominated by the fsync, not the checksum.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// One framed record, ready to append. Errors (of kind
+/// [`io::ErrorKind::InvalidInput`]) when a term nests too deep or the
+/// delta is too large for the format.
+fn encode_record(seq: u64, delta: &Delta) -> io::Result<Vec<u8>> {
+    if u32::try_from(delta.len()).is_err() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "delta of {} operations overflows the WAL op-count field",
+                delta.len()
+            ),
+        ));
+    }
+    let mut record = Vec::new();
+    let start = codec::begin_frame(&mut record);
+    record.extend_from_slice(&seq.to_le_bytes());
+    codec::encode(&mut record, |w| {
+        w.u32(delta.len() as u32);
+        for op in delta.ops() {
+            w.op(op)?;
         }
-    }
-    !crc
-}
-
-// ----- payload encoding -----------------------------------------------------
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_term(out: &mut Vec<u8>, t: &Term) {
-    match t {
-        Term::Var(Var(v)) => {
-            out.push(0);
-            put_u32(out, *v);
-        }
-        Term::Atom(s) => {
-            out.push(1);
-            put_str(out, &s.as_str());
-        }
-        Term::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Term::Float(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.get().to_le_bytes());
-        }
-        Term::Str(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
-        Term::Compound(f, args) => {
-            out.push(5);
-            put_str(out, &f.as_str());
-            put_u32(out, args.len() as u32);
-            for arg in args.iter() {
-                put_term(out, arg);
-            }
-        }
-    }
-}
-
-pub(crate) fn put_clause(out: &mut Vec<u8>, clause: &Clause) {
-    put_str(out, &clause.group.name().as_str());
-    put_term(out, &clause.head);
-    put_term(out, &clause.body);
-}
-
-pub(crate) fn put_key(out: &mut Vec<u8>, key: PredKey) {
-    put_str(out, &key.name.as_str());
-    put_u32(out, u32::from(key.arity));
-}
-
-pub(crate) fn put_op(out: &mut Vec<u8>, op: &DeltaOp) {
-    match op {
-        DeltaOp::Assert { key, clause } => {
-            out.push(0);
-            put_key(out, *key);
-            put_clause(out, clause);
-        }
-        DeltaOp::RetractFact { key, pos, clause } => {
-            out.push(1);
-            put_key(out, *key);
-            put_u64(out, *pos as u64);
-            put_clause(out, clause);
-        }
-        DeltaOp::RetractGroup { group, removed } => {
-            out.push(2);
-            put_str(out, &group.name().as_str());
-            put_u32(out, removed.len() as u32);
-            for (key, pos, clause) in removed {
-                put_key(out, *key);
-                put_u64(out, *pos as u64);
-                put_clause(out, clause);
-            }
-        }
-        DeltaOp::RetractPredicate { key, clauses } => {
-            out.push(3);
-            put_key(out, *key);
-            put_u32(out, clauses.len() as u32);
-            for clause in clauses {
-                put_clause(out, clause);
-            }
-        }
-    }
-}
-
-// ----- payload decoding -----------------------------------------------------
-
-/// Decoder over one payload slice. Every read is bounds-checked; `None`
-/// means the payload is malformed (which [`Wal::open`] treats exactly like
-/// a checksum failure: end of the recoverable prefix).
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn i64(&mut self) -> Option<i64> {
-        self.take(8)
-            .map(|s| i64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Option<f64> {
-        self.take(8)
-            .map(|s| f64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    pub(crate) fn str(&mut self) -> Option<&'a str> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).ok()
-    }
-
-    pub(crate) fn term(&mut self) -> Option<Term> {
-        Some(match self.u8()? {
-            0 => Term::Var(Var(self.u32()?)),
-            1 => Term::Atom(Sym::new(self.str()?)),
-            2 => Term::Int(self.i64()?),
-            3 => Term::Float(F64::try_new(self.f64()?)?),
-            4 => Term::Str(Arc::from(self.str()?)),
-            5 => {
-                let functor = Sym::new(self.str()?);
-                let n = self.u32()? as usize;
-                // A compound needs at least one byte per argument; anything
-                // larger than the remaining payload is corruption, not a
-                // request to allocate.
-                if n > self.buf.len() - self.pos {
-                    return None;
-                }
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    args.push(self.term()?);
-                }
-                Term::compound(functor, args)
-            }
-            _ => return None,
-        })
-    }
-
-    pub(crate) fn clause(&mut self) -> Option<Arc<Clause>> {
-        let group = GroupId::named(self.str()?);
-        let head = self.term()?;
-        let body = self.term()?;
-        Some(Arc::new(Clause::new(head, body, group)))
-    }
-
-    pub(crate) fn key(&mut self) -> Option<PredKey> {
-        let name = self.str()?.to_owned();
-        let arity = self.u32()? as usize;
-        PredKey::try_new(&name, arity)
-    }
-
-    pub(crate) fn op(&mut self) -> Option<DeltaOp> {
-        Some(match self.u8()? {
-            0 => DeltaOp::Assert {
-                key: self.key()?,
-                clause: self.clause()?,
-            },
-            1 => DeltaOp::RetractFact {
-                key: self.key()?,
-                pos: usize::try_from(self.u64()?).ok()?,
-                clause: self.clause()?,
-            },
-            2 => {
-                let group = GroupId::named(self.str()?);
-                let n = self.u32()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return None;
-                }
-                let mut removed = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let key = self.key()?;
-                    let pos = usize::try_from(self.u64()?).ok()?;
-                    removed.push((key, pos, self.clause()?));
-                }
-                DeltaOp::RetractGroup { group, removed }
-            }
-            3 => {
-                let key = self.key()?;
-                let n = self.u32()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return None;
-                }
-                let mut clauses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    clauses.push(self.clause()?);
-                }
-                DeltaOp::RetractPredicate { key, clauses }
-            }
-            _ => return None,
-        })
-    }
-
-    pub(crate) fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+        Ok(())
+    })?;
+    codec::end_frame(&mut record, start, "delta payload")?;
+    Ok(record)
 }
 
 /// One recovered commit: its sequence number and the committed delta.
@@ -322,21 +111,30 @@ pub struct WalRecord {
     pub delta: Delta,
 }
 
-fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let mut cur = Cursor::new(payload);
-    let seq = cur.u64()?;
-    let n = cur.u32()? as usize;
-    if n > payload.len() {
-        return None;
+impl WalRecord {
+    /// Decode one framed record from the front of `buf`: the record and
+    /// the bytes its frame takes. `None` when the frame is torn, fails
+    /// its checksum, or holds a malformed payload — which a log treats
+    /// as the end of its valid prefix. Never panics, and allocates no
+    /// more than the payload's own bytes can account for.
+    pub fn decode(buf: &[u8]) -> Option<(WalRecord, usize)> {
+        let payload = codec::frame(buf)?;
+        let mut cur = Cursor::new(payload);
+        let seq = cur.u64()?;
+        cur.names()?;
+        let n = cur.count(MIN_OP)?;
+        let mut delta = Delta::new();
+        for _ in 0..n {
+            delta.push(cur.op()?);
+        }
+        cur.finished()
+            .then_some((WalRecord { seq, delta }, 8 + payload.len()))
     }
-    let mut delta = Delta::new();
-    for _ in 0..n {
-        delta.push(cur.op()?);
+
+    /// This record framed as [`Wal::append`] writes it.
+    pub fn encode(&self) -> io::Result<Vec<u8>> {
+        encode_record(self.seq, &self.delta)
     }
-    if !cur.finished() {
-        return None;
-    }
-    Some(WalRecord { seq, delta })
 }
 
 /// The self-describing header every log starts with: the canonical
@@ -367,27 +165,92 @@ impl WalHeader {
         bytes[4..8].copy_from_slice(&VERSION.to_le_bytes());
         bytes[8..16].copy_from_slice(&self.fingerprint.to_le_bytes());
         bytes[16..24].copy_from_slice(&self.start_seq.to_le_bytes());
-        let crc = crc32(&bytes[0..24]);
+        let crc = codec::crc32(&bytes[0..24]);
         bytes[24..28].copy_from_slice(&crc.to_le_bytes());
         bytes
     }
 
-    fn decode(bytes: &[u8]) -> Option<WalHeader> {
-        let bytes: &[u8; HEADER_LEN] = bytes.get(0..HEADER_LEN)?.try_into().ok()?;
-        if &bytes[0..4] != MAGIC {
-            return None;
+    fn decode(bytes: &[u8]) -> Result<WalHeader, HeaderFault> {
+        let Some(bytes) = bytes.get(0..HEADER_LEN) else {
+            return Err(HeaderFault::Corrupt);
+        };
+        let word = |at: usize| {
+            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+        };
+        let dword = |at: usize| u64::from(word(at)) | u64::from(word(at + 4)) << 32;
+        if &bytes[0..4] != MAGIC || codec::crc32(&bytes[0..24]) != word(24) {
+            return Err(HeaderFault::Corrupt);
         }
-        if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != VERSION {
-            return None;
+        match word(4) {
+            VERSION => Ok(WalHeader {
+                fingerprint: dword(8),
+                start_seq: dword(16),
+            }),
+            other => Err(HeaderFault::Version(other)),
         }
-        let crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-        if crc32(&bytes[0..24]) != crc {
-            return None;
-        }
-        Some(WalHeader {
-            fingerprint: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            start_seq: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
-        })
+    }
+}
+
+/// Why a header does not open a log this build can read.
+enum HeaderFault {
+    /// Not a GDP WAL header, or a damaged one.
+    Corrupt,
+    /// A sound header of another format version.
+    Version(u32),
+}
+
+/// The header of a log file's bytes. `Ok(None)` for an empty file or a
+/// *torn create* — a crash mid-way through writing the initial header.
+/// The header is written and synced before any record, so an invalid
+/// header on a file no longer than the header itself cannot cover
+/// committed data and is safe to treat as an empty log. An invalid
+/// header on a *longer* file means out-of-band corruption of a segment
+/// that may hold records, and a sound header of another format version
+/// means a log this build cannot replay: both are errors.
+fn read_header(path: &Path, buf: &[u8]) -> io::Result<Option<WalHeader>> {
+    match WalHeader::decode(buf) {
+        Ok(header) => Ok(Some(header)),
+        Err(HeaderFault::Corrupt) if buf.len() <= HEADER_LEN => Ok(None),
+        Err(HeaderFault::Corrupt) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "write-ahead log {} has a corrupt header (not a GDP WAL, \
+                 or damaged out of band)",
+                path.display()
+            ),
+        )),
+        Err(HeaderFault::Version(found)) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "write-ahead log {} is format version {found}, but this build \
+                 reads only version {VERSION}",
+                path.display()
+            ),
+        )),
+    }
+}
+
+/// Where a log that [`Wal::read`] read stands: what [`Wal::reopen`]
+/// needs to append to it without decoding it again.
+#[derive(Clone, Copy, Debug)]
+pub struct LogEnd {
+    header: WalHeader,
+    next_seq: u64,
+    /// Bytes of the header and the valid record prefix.
+    valid_len: u64,
+    /// Bytes in the file; past `valid_len` they are a torn tail.
+    file_len: u64,
+}
+
+impl LogEnd {
+    /// The log's header.
+    pub fn header(&self) -> WalHeader {
+        self.header
+    }
+
+    /// The sequence number the log's next record takes.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 }
 
@@ -397,48 +260,16 @@ impl WalHeader {
 fn parse_records(buf: &[u8], start_seq: u64) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut good = HEADER_LEN;
-    let mut next_seq = start_seq;
-    while let Some(header) = buf.get(good..good + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = buf.get(good + 8..good + 8 + len) else {
-            break; // torn payload
-        };
-        if crc32(payload) != crc {
-            break; // torn or corrupted record
+    // A torn or corrupt frame, a malformed payload, or a sequence
+    // discontinuity all end the prefix: nothing past them is replayed.
+    while let Some((record, len)) = WalRecord::decode(&buf[good..]) {
+        if record.seq != start_seq + records.len() as u64 {
+            break;
         }
-        let Some(record) = decode_payload(payload) else {
-            break; // checksum ok but structure malformed: stop here too
-        };
-        if record.seq != next_seq {
-            break; // sequence discontinuity: do not replay past it
-        }
-        next_seq += 1;
         records.push(record);
-        good += 8 + len;
+        good += len;
     }
     (records, good)
-}
-
-fn corrupt_header_error(path: &Path) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "write-ahead log {} has a corrupt header (not a GDP WAL, \
-             or damaged out of band)",
-            path.display()
-        ),
-    )
-}
-
-/// Is this non-empty image a *torn create* — a crash mid-way through
-/// writing the initial header? The header is written and synced before
-/// any record, so an invalid header on a file no longer than the header
-/// itself cannot cover committed data and is safe to treat as an empty
-/// log. An invalid header on a *longer* file means out-of-band
-/// corruption of a segment that may hold records — that one is fatal.
-fn is_torn_create(buf: &[u8]) -> bool {
-    buf.len() <= HEADER_LEN && WalHeader::decode(buf).is_none()
 }
 
 /// An open write-ahead log, positioned for appending.
@@ -505,68 +336,62 @@ impl Wal {
         default_header: WalHeader,
         faults: Option<IoFaultConfig>,
     ) -> io::Result<(Wal, Vec<WalRecord>)> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut file = ChaosFile::new(file, faults);
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        if buf.is_empty() || is_torn_create(&buf) {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&default_header.encode())?;
-            file.sync_data()?;
-            return Ok((
-                Wal {
-                    file,
-                    next_seq: default_header.start_seq,
-                    header: default_header,
-                },
+        match Wal::read(path)? {
+            Some((records, end)) => Ok((Wal::reopen(path, end, faults)?, records)),
+            None => Ok((
+                Wal::create_with_faults(path, default_header, faults)?,
                 Vec::new(),
-            ));
+            )),
         }
-        let Some(header) = WalHeader::decode(&buf) else {
-            return Err(corrupt_header_error(path));
-        };
-        let (records, good) = parse_records(&buf, header.start_seq);
-        if good < buf.len() {
-            file.set_len(good as u64)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::Start(good as u64))?;
-        let next_seq = header.start_seq + records.len() as u64;
-        Ok((
-            Wal {
-                file,
-                next_seq,
-                header,
-            },
-            records,
-        ))
     }
 
-    /// Read a log without touching it: the header and the longest valid
-    /// record prefix. `Ok(None)` when the file does not exist; a corrupt
-    /// header on a non-empty file is an error (see the module docs).
-    /// Recovery uses this to harvest records from rotated-out segments
-    /// it will never append to.
-    pub fn scan(path: &Path) -> io::Result<Option<(WalHeader, Vec<WalRecord>)>> {
+    /// Open the log at `path`, which [`Wal::read`] found to end at `end`,
+    /// for appending: truncate its torn tail, if any, and position past
+    /// its valid prefix. Nothing is decoded again.
+    pub fn reopen(path: &Path, end: LogEnd, faults: Option<IoFaultConfig>) -> io::Result<Wal> {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut file = ChaosFile::new(file, faults);
+        if end.valid_len < end.file_len {
+            file.set_len(end.valid_len)?;
+            file.sync_data()?;
+        }
+        file.seek(SeekFrom::Start(end.valid_len))?;
+        Ok(Wal {
+            file,
+            header: end.header,
+            next_seq: end.next_seq,
+        })
+    }
+
+    /// Read a log without touching it: the longest valid record prefix
+    /// and where it ends. `Ok(None)` when the file does not exist, is
+    /// empty, or holds a torn create; a corrupt header on a longer file,
+    /// or a header of another format version, is an error (see the
+    /// module docs).
+    pub fn read(path: &Path) -> io::Result<Option<(Vec<WalRecord>, LogEnd)>> {
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        if buf.is_empty() || is_torn_create(&buf) {
+        let Some(header) = read_header(path, &buf)? else {
             return Ok(None);
-        }
-        let Some(header) = WalHeader::decode(&buf) else {
-            return Err(corrupt_header_error(path));
         };
-        let (records, _good) = parse_records(&buf, header.start_seq);
-        Ok(Some((header, records)))
+        let (records, good) = parse_records(&buf, header.start_seq);
+        let end = LogEnd {
+            header,
+            next_seq: header.start_seq + records.len() as u64,
+            valid_len: good as u64,
+            file_len: buf.len() as u64,
+        };
+        Ok(Some((records, end)))
+    }
+
+    /// Read a log without touching it: the header and the longest valid
+    /// record prefix, as [`Wal::read`] finds them. Recovery uses this to
+    /// harvest records from rotated-out segments it will never append to.
+    pub fn scan(path: &Path) -> io::Result<Option<(WalHeader, Vec<WalRecord>)>> {
+        Ok(Wal::read(path)?.map(|(records, end)| (end.header, records)))
     }
 
     /// The header this log was created with.
@@ -579,46 +404,38 @@ impl Wal {
         self.next_seq
     }
 
-    /// Append one committed delta and sync the file. The record is only
-    /// durable — and the commit only acknowledgeable — once this returns.
-    ///
-    /// Oversized deltas (more than `u32::MAX` operations, or a payload
-    /// past `u32::MAX` bytes) are rejected with an error instead of
-    /// silently truncating the on-disk op count.
-    pub fn append(&mut self, delta: &Delta) -> io::Result<u64> {
+    /// Frame `delta` as the record [`Wal::append_encoded`] writes next.
+    /// An error here is a refusal, and nothing is written: the delta
+    /// holds a term nested deeper than [`crate::MAX_TERM_DEPTH`], more
+    /// than `u32::MAX` operations, or a payload past `u32::MAX` bytes.
+    pub fn encode_next(&self, delta: &Delta) -> io::Result<Vec<u8>> {
+        encode_record(self.next_seq, delta)
+    }
+
+    /// Append a record that [`Wal::encode_next`] framed, and sync the
+    /// file. The record is only durable — and the commit only
+    /// acknowledgeable — once this returns. After an error the file may
+    /// hold any prefix of the record, or all of it. A record framed for
+    /// another seq is an error, and nothing is written.
+    pub fn append_encoded(&mut self, record: &[u8]) -> io::Result<u64> {
         let seq = self.next_seq;
-        let ops: u32 = delta.len().try_into().map_err(|_| {
-            io::Error::new(
+        if record.get(8..16) != Some(&seq.to_le_bytes()[..]) {
+            return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!(
-                    "delta of {} operations overflows the WAL op-count field",
-                    delta.len()
-                ),
-            )
-        })?;
-        let mut payload = Vec::new();
-        put_u64(&mut payload, seq);
-        put_u32(&mut payload, ops);
-        for op in delta.ops() {
-            put_op(&mut payload, op);
+                format!("a record not framed as commit {seq} was handed to the log"),
+            ));
         }
-        let len: u32 = payload.len().try_into().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "delta payload of {} bytes overflows the WAL length field",
-                    payload.len()
-                ),
-            )
-        })?;
-        let mut record = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut record, len);
-        put_u32(&mut record, crc32(&payload));
-        record.extend_from_slice(&payload);
-        self.file.write_all(&record)?;
+        self.file.write_all(record)?;
         self.file.sync_data()?;
         self.next_seq = seq + 1;
         Ok(seq)
+    }
+
+    /// [`Wal::encode_next`], then [`Wal::append_encoded`]. A caller that
+    /// must tell a refused delta from a failed write calls the two.
+    pub fn append(&mut self, delta: &Delta) -> io::Result<u64> {
+        let record = self.encode_next(delta)?;
+        self.append_encoded(&record)
     }
 }
 
@@ -638,6 +455,8 @@ pub fn replay(records: &[WalRecord], kb: &mut KnowledgeBase) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kb::{GroupId, PredKey};
+    use crate::term::Term;
 
     fn fact(name: &str, arg: &str) -> Term {
         Term::pred(name, vec![Term::atom(arg)])

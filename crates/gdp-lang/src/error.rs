@@ -39,6 +39,14 @@ pub enum LangError {
     /// a source with multiple defects reports *all* of them in one pass
     /// instead of one per edit-reload cycle.
     Batch(Vec<LangError>),
+    /// A statement nests deeper than a term may
+    /// ([`gdp_engine::MAX_TERM_DEPTH`]); refused before it is compiled.
+    TooDeep {
+        /// Where the statement starts.
+        pos: Pos,
+        /// How deep it nests ([`crate::Statement::depth`]).
+        depth: usize,
+    },
     /// A directive referenced something the loader cannot provide (e.g. a
     /// `#grid` directive without a spatial registry attached).
     Unsupported {
@@ -92,6 +100,12 @@ impl fmt::Display for LangError {
                 }
                 Ok(())
             }
+            LangError::TooDeep { pos, depth } => write!(
+                f,
+                "statement too deep at {pos}: it nests {depth} levels, more than the {} \
+                 a term may (a list counts one level per element)",
+                gdp_engine::MAX_TERM_DEPTH
+            ),
             LangError::Unsupported { pos, message } => {
                 write!(f, "unsupported at {pos}: {message}")
             }

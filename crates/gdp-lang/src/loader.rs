@@ -96,7 +96,7 @@ impl<'a> Loader<'a> {
             line: pos.line,
             error,
         };
-        match stmt {
+        match check_depth(pos, stmt)? {
             Statement::Domain { name, def } => {
                 self.spec.declare_domain(&name, def).map_err(load_err)?;
                 summary.directives += 1;
@@ -197,6 +197,20 @@ impl<'a> Loader<'a> {
         }
         Ok(())
     }
+}
+
+/// Pass `statement` back unless it nests deeper than a term may
+/// ([`gdp_engine::MAX_TERM_DEPTH`]). Compiling, storing, solving and
+/// logging a term all take stack in proportion to its depth, so a deeper
+/// statement is refused before anything compiles it, and taken apart
+/// without recursion.
+pub fn check_depth(pos: Pos, statement: Statement) -> LangResult<Statement> {
+    let depth = statement.depth();
+    if depth > gdp_engine::MAX_TERM_DEPTH {
+        statement.dismantle();
+        return Err(LangError::TooDeep { pos, depth });
+    }
+    Ok(statement)
 }
 
 /// One-shot convenience: load `src` into `spec`.

@@ -67,7 +67,9 @@ use gdp_engine::{
     CancelToken, CyclePolicy, EngineError, IndexReport, KnowledgeBase, RangeSpec, SolverStats,
     SOLVER_STACK,
 };
-use gdp_lang::{parse_formula, parse_program_diagnostics, LangError, Loader, Pos, Statement};
+use gdp_lang::{
+    check_depth, parse_formula, parse_program_diagnostics, LangError, Loader, Pos, Statement,
+};
 use gdp_spatial::SpatialRegistry;
 
 /// The prompt in front of a new statement or command.
@@ -712,6 +714,13 @@ impl Session {
         w: &mut impl Write,
     ) -> std::io::Result<()> {
         for (idx, (pos, statement)) in statements.into_iter().enumerate() {
+            let statement = match check_depth(pos, statement) {
+                Ok(statement) => statement,
+                Err(error) => {
+                    writeln!(w, "error: {error}")?;
+                    continue;
+                }
+            };
             let Statement::Query(formula) = statement else {
                 continue;
             };

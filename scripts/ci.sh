@@ -211,6 +211,13 @@ done
 echo "==> cargo test delta_merge_prop"
 cargo test -q --release -p gdp --test delta_merge_prop
 
+# Durable-codec legs: the WAL-record and checkpoint-image decoders read
+# bytes off a disk, so their properties (exact round trips; mutated,
+# truncated and count-inflated payloads never panic or over-allocate)
+# get a second, longer run than the suites above give them.
+echo "==> cargo test durable_codec [PROPTEST_CASES=2048]"
+env PROPTEST_CASES=2048 cargo test -q --release -p gdp --test durable_codec
+
 # Checkpointed-recovery legs: crash-safe checkpoints × injected disk
 # faults × tabling. The in-file sweeps always run; a GDP_CHAOS io:
 # value additionally arms a ChaosFile fault under every WAL and

@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use gdp::core::{DurabilityOptions, SpecStore, Specification};
-use gdp::engine::Wal;
+use gdp::engine::{Wal, WalHeader};
 use gdp::prelude::FactPat;
 use gdp::server::ServerState;
 
@@ -69,6 +69,15 @@ fn assert_content(store: &SpecStore, head: u64) {
             assert_eq!(present, i <= head, "fact x{i} at head {head}");
         }
     });
+}
+
+/// Every file of the family, by suffix, with its bytes (`None` when it
+/// does not exist).
+fn family(path: &Path) -> Vec<(&'static str, Option<Vec<u8>>)> {
+    ["", ".prev", ".ckpt", ".ckpt.prev", ".ckpt.tmp"]
+        .into_iter()
+        .map(|suffix| (suffix, std::fs::read(sibling(path, suffix)).ok()))
+        .collect()
 }
 
 /// Flip one byte in the middle of a file — a torn/corrupt image that
@@ -156,6 +165,29 @@ fn torn_newest_checkpoint_falls_back_to_previous() {
     remove_family(&path);
 }
 
+/// Recovery decodes only the newest valid image: the previous one is read
+/// only when the newest is missing or torn, since a chain from it can
+/// never reach further. So with a valid `.ckpt`, even an unreadable
+/// `.ckpt.prev` (here a directory) leaves recovery untouched.
+#[test]
+fn a_valid_newest_checkpoint_is_the_only_image_read() {
+    let path = temp_path("newest-only");
+    remove_family(&path);
+    let store = SpecStore::create_durable(base(), &path, opts(4)).unwrap();
+    commit_range(&store, 1, 10); // checkpoints at 4 and 8; wal holds 9..=10
+    drop(store);
+    let prev = sibling(&path, ".ckpt.prev");
+    std::fs::remove_file(&prev).unwrap();
+    std::fs::create_dir(&prev).unwrap();
+
+    let (store, head) = SpecStore::recover_durable(base(), &path, opts(4)).unwrap();
+    assert_eq!(head, 10);
+    assert_content(&store, 10);
+    drop(store);
+    std::fs::remove_dir(&prev).unwrap();
+    remove_family(&path);
+}
+
 /// With only one image ever written, tearing it falls all the way back
 /// to the base: the rotated segment still holds records 1..=interval,
 /// so base + both segments reach head.
@@ -195,6 +227,93 @@ fn unreachable_commits_are_refused_not_silently_dropped() {
         .to_string();
     assert!(
         err.contains("recovery refused") && err.contains("contiguously"),
+        "{err}"
+    );
+    remove_family(&path);
+}
+
+/// Every refusal comes before recovery writes anything, so a refused
+/// restart leaves each file of the family as it was, and the operator
+/// can mend the family and start again: a torn tail stays uncut under a
+/// refused base, and a missing current segment stays missing while no
+/// chain reaches the records on disk.
+#[test]
+fn a_refused_recovery_leaves_every_file_as_it_was() {
+    let path = temp_path("untouched");
+    remove_family(&path);
+    let store = SpecStore::create_durable(base(), &path, opts(4)).unwrap();
+    commit_range(&store, 1, 10); // checkpoints at 4 and 8; wal holds 9..=10
+    drop(store);
+
+    let mut torn = std::fs::read(&path).unwrap();
+    torn.extend_from_slice(&[7; 5]);
+    std::fs::write(&path, &torn).unwrap();
+    let mut other = Specification::new();
+    other
+        .assert_fact(FactPat::new("seed").arg("edited"))
+        .unwrap();
+    let before = family(&path);
+    let err = SpecStore::recover_durable(other, &path, opts(4))
+        .err()
+        .expect("recovery over a different base must refuse")
+        .to_string();
+    assert!(err.contains("different base image"), "{err}");
+    assert!(family(&path) == before, "a refused recovery changed a file");
+
+    // Set both images aside and lose the current segment: the rotated
+    // segment's records 5..=8 are then out of the base chain's reach.
+    let images = [sibling(&path, ".ckpt"), sibling(&path, ".ckpt.prev")];
+    for image in &images {
+        std::fs::rename(image, sibling(image, ".aside")).unwrap();
+    }
+    std::fs::remove_file(&path).unwrap();
+    let before = family(&path);
+    let err = SpecStore::recover_durable(base(), &path, opts(4))
+        .err()
+        .expect("recovery over an unreachable head must refuse")
+        .to_string();
+    assert!(err.contains("contiguously"), "{err}");
+    assert!(family(&path) == before, "a refused recovery changed a file");
+    assert!(
+        !path.exists(),
+        "a refused recovery created the current segment"
+    );
+
+    // Put the images back: the family recovers to the newest image, and
+    // the fresh segment continues it.
+    for image in &images {
+        std::fs::rename(sibling(image, ".aside"), image).unwrap();
+    }
+    let (store, head) = SpecStore::recover_durable(base(), &path, opts(4)).unwrap();
+    assert_eq!(head, 8, "commits 9..=10 went with the lost segment");
+    commit_range(&store, 9, 9);
+    drop(store);
+    let (store, head) = SpecStore::recover_durable(base(), &path, opts(4)).unwrap();
+    assert_eq!(head, 9);
+    assert_content(&store, 9);
+    remove_family(&path);
+}
+
+/// A current segment that ends before the recovered head (here an empty
+/// one from an earlier run over the same base, put back beside newer
+/// images) would log the next commits under seqs the chain already
+/// holds, where the next recovery could not find them: refused.
+#[test]
+fn a_current_segment_behind_the_head_is_refused() {
+    let path = temp_path("behind");
+    remove_family(&path);
+    let store = SpecStore::create_durable(base(), &path, opts(4)).unwrap();
+    commit_range(&store, 1, 10); // checkpoints at 4 and 8; wal holds 9..=10
+    drop(store);
+    let (header, _) = Wal::scan(&path).expect("scan").expect("live segment");
+    Wal::create(&path, WalHeader::new(header.fingerprint, 1)).unwrap();
+
+    let err = SpecStore::recover_durable(base(), &path, opts(4))
+        .err()
+        .expect("a segment behind the head must refuse")
+        .to_string();
+    assert!(
+        err.contains("recovery refused") && err.contains("would log the next commit as 1"),
         "{err}"
     );
     remove_family(&path);

@@ -270,8 +270,8 @@ proptest! {
                 "pinned and unpinned content diverge after commit {}", round
             );
             prop_assert_eq!(
-                pinned.read(|spec| gdp::engine::fingerprint(spec.kb())),
-                twin.read(|spec| gdp::engine::fingerprint(spec.kb())),
+                pinned.read(|spec| gdp::engine::fingerprint(spec.kb()).expect("shallow terms")),
+                twin.read(|spec| gdp::engine::fingerprint(spec.kb()).expect("shallow terms")),
                 "pinned and unpinned fingerprints diverge after commit {}", round
             );
         }

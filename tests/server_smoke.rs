@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use gdp::core::{reify, RawClause};
-use gdp::engine::{CancelToken, Term};
+use gdp::engine::{fingerprint, CancelToken, Term, SOLVER_STACK};
 use gdp::server::{serve_tcp, ServeOptions, ServerState, Session};
 
 const PROMPT: &str = "gdp> ";
@@ -609,6 +609,62 @@ fn the_world_view_survives_a_restart() {
     assert_eq!(say(&mut session, "?- bridge(X)."), "X = b9\n");
     assert_eq!(say(&mut session, ":audit -j 1"), audit_before);
     let _ = fresh_wal("world-view");
+}
+
+/// A list literal nests one level per element. A statement nesting deeper
+/// than `MAX_TERM_DEPTH` is refused with a line-numbered diagnostic before
+/// it is compiled, and its session and every other keep serving: the
+/// stack overflow compiling it would cause aborts the whole process. A
+/// 20,000-element list loads, commits and survives a restart. (Dropping
+/// or hashing such a term recurses per level, so the test keeps both
+/// stores alive in their accept loops and fingerprints them on a
+/// session-sized stack.)
+#[test]
+fn a_deep_list_literal_is_refused_and_the_server_keeps_serving() {
+    let wal = fresh_wal("deep-list");
+    let list = |n: usize| {
+        let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+        format!("big([{}]).", items.join(", "))
+    };
+    let serve = |state: &Arc<ServerState>| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let state = Arc::clone(state);
+        std::thread::spawn(move || serve_tcp(state, listener));
+        addr
+    };
+    let (live, _) = ServerState::durable(&wal).expect("durable state");
+    let addr = serve(&live);
+    let mut bystander = Client::connect(addr);
+    let mut client = Client::connect(addr);
+
+    let refused = client.send(&list(40_000));
+    assert!(
+        refused.starts_with("rolled back: ")
+            && refused.contains("statement too deep at 1:1: it nests 40002 levels"),
+        "{refused}"
+    );
+    assert_eq!(bystander.send("?- 1 = 1."), "yes.\n");
+    let committed = client.send(&list(20_000));
+    assert!(committed.contains("committed as seq 1"), "{committed}");
+
+    let (recovered, head) = ServerState::durable(&wal).expect("recovered state");
+    assert_eq!(head, 1);
+    let content = |state: &ServerState| {
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(SOLVER_STACK)
+                .spawn_scoped(s, || state.store().read(|spec| fingerprint(spec.kb())))
+                .expect("spawn")
+                .join()
+                .expect("fingerprint")
+                .expect("within MAX_TERM_DEPTH")
+        })
+    };
+    assert_eq!(content(&recovered), content(&live));
+    let mut client = Client::connect(serve(&recovered));
+    assert_eq!(client.send("?- 1 = 1."), "yes.\n");
+    let _ = fresh_wal("deep-list");
 }
 
 /// Audit workers run on the session's stack size: a negation cycle ends
