@@ -51,16 +51,6 @@ impl Rule {
         let body = self.body.compile_pushdown(&mut vt);
         Ok((Clause::new(head, body, group), vt))
     }
-
-    /// Compile without the safety check (meta-rules legitimately break the
-    /// first-order range restrictions — e.g. the closed-world assumption
-    /// binds `X` through the `is_object` registry rather than a user fact).
-    pub fn compile_unchecked(&self, group: GroupId) -> (Clause, VarTable) {
-        let mut vt = VarTable::new();
-        let head = self.head.compile(&mut vt, Target::Holds);
-        let body = self.body.compile_pushdown(&mut vt);
-        (Clause::new(head, body, group), vt)
-    }
 }
 
 /// A semantic-consistency constraint: `F(Xi) ⇒ ERROR(type, Xk)` (§III.C).

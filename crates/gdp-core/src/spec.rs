@@ -228,8 +228,6 @@ pub struct Specification {
     trace_capacity: usize,
     /// Deterministic fault injection for audits (tests / `GDP_CHAOS`).
     chaos: Option<ChaosConfig>,
-    /// Recorder mark of the open transaction, if any.
-    txn_start: Option<usize>,
     /// What a session owns rather than the knowledge base it pins.
     session: SessionState,
 }
@@ -264,9 +262,9 @@ struct SessionState {
     cancel: CancelToken,
     /// How audits re-attempt budget-exhausted goals.
     retry: RetryPolicy,
-    /// Incremental-audit mode (`GDP_INCREMENTAL=1`): full audits cache
-    /// per-member results so delta-driven re-audits can skip members the
-    /// delta cannot have affected.
+    /// Incremental-audit mode ([`Specification::set_incremental`]): full
+    /// audits cache per-member results so delta-driven re-audits can skip
+    /// members the delta cannot have affected.
     incremental: bool,
     /// Per-member results of the most recent audit (incremental mode
     /// only; interior mutability — audits take `&self`).
@@ -334,7 +332,6 @@ impl Specification {
             sort_enforcement: SortEnforcement::default(),
             trace_capacity: 512,
             chaos: None,
-            txn_start: None,
             session: SessionState {
                 step_limit: 10_000_000,
                 depth_limit: 256,
@@ -383,15 +380,6 @@ impl Specification {
         // runs — the CI chaos leg re-runs the fault-tolerance suite under
         // a seed matrix this way. Unset: no injection, no overhead.
         spec.chaos = ChaosConfig::from_env();
-        // Incremental hook: `GDP_INCREMENTAL=1` arms per-member audit
-        // caching, so harnesses that interleave transactions with audits
-        // get delta-driven re-audits without code changes.
-        if matches!(
-            std::env::var("GDP_INCREMENTAL").as_deref(),
-            Ok("1") | Ok("on")
-        ) {
-            spec.session.incremental = true;
-        }
         // Indexing hook: `GDP_INDEX=off` (or `0`) disables clause-selection
         // indexing — hash and range alike — so every call scans every
         // clause, the 1986-Prolog baseline. The equivalence suites diff
@@ -1508,8 +1496,7 @@ impl Specification {
 
     // ----- transactions & incremental audits (map-data revision) -------------
 
-    /// Switch incremental-audit mode on or off (off by default; also set
-    /// at construction from `GDP_INCREMENTAL=1`). While on,
+    /// Switch incremental-audit mode on or off (off by default). While on,
     /// [`Self::audit_world_views`] caches its per-member results so
     /// [`Self::audit_incremental`] can confine a re-audit to the members a
     /// committed delta can actually have affected. Turning it off drops
@@ -1530,28 +1517,24 @@ impl Specification {
     /// recorded (invertibly) until [`Self::commit_txn`] or
     /// [`Self::rollback_txn`]. Transactions do not nest.
     pub fn begin_txn(&mut self) -> SpecResult<()> {
-        if self.txn_start.is_some() {
+        if self.in_txn() {
             return Err(SpecError::Transaction(
                 "a transaction is already open".to_string(),
             ));
         }
         self.kb.begin_delta();
-        self.txn_start = Some(self.kb.delta_len());
         Ok(())
     }
 
     /// Is a transaction open?
     pub fn in_txn(&self) -> bool {
-        self.txn_start.is_some()
+        self.kb.recording()
     }
 
-    /// The operations the open transaction has recorded so far, as a
-    /// standalone [`Delta`]; the transaction stays open.
-    pub fn txn_delta(&self) -> SpecResult<Delta> {
-        let Some(mark) = self.txn_start else {
-            return Err(SpecError::Transaction("no transaction is open".to_string()));
-        };
-        Ok(self.kb.delta_since(mark))
+    /// The operations the open transaction has recorded so far; the
+    /// transaction stays open.
+    pub fn txn_delta(&self) -> SpecResult<&Delta> {
+        self.kb.recorded().ok_or_else(no_txn)
     }
 
     /// Commit the open transaction, returning the recorded [`Delta`] —
@@ -1559,11 +1542,7 @@ impl Specification {
     /// recording. With tracing on, one `D-CMT` port event carrying the
     /// dirtied predicates lands in the trace ring.
     pub fn commit_txn(&mut self) -> SpecResult<Delta> {
-        let Some(mark) = self.txn_start.take() else {
-            return Err(SpecError::Transaction("no transaction is open".to_string()));
-        };
-        let delta = self.kb.delta_since(mark);
-        self.kb.end_delta();
+        let delta = self.kb.end_delta().ok_or_else(no_txn)?;
         if self.session.trace_enabled {
             self.record_commit_event(&delta);
         }
@@ -1575,12 +1554,10 @@ impl Specification {
     /// including clause positions, which are observable through solution
     /// order. Returns the number of operations undone.
     pub fn rollback_txn(&mut self) -> SpecResult<usize> {
-        let Some(mark) = self.txn_start.take() else {
-            return Err(SpecError::Transaction("no transaction is open".to_string()));
-        };
-        let undone = self.kb.rollback_to(mark);
-        self.kb.end_delta();
-        Ok(undone)
+        if !self.in_txn() {
+            return Err(no_txn());
+        }
+        Ok(self.kb.rollback())
     }
 
     /// Record one `D-CMT` port event in the trace ring: the commit's
@@ -1675,11 +1652,6 @@ impl Specification {
         &mut self.kb
     }
 
-    /// Shared handle to the semantic-domain table.
-    pub fn domain_table(&self) -> Arc<RwLock<DomainTable>> {
-        Arc::clone(&self.domains)
-    }
-
     // ----- MVCC snapshots ----------------------------------------------------
 
     /// An MVCC snapshot of this specification at its current generation:
@@ -1722,7 +1694,6 @@ impl Specification {
             sort_enforcement: self.sort_enforcement,
             trace_capacity: self.trace_capacity,
             chaos: self.chaos,
-            txn_start: None,
             session: self.session.fork(audit_cache),
         }
     }
@@ -1786,6 +1757,11 @@ impl Specification {
     pub fn set_sort_enforcement(&mut self, mode: SortEnforcement) {
         self.sort_enforcement = mode;
     }
+}
+
+/// The error a transaction call reports when none is open.
+fn no_txn() -> SpecError {
+    SpecError::Transaction("no transaction is open".to_string())
 }
 
 #[cfg(test)]

@@ -592,7 +592,7 @@ impl SpecStore {
         let mut checkpoint_due = false;
         if let Some(d) = state.durable.as_mut() {
             let wal = d.wal.as_mut().expect("checked above");
-            let record = match wal.encode_next(&spec.txn_delta()?) {
+            let record = match wal.encode_next(spec.txn_delta()?) {
                 Ok(record) => record,
                 Err(e) => {
                     // Refused before anything was written: the log is

@@ -230,7 +230,7 @@ impl CheckpointImage {
         }
         for (key, clauses) in &self.preds {
             for clause in clauses {
-                kb.apply_op(&DeltaOp::Assert {
+                kb.apply_op(DeltaOp::Assert {
                     key: *key,
                     clause: Arc::clone(clause),
                 });

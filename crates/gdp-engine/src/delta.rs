@@ -2,20 +2,29 @@
 //!
 //! Roman's GDP setting is update-heavy — "map data revision" is one of the
 //! paper's three driving activities (§I) — and §III's constraints must
-//! hold after every revision. A [`Delta`] is the engine-level record of
-//! one batch of revisions: each assert/retract performed while the
-//! knowledge base is recording (see [`crate::KnowledgeBase::begin_delta`])
-//! is logged with enough information to *invert* it (clause positions are
-//! observable through solution order, so inverses restore positions, not
-//! just membership). On top of the log the knowledge base offers:
+//! hold after every revision. A [`DeltaOp`] is one edit of the clause
+//! store, and a [`Delta`] is the record of one transaction of them. The
+//! knowledge base has one edit path: a public mutator (assert, retract a
+//! fact, a group or a predicate) only locates its target and builds the
+//! op, [`crate::KnowledgeBase::apply_op`] performs every edit, and WAL
+//! replay and checkpoint install hand their ops to the same function, so
+//! the live path is the replay path. Each op carries enough to *invert*
+//! it (clause positions are observable through solution order, so
+//! inverses restore positions, not just membership), and the one inverse
+//! serves both of its users:
 //!
-//! * **rollback** ([`crate::KnowledgeBase::rollback_to`]) — undo the
-//!   recorded operations in reverse, restoring the exact prior clause
+//! * **rollback** ([`crate::KnowledgeBase::rollback`]) — undo the
+//!   recorded transaction in reverse, restoring the exact prior clause
 //!   store (the transactional `:rollback`);
-//! * **dirty-set extraction** ([`Delta::dirty_nodes`]) — the
-//!   `(predicate, first-argument)` nodes the batch touched, which is what
-//!   the incremental audit intersects with per-member dependency closures
-//!   to decide what must be re-solved.
+//! * **pinned snapshots** ([`crate::KnowledgeBase::snapshot_at`]) —
+//!   un-apply the commits newer than the pin.
+//!
+//! A recording is exactly one transaction, bracketed by
+//! [`crate::KnowledgeBase::begin_delta`] and
+//! [`crate::KnowledgeBase::end_delta`] (or ended by the rollback). Its
+//! dirty set ([`Delta::dirty_nodes`]) — the `(predicate, first-argument)`
+//! nodes the batch touched — is what the incremental audit intersects with
+//! per-member dependency closures to decide what must be re-solved.
 //!
 //! Native-predicate registration is deliberately *not* recorded: natives
 //! are installation-time wiring, not data, and rolling one back would
@@ -91,7 +100,7 @@ impl DeltaOp {
     }
 }
 
-/// A recorded batch of knowledge-base mutations. Obtained from
+/// One recorded transaction of knowledge-base mutations. Obtained from
 /// [`crate::KnowledgeBase::end_delta`] (or the `Specification` transaction
 /// API built on it) and consumed by the incremental audit.
 #[derive(Clone, Debug, Default)]
@@ -149,22 +158,6 @@ impl Delta {
     pub(crate) fn pop(&mut self) -> Option<DeltaOp> {
         self.ops.pop()
     }
-
-    pub(crate) fn tail_from(&self, mark: usize) -> Delta {
-        Delta {
-            ops: self
-                .ops
-                .get(mark.min(self.ops.len())..)
-                .unwrap_or(&[])
-                .to_vec(),
-        }
-    }
-
-    pub(crate) fn drain_ops(&mut self) -> Delta {
-        Delta {
-            ops: std::mem::take(&mut self.ops),
-        }
-    }
 }
 
 /// One committed transaction, as retained by a serving layer for MVCC
@@ -218,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_tail() {
+    fn merge_appends_in_order() {
         let mut a = Delta::new();
         a.push(DeltaOp::Assert {
             key: PredKey::new("p", 1),
@@ -231,9 +224,6 @@ mod tests {
         });
         a.merge(b);
         assert_eq!(a.len(), 2);
-        let tail = a.tail_from(1);
-        assert_eq!(tail.len(), 1);
-        assert!(tail.dirty_preds().contains(&PredKey::new("q", 1)));
-        assert!(a.tail_from(5).is_empty());
+        assert!(matches!(&a.ops()[1], DeltaOp::Assert { key, .. } if *key == PredKey::new("q", 1)));
     }
 }

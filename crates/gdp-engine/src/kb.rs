@@ -21,6 +21,12 @@
 //!   retracted in one call. Activating a meta-model asserts its rule pack
 //!   under its group; deactivating retracts the group.
 //!
+//! * **One edit path.** Every change to the stored clauses is a
+//!   [`DeltaOp`] that [`KnowledgeBase::apply_op`] performs: the public
+//!   mutators only locate their target and build the op, WAL replay and
+//!   checkpoint install hand theirs over, and rollback and pinned
+//!   snapshots undo through one private inverse (see [`crate::delta`]).
+//!
 //! * **Native predicates** — semi-determinate Rust callbacks used for
 //!   semantic-domain operations the paper treats as given (distance
 //!   functions, resolution functions, interpolation, …).
@@ -791,6 +797,16 @@ impl BoundSet {
     }
 }
 
+/// The hash-index positions configured for `key`: the first argument
+/// unless [`KnowledgeBase::set_index_args`] said otherwise.
+fn configured_positions(config: &FxHashMap<PredKey, Vec<u16>>, key: PredKey) -> &[u16] {
+    match config.get(&key) {
+        Some(positions) => positions,
+        None if key.arity > 0 => &[0],
+        None => &[],
+    }
+}
+
 /// Drop the `removed` positions (ascending) from an ascending position
 /// list and renumber the survivors past the removals below them.
 fn remap_after_removal(list: &mut Vec<u32>, removed: &[u32]) {
@@ -1183,6 +1199,19 @@ impl Segment {
         }
     }
 
+    /// Remove the clauses at `removed` (ascending, distinct, in range)
+    /// in one pass, and their index positions.
+    fn remove(&mut self, removed: &[u32]) {
+        self.remove_index_positions(removed);
+        let mut pos = 0;
+        let mut next = removed.iter().peekable();
+        self.clauses.retain(|_| {
+            let hit = next.next_if_eq(&&pos).is_some();
+            pos += 1;
+            !hit
+        });
+    }
+
     /// Incremental maintenance: renumber for a clause (re)inserted at
     /// position `at` and key it into every index.
     fn insert_index_position(&mut self, at: u32, head: &Term) {
@@ -1338,8 +1367,8 @@ pub struct KnowledgeBase {
     /// behavior without touching clauses, so they invalidate independently
     /// of the per-predicate counters.
     structural_gen: u64,
-    /// Active delta recorder; `Some` while a transaction (or the rolling
-    /// incremental-audit recorder) is collecting mutations.
+    /// The open transaction's recording; `Some` between
+    /// [`KnowledgeBase::begin_delta`] and its end or rollback.
     recorder: Option<Delta>,
     /// Lazily built dependency graph and per-predicate validity snapshots.
     dep_cache: Mutex<DepCache>,
@@ -1407,7 +1436,15 @@ impl KnowledgeBase {
     /// Record a change confined to one predicate's clauses (or native):
     /// advance its generation, then the epoch.
     fn bump_pred(&mut self, key: PredKey) {
-        *self.generations.entry(key).or_insert(0) += 1;
+        self.bump_preds([key]);
+    }
+
+    /// Record a change to several predicates' clauses: advance each one's
+    /// generation, then the epoch once.
+    fn bump_preds(&mut self, keys: impl IntoIterator<Item = PredKey>) {
+        for key in keys {
+            *self.generations.entry(key).or_insert(0) += 1;
+        }
         self.bump_epoch();
     }
 
@@ -1570,7 +1607,7 @@ impl KnowledgeBase {
             .filter(|&&p| p < key.arity as usize)
             .map(|&p| p as u16)
             .collect();
-        if self.index_positions(key) == positions {
+        if configured_positions(&self.index_config, key) == positions {
             return;
         }
         self.index_config.insert(key, positions.clone());
@@ -1586,16 +1623,6 @@ impl KnowledgeBase {
             entry.rebuild_indexes();
         }
         self.bump_structural();
-    }
-
-    fn index_positions(&self, key: PredKey) -> Vec<u16> {
-        self.index_config.get(&key).cloned().unwrap_or_else(|| {
-            if key.arity > 0 {
-                vec![0]
-            } else {
-                Vec::new()
-            }
-        })
     }
 
     /// Configure the full set of range indexes over `key` (replacing any
@@ -1709,54 +1736,27 @@ impl KnowledgeBase {
             });
         };
         let clause = Arc::new(Clause::new(head, body, group));
-        let positions = self.index_positions(key);
-        let specs = self.range_specs(key);
-        let entry = self
-            .preds
-            .entry(key)
-            .or_insert_with(|| Arc::new(PredEntry::new(&positions, &specs)));
-        Arc::make_mut(entry).push(Arc::clone(&clause));
-        self.clause_count += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.push(DeltaOp::Assert { key, clause });
-        }
-        self.bump_pred(key);
+        self.apply_op(DeltaOp::Assert { key, clause });
         Ok(())
     }
 
     /// Retract every clause belonging to `group`, across all predicates.
     /// Returns the number of clauses removed.
     pub fn retract_group(&mut self, group: GroupId) -> usize {
-        let mut removed: Vec<(PredKey, usize, Arc<Clause>)> = Vec::new();
-        for (key, entry) in self.preds.iter_mut() {
-            let before = removed.len();
-            for (pos, clause) in entry.clauses().enumerate() {
-                if clause.group == group {
-                    removed.push((*key, pos, Arc::clone(clause)));
-                }
-            }
-            if removed.len() != before {
-                let positions: Vec<u32> = removed[before..]
-                    .iter()
-                    .map(|(_, p, _)| *p as u32)
-                    .collect();
-                let entry = Arc::make_mut(entry).folded();
-                entry.remove_index_positions(&positions);
-                entry.clauses.retain(|c| c.group != group);
-            }
-        }
-        self.preds.retain(|_, e| e.len() > 0);
+        let removed: Vec<(PredKey, usize, Arc<Clause>)> = self
+            .preds
+            .iter()
+            .flat_map(|(&key, entry)| {
+                entry
+                    .clauses()
+                    .enumerate()
+                    .filter(|(_, clause)| clause.group == group)
+                    .map(move |(pos, clause)| (key, pos, Arc::clone(clause)))
+            })
+            .collect();
         let n = removed.len();
-        self.clause_count -= n;
         if n > 0 {
-            let touched: FxHashSet<PredKey> = removed.iter().map(|(k, _, _)| *k).collect();
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.push(DeltaOp::RetractGroup { group, removed });
-            }
-            for key in touched {
-                *self.generations.entry(key).or_insert(0) += 1;
-            }
-            self.bump_epoch();
+            self.apply_op(DeltaOp::RetractGroup { group, removed });
         }
         n
     }
@@ -1769,47 +1769,29 @@ impl KnowledgeBase {
         let Some(key) = PredKey::of_term(head) else {
             return false;
         };
-        let Some(entry) = self.preds.get_mut(&key) else {
-            return false;
-        };
         let truth = Term::atom("true");
-        let Some(pos) = entry
-            .clauses()
-            .position(|c| c.body == truth && c.head == *head)
-        else {
+        let Some((pos, clause)) = self.preds.get(&key).and_then(|entry| {
+            entry
+                .clauses()
+                .enumerate()
+                .find(|(_, c)| c.body == truth && c.head == *head)
+        }) else {
             return false;
         };
-        let entry = Arc::make_mut(entry).folded();
-        entry.remove_index_positions(&[pos as u32]);
-        let clause = entry.clauses.remove(pos);
-        if entry.clauses.is_empty() {
-            self.preds.remove(&key);
-        }
-        self.clause_count -= 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.push(DeltaOp::RetractFact { key, pos, clause });
-        }
-        self.bump_pred(key);
+        let clause = Arc::clone(clause);
+        self.apply_op(DeltaOp::RetractFact { key, pos, clause });
         true
     }
 
     /// Retract all clauses of one predicate; returns how many were removed.
     pub fn retract_predicate(&mut self, key: PredKey) -> usize {
-        match self.preds.remove(&key) {
-            Some(entry) => {
-                let n = entry.len();
-                self.clause_count -= n;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.push(DeltaOp::RetractPredicate {
-                        key,
-                        clauses: entry.clauses().cloned().collect(),
-                    });
-                }
-                self.bump_pred(key);
-                n
-            }
-            None => 0,
-        }
+        let Some(entry) = self.preds.get(&key) else {
+            return 0;
+        };
+        let clauses: Vec<Arc<Clause>> = entry.clauses().cloned().collect();
+        let n = clauses.len();
+        self.apply_op(DeltaOp::RetractPredicate { key, clauses });
+        n
     }
 
     /// Does this group currently have any clauses?
@@ -1821,80 +1803,108 @@ impl KnowledgeBase {
 
     // ----- transactions & deltas -------------------------------------------
 
-    /// Start recording mutations into a [`Delta`]. Idempotent: if a
-    /// recorder is already active, the existing log keeps accumulating
-    /// (transaction marks are positions into it, see
-    /// [`KnowledgeBase::delta_len`]).
+    /// Start recording one transaction: every edit from here until
+    /// [`KnowledgeBase::end_delta`] or [`KnowledgeBase::rollback`] joins
+    /// the recording. Recordings do not nest; beginning while one is open
+    /// keeps the open one.
     pub fn begin_delta(&mut self) {
         if self.recorder.is_none() {
             self.recorder = Some(Delta::new());
         }
     }
 
-    /// Is a delta recorder active?
+    /// Is a transaction being recorded?
     pub fn recording(&self) -> bool {
         self.recorder.is_some()
     }
 
-    /// Number of operations recorded so far (0 when not recording). Use as
-    /// a transaction mark for [`KnowledgeBase::delta_since`] /
-    /// [`KnowledgeBase::rollback_to`].
-    pub fn delta_len(&self) -> usize {
-        self.recorder.as_ref().map_or(0, Delta::len)
+    /// The open recording, oldest operation first (`None` when not
+    /// recording).
+    pub fn recorded(&self) -> Option<&Delta> {
+        self.recorder.as_ref()
     }
 
-    /// The operations recorded since `mark` (a previous
-    /// [`KnowledgeBase::delta_len`]), as a standalone [`Delta`]. The
-    /// recorder keeps running.
-    pub fn delta_since(&self, mark: usize) -> Delta {
-        self.recorder
-            .as_ref()
-            .map(|d| d.tail_from(mark))
-            .unwrap_or_default()
-    }
-
-    /// Take everything recorded so far, leaving the recorder running and
-    /// empty (the rolling-recorder mode the incremental audit uses).
-    pub fn drain_delta(&mut self) -> Delta {
-        self.recorder
-            .as_mut()
-            .map(Delta::drain_ops)
-            .unwrap_or_default()
-    }
-
-    /// Stop recording and return the accumulated delta (`None` if no
-    /// recorder was active).
+    /// Stop recording and return the recorded delta (`None` if no
+    /// recording was open).
     pub fn end_delta(&mut self) -> Option<Delta> {
         self.recorder.take()
     }
 
-    /// Undo every recorded operation past `mark`, newest first, restoring
-    /// the exact prior clause store (including clause positions — solution
-    /// order is observable). Returns the number of operations undone. The
-    /// recorder stays active, truncated to `mark`. Generations of the
-    /// touched predicates are bumped, never restored: table entries built
-    /// *during* the rolled-back window must not come back to life.
-    pub fn rollback_to(&mut self, mark: usize) -> usize {
+    /// Undo the recording, newest operation first, and end it: the exact
+    /// prior clause store comes back, clause positions included (solution
+    /// order is observable). Returns the number of operations undone.
+    /// Generations of the touched predicates are bumped, never restored:
+    /// table entries built *during* the rolled-back window must not come
+    /// back to life.
+    pub fn rollback(&mut self) -> usize {
         let Some(mut rec) = self.recorder.take() else {
             return 0;
         };
+        let undone = rec.len();
         let mut touched: FxHashSet<PredKey> = FxHashSet::default();
-        let mut undone = 0;
-        while rec.len() > mark {
-            let Some(op) = rec.pop() else {
-                break;
-            };
-            undone += 1;
+        while let Some(op) = rec.pop() {
             self.unapply_op(op, &mut touched);
         }
-        self.recorder = Some(rec);
         if undone > 0 {
-            for key in touched {
-                *self.generations.entry(key).or_insert(0) += 1;
-            }
-            self.bump_epoch();
+            self.bump_preds(touched);
         }
         undone
+    }
+
+    /// Apply one edit. This is the only code that moves the clause store
+    /// forward: each public mutator only locates its target and builds the
+    /// operation, and WAL replay and checkpoint install hand theirs over
+    /// directly, so replaying a committed delta from the same base state
+    /// reproduces the live knowledge base by construction — same clauses
+    /// in the same order, same incremental indexes, same generation
+    /// counters and epoch. While recording, the operation joins the
+    /// recording. A retract that names no stored clause changes nothing
+    /// and is not recorded.
+    pub fn apply_op(&mut self, op: DeltaOp) {
+        match &op {
+            DeltaOp::Assert { key, clause } => {
+                self.entry_mut(*key).push(Arc::clone(clause));
+                self.clause_count += 1;
+                self.bump_pred(*key);
+            }
+            DeltaOp::RetractFact { key, pos, .. } => {
+                if self.remove_positions(*key, vec![*pos as u32]) == 0 {
+                    return;
+                }
+                self.bump_pred(*key);
+            }
+            DeltaOp::RetractGroup { removed, .. } => {
+                // Predicates are edited in the order they first appear,
+                // which is the order the live store located them in.
+                let mut by_pred: Vec<(PredKey, Vec<u32>)> = Vec::new();
+                for &(key, pos, _) in removed {
+                    match by_pred.iter_mut().rfind(|(k, _)| *k == key) {
+                        Some((_, positions)) => positions.push(pos as u32),
+                        None => by_pred.push((key, vec![pos as u32])),
+                    }
+                }
+                let mut touched = Vec::with_capacity(by_pred.len());
+                for (key, positions) in by_pred {
+                    if self.remove_positions(key, positions) > 0 {
+                        touched.push(key);
+                    }
+                }
+                if touched.is_empty() {
+                    return;
+                }
+                self.bump_preds(touched);
+            }
+            DeltaOp::RetractPredicate { key, .. } => {
+                let Some(entry) = self.preds.remove(key) else {
+                    return;
+                };
+                self.clause_count -= entry.len();
+                self.bump_pred(*key);
+            }
+        }
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.push(op);
+        }
     }
 
     /// Undo one recorded operation, restoring the exact prior clause
@@ -1936,86 +1946,46 @@ impl KnowledgeBase {
         }
     }
 
-    /// Re-apply one committed operation (WAL replay). Mirrors the original
-    /// mutation exactly — clause positions *and* generation/epoch
-    /// accounting — so replaying a committed delta from the same base
-    /// state reproduces the live knowledge base: same clauses in the same
-    /// order, same incremental indexes, same table-validity counters.
-    pub fn apply_op(&mut self, op: &DeltaOp) {
-        match op {
-            DeltaOp::Assert { key, clause } => {
-                let positions = self.index_positions(*key);
-                let specs = self.range_specs(*key);
-                let entry = self
-                    .preds
-                    .entry(*key)
-                    .or_insert_with(|| Arc::new(PredEntry::new(&positions, &specs)));
-                Arc::make_mut(entry).push(Arc::clone(clause));
-                self.clause_count += 1;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.push(op.clone());
-                }
-                self.bump_pred(*key);
-            }
-            DeltaOp::RetractFact { key, pos, .. } => {
-                let Some(entry) = self.preds.get_mut(key) else {
-                    return;
-                };
-                if *pos >= entry.len() {
-                    return;
-                }
-                let entry = Arc::make_mut(entry).folded();
-                entry.remove_index_positions(&[*pos as u32]);
-                entry.clauses.remove(*pos);
-                if entry.clauses.is_empty() {
-                    self.preds.remove(key);
-                }
-                self.clause_count -= 1;
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.push(op.clone());
-                }
-                self.bump_pred(*key);
-            }
-            DeltaOp::RetractGroup { removed, .. } => {
-                let mut by_pred: FxHashMap<PredKey, Vec<u32>> = FxHashMap::default();
-                for (key, pos, _) in removed {
-                    by_pred.entry(*key).or_default().push(*pos as u32);
-                }
-                for (key, positions) in &mut by_pred {
-                    positions.sort_unstable();
-                    let Some(entry) = self.preds.get_mut(key) else {
-                        continue;
-                    };
-                    let entry = Arc::make_mut(entry).folded();
-                    entry.remove_index_positions(positions);
-                    for &p in positions.iter().rev() {
-                        if (p as usize) < entry.clauses.len() {
-                            entry.clauses.remove(p as usize);
-                            self.clause_count -= 1;
-                        }
-                    }
-                    if entry.clauses.is_empty() {
-                        self.preds.remove(key);
-                    }
-                }
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.push(op.clone());
-                }
-                for key in by_pred.keys() {
-                    *self.generations.entry(*key).or_insert(0) += 1;
-                }
-                self.bump_epoch();
-            }
-            DeltaOp::RetractPredicate { key, .. } => {
-                if let Some(entry) = self.preds.remove(key) {
-                    self.clause_count -= entry.len();
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.push(op.clone());
-                    }
-                    self.bump_pred(*key);
-                }
-            }
+    /// The entry of `key` for editing, created with the predicate's
+    /// configured hash and range indexes only when it holds no clauses yet.
+    fn entry_mut(&mut self, key: PredKey) -> &mut PredEntry {
+        let KnowledgeBase {
+            preds,
+            index_config,
+            range_config,
+            ..
+        } = self;
+        let entry = preds.entry(key).or_insert_with(|| {
+            let specs = range_config.get(&key).map_or(&[][..], Vec::as_slice);
+            Arc::new(PredEntry::new(
+                configured_positions(index_config, key),
+                specs,
+            ))
+        });
+        Arc::make_mut(entry)
+    }
+
+    /// Remove the clauses of `key` at `positions`, each once, ignoring
+    /// positions past its end, and drop the entry once it is empty.
+    /// Returns how many clauses went.
+    fn remove_positions(&mut self, key: PredKey, mut positions: Vec<u32>) -> usize {
+        let Some(entry) = self.preds.get_mut(&key) else {
+            return 0;
+        };
+        positions.sort_unstable();
+        positions.dedup();
+        let len = entry.len() as u32;
+        positions.retain(|&p| p < len);
+        if positions.is_empty() {
+            return 0;
         }
+        let seg = Arc::make_mut(entry).folded();
+        seg.remove(&positions);
+        if seg.clauses.is_empty() {
+            self.preds.remove(&key);
+        }
+        self.clause_count -= positions.len();
+        positions.len()
     }
 
     // ----- MVCC snapshots ---------------------------------------------------
@@ -2111,14 +2081,7 @@ impl KnowledgeBase {
 
     /// Reinsert a clause at a recorded position (rollback support).
     fn insert_clause_at(&mut self, key: PredKey, pos: usize, clause: Arc<Clause>) {
-        let positions = self.index_positions(key);
-        let specs = self.range_specs(key);
-        let entry = Arc::make_mut(
-            self.preds
-                .entry(key)
-                .or_insert_with(|| Arc::new(PredEntry::new(&positions, &specs))),
-        )
-        .folded();
+        let entry = self.entry_mut(key).folded();
         let pos = pos.min(entry.clauses.len());
         entry.insert_index_position(pos as u32, &clause.head);
         entry.clauses.insert(pos, clause);
@@ -2401,7 +2364,7 @@ impl KnowledgeBase {
     /// its fold bound. Returns a description of the first divergence.
     pub fn check_index_integrity(&self) -> Result<(), String> {
         for (key, entry) in &self.preds {
-            let positions = self.index_positions(*key);
+            let positions = configured_positions(&self.index_config, *key);
             let specs = self.range_specs(*key);
             if entry.tail.clauses.len() > entry.base.clauses.len() / TAIL_FOLD_DIVISOR {
                 return Err(format!("tail of {key} outgrew its fold bound"));
@@ -2409,7 +2372,7 @@ impl KnowledgeBase {
             // An empty tail holds nothing to index (and is never consulted).
             let segments = [("base", &*entry.base), ("tail", &entry.tail)];
             for (name, seg) in segments.into_iter().filter(|(_, s)| !s.clauses.is_empty()) {
-                let mut fresh = Segment::new(&positions, &specs);
+                let mut fresh = Segment::new(positions, &specs);
                 for clause in &seg.clauses {
                     fresh.push(Arc::clone(clause));
                 }
@@ -2839,21 +2802,20 @@ mod tests {
             .collect();
 
         kb.begin_delta();
-        let mark = kb.delta_len();
         kb.assert_fact(fact("p", vec![Term::int(4)]));
         assert!(kb.retract_fact(&fact("p", vec![Term::int(2)])));
         let g = GroupId::named("pack");
         kb.assert_clause_in(g, fact("q", vec![Term::atom("m")]), Term::atom("true"));
         assert_eq!(kb.retract_group(g), 1);
         assert_eq!(kb.retract_predicate(PredKey::new("p", 1)), 3);
-        let delta = kb.delta_since(mark);
+        let delta = kb.recorded().expect("recording");
         assert_eq!(delta.len(), 5);
         assert!(delta.dirty_preds().contains(&PredKey::new("p", 1)));
         assert!(delta.dirty_preds().contains(&PredKey::new("q", 1)));
 
-        let undone = kb.rollback_to(mark);
+        let undone = kb.rollback();
         assert_eq!(undone, 5);
-        assert_eq!(kb.delta_len(), mark);
+        assert!(!kb.recording());
         // Exact clause list (order included) restored.
         let restored: Vec<Term> = kb
             .clauses_of(PredKey::new("p", 1))
@@ -2885,7 +2847,7 @@ mod tests {
             .collect();
         kb.begin_delta();
         assert_eq!(kb.retract_group(g), 2);
-        kb.rollback_to(0);
+        kb.rollback();
         let after: Vec<Term> = kb
             .clauses_of(PredKey::new("p", 1))
             .iter()
@@ -2895,20 +2857,28 @@ mod tests {
         assert!(kb.group_active(g));
     }
 
+    /// A WAL record is checksummed, not trusted: a group retract that
+    /// names a position twice, or past the end, removes each stored
+    /// clause it names once and leaves the indexes exact.
     #[test]
-    fn drain_delta_keeps_recorder_running() {
+    fn a_replayed_group_retract_with_repeated_or_stale_positions_is_safe() {
         let mut kb = KnowledgeBase::new();
-        kb.begin_delta();
-        kb.assert_fact(fact("p", vec![Term::int(1)]));
-        let d = kb.drain_delta();
-        assert_eq!(d.len(), 1);
-        assert!(kb.recording());
-        assert_eq!(kb.delta_len(), 0);
-        kb.assert_fact(fact("p", vec![Term::int(2)]));
-        assert_eq!(kb.delta_len(), 1);
-        let rest = kb.end_delta().unwrap();
-        assert_eq!(rest.len(), 1);
-        assert!(!kb.recording());
+        let key = PredKey::new("p", 1);
+        for i in 0..4 {
+            kb.assert_fact(fact("p", vec![Term::int(i)]));
+        }
+        let clause = Arc::clone(&kb.clauses_of(key)[1]);
+        let removed = [1, 1, 9]
+            .map(|pos| (key, pos, Arc::clone(&clause)))
+            .to_vec();
+        kb.apply_op(DeltaOp::RetractGroup {
+            group: GroupId::root(),
+            removed,
+        });
+        assert_eq!(kb.clause_count(), 3);
+        assert_eq!(cands(&kb, key, vec![Term::int(1)]).len(), 0);
+        assert_eq!(cands(&kb, key, vec![Term::int(3)]).len(), 1);
+        kb.check_index_integrity().expect("after the replay");
     }
 
     #[test]
@@ -3115,12 +3085,11 @@ mod tests {
         assert_eq!(kb.retract_group(g), 2);
         kb.check_index_integrity().expect("after retract_group");
         kb.begin_delta();
-        let mark = kb.delta_len();
         kb.assert_fact(fact("t", vec![Term::atom("c"), Term::int(9)]));
         assert!(kb.retract_fact(&fact("t", vec![Term::atom("a"), Term::int(5)])));
         kb.retract_predicate(key);
         kb.check_index_integrity().expect("after retract_predicate");
-        kb.rollback_to(mark);
+        kb.rollback();
         kb.check_index_integrity().expect("after rollback");
     }
 
@@ -3152,8 +3121,7 @@ mod tests {
         // Rolling the append back pops the tail; the base stays shared.
         kb.begin_delta();
         kb.assert_fact(fact("p", vec![Term::int(999)]));
-        kb.rollback_to(0);
-        kb.end_delta();
+        kb.rollback();
         assert!(Arc::ptr_eq(&kb.preds[&key].base, &pinned.preds[&key].base));
         assert_eq!(kb.clauses_of(key).len(), 257);
         // Past 1/64 of the base the tail folds into a fresh base; the pin

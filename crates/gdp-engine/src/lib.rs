@@ -80,8 +80,7 @@ pub use symbol::{symbols, Sym};
 pub use table::{AnswerSet, AnswerTable, CachedAnswer, CyclePolicy, TableValidity};
 pub use term::{Term, Var, F64};
 pub use trace::{
-    NullSink, ObserverSink, Port, PredProfile, PrintSink, Profiler, RingTrace, TraceEvent,
-    TraceSink,
+    NullSink, ObserverSink, Port, PredProfile, Profiler, RingTrace, TraceEvent, TraceSink,
 };
 pub use unify::{resolve_deep, resolve_shallow, BindStore};
 pub use wal::{replay, LogEnd, Wal, WalHeader, WalRecord};

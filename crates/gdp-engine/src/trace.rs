@@ -9,7 +9,7 @@
 //! `if S::ENABLED { … }`, and the whole observability layer monomorphizes
 //! away to nothing on the untraced path (see DESIGN.md §6.9).
 //!
-//! Three sinks are provided:
+//! Two sinks are provided:
 //!
 //! * [`Profiler`] — per-predicate counters (`calls`, `exits`, `redos`,
 //!   `fails`, `steps`, `table_hits`) with a sorted hot-predicate report.
@@ -18,8 +18,6 @@
 //!   cached-answer replay) that consumed it.
 //! * [`RingTrace`] — a bounded ring buffer keeping the last *N* events, for
 //!   post-mortem inspection after a failure or budget exhaustion.
-//! * [`PrintSink`] — a human-readable live trace printer over any
-//!   [`std::io::Write`].
 //!
 //! [`ObserverSink`] composes an optional profiler and ring for the common
 //! "both at once" configuration used by `gdp-core`'s `Specification`.
@@ -406,38 +404,6 @@ impl TraceSink for RingTrace {
     }
 }
 
-/// A live trace printer: writes one rendered line per event to the wrapped
-/// writer. Write errors are ignored (tracing must never fail a query).
-#[derive(Debug)]
-pub struct PrintSink<W: std::io::Write> {
-    out: W,
-}
-
-impl<W: std::io::Write> PrintSink<W> {
-    /// A printer over any writer.
-    pub fn new(out: W) -> PrintSink<W> {
-        PrintSink { out }
-    }
-
-    /// Consume the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl PrintSink<std::io::Stderr> {
-    /// A printer to standard error.
-    pub fn stderr() -> PrintSink<std::io::Stderr> {
-        PrintSink::new(std::io::stderr())
-    }
-}
-
-impl<W: std::io::Write> TraceSink for PrintSink<W> {
-    fn event(&mut self, event: &TraceEvent) {
-        let _ = writeln!(self.out, "{}", event.render());
-    }
-}
-
 /// The composite sink `Specification` attaches when tracing and/or
 /// profiling is enabled: an optional [`Profiler`] and an optional
 /// [`RingTrace`], fed by the same event stream.
@@ -590,14 +556,6 @@ mod tests {
         r.event(&ev(Port::Call, 0, "p", 0));
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 1);
-    }
-
-    #[test]
-    fn print_sink_writes_rendered_lines() {
-        let mut sink = PrintSink::new(Vec::new());
-        sink.event(&ev(Port::Call, 1, "road", 1));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text, "CALL   (1)   road\n");
     }
 
     #[test]

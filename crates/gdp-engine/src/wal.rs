@@ -5,9 +5,10 @@
 //! must not lose an acknowledged commit to a crash. The WAL is the
 //! standard answer: before a commit is acknowledged, its delta is appended
 //! to an append-only log and the file is synced; recovery replays the log
-//! over the same base state to reproduce the live knowledge base exactly
-//! (clause order, incremental indexes, generation counters — see
-//! [`KnowledgeBase::apply_op`]).
+//! over the same base state through [`KnowledgeBase::apply_op`], the
+//! function every live edit goes through, and so reproduces the live
+//! knowledge base exactly (clause order, incremental indexes, generation
+//! counters).
 //!
 //! ## Record format
 //!
@@ -443,11 +444,12 @@ impl Wal {
 /// same state the live KB was in when the log was created (the serving
 /// layer opens its WAL right after base setup); replay then reproduces the
 /// live store exactly — clause order, incremental indexes, generation
-/// counters and epoch included (see [`KnowledgeBase::apply_op`]).
+/// counters and epoch included — because every op goes through
+/// [`KnowledgeBase::apply_op`], as it did live.
 pub fn replay(records: &[WalRecord], kb: &mut KnowledgeBase) {
     for record in records {
         for op in record.delta.ops() {
-            kb.apply_op(op);
+            kb.apply_op(op.clone());
         }
     }
 }
@@ -470,11 +472,8 @@ mod tests {
 
     fn committed_ops(kb: &mut KnowledgeBase, f: impl FnOnce(&mut KnowledgeBase)) -> Delta {
         kb.begin_delta();
-        let mark = kb.delta_len();
         f(kb);
-        let delta = kb.delta_since(mark);
-        kb.end_delta();
-        delta
+        kb.end_delta().expect("recording")
     }
 
     /// A fresh-log header for tests that don't exercise fingerprints.

@@ -49,6 +49,6 @@ mod token;
 pub use ast::Statement;
 pub use error::{LangError, LangResult};
 pub use loader::{check_depth, load, query, LoadSummary, Loader};
-pub use parser::{parse_formula, parse_program, parse_program_diagnostics};
+pub use parser::{parse_formula, parse_program, parse_program_diagnostics, MAX_NESTING};
 pub use printer::{print_fact, print_formula, print_pat, print_statement};
 pub use token::{tokenize, Pos, Spanned, Tok};

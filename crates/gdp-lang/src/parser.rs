@@ -26,6 +26,12 @@
 //! Known limitation: at formula level a leading `(` always opens a
 //! sub*formula*, so write `X + 1 > 2` without wrapping the left-hand side
 //! in parentheses.
+//!
+//! The descent recurses once per nesting level, so the parser counts
+//! levels and refuses a statement that nests deeper than
+//! [`MAX_NESTING`] with a positioned diagnostic rather than overflow the
+//! thread's stack. Lists and operator chains parse in loops; the loader
+//! bounds the terms they build ([`gdp_engine::MAX_TERM_DEPTH`]).
 
 use gdp_core::{
     CmpOp, Constraint, DomainDef, FactPat, Formula, IntervalPat, Pat, Rule, Sort, SpaceQual,
@@ -60,7 +66,7 @@ pub fn parse_program_diagnostics(src: &str) -> (Vec<(Pos, Statement)>, Vec<LangE
         Ok(toks) => toks,
         Err(e) => return (Vec::new(), vec![e]),
     };
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser::new(toks);
     let mut out = Vec::new();
     let mut errors = Vec::new();
     while !p.at(&Tok::Eof) {
@@ -97,15 +103,30 @@ pub fn parse_program_diagnostics(src: &str) -> (Vec<(Pos, Statement)>, Vec<LangE
 /// Parse a single formula (for queries built at runtime); no trailing dot.
 pub fn parse_formula(src: &str) -> LangResult<Formula> {
     let toks = tokenize(src)?;
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser::new(toks);
     let f = p.formula()?;
     p.expect(&Tok::Eof)?;
     Ok(f)
 }
 
+/// The most levels one statement may nest in the parser's recursion: a
+/// compound's arguments, a parenthesised term or formula, a unary minus,
+/// a list inside a term, and the bodies of `not`, `forall`, `card` and
+/// the aggregates each open one.
+///
+/// Sized from a measurement: on a 2 MiB thread an unoptimised build
+/// parses (and drops) at most 187 levels of the shape that takes the most
+/// stack per level, `?- not(not(…)).` (some 11 KiB a level); the bound is
+/// half of that. The same build reaches 234 levels of nested lists and
+/// 261 of nested compounds there, and a `gdp-serve` session thread has
+/// 8 MiB.
+pub const MAX_NESTING: usize = 93;
+
 struct Parser {
     toks: Vec<Spanned>,
     i: usize,
+    /// Levels of [`Parser::primary`] and [`Parser::unit`] open now.
+    depth: usize,
 }
 
 /// Reserved atoms that introduce formula constructs rather than facts.
@@ -159,6 +180,29 @@ const SYSTEM_PREDICATES: &[(&str, usize)] = &[
 ];
 
 impl Parser {
+    fn new(toks: Vec<Spanned>) -> Parser {
+        Parser {
+            toks,
+            i: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run `parse` one nesting level down, refusing to go past
+    /// [`MAX_NESTING`]. Every recursion of the descent passes through
+    /// [`Parser::primary`] or [`Parser::unit`], which both come here.
+    fn nested<T>(&mut self, parse: fn(&mut Parser) -> LangResult<T>) -> LangResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!(
+                "the statement nests deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.i].tok
     }
@@ -528,13 +572,18 @@ impl Parser {
 
     // ----- formulas ---------------------------------------------------------
 
+    // The functions a nested formula recurses through collect their
+    // operands and join them elsewhere ([`fold_left`]), which keeps the
+    // frame each nesting level adds to the stack small.
+
     fn formula(&mut self) -> LangResult<Formula> {
-        let mut f = self.conjunction()?;
-        while self.eat(&Tok::Semicolon) {
-            let rhs = self.conjunction()?;
-            f = Formula::or(f, rhs);
+        let mut disjuncts = Vec::new();
+        loop {
+            disjuncts.push(self.conjunction()?);
+            if !self.eat(&Tok::Semicolon) {
+                return Ok(fold_left(disjuncts, Formula::or));
+            }
         }
-        Ok(f)
     }
 
     /// A formula in *argument* position (inside `forall(…)`, `card(…)`,
@@ -545,135 +594,173 @@ impl Parser {
     }
 
     fn conjunction(&mut self) -> LangResult<Formula> {
-        let mut f = self.unit()?;
-        while self.eat(&Tok::Comma) {
-            let rhs = self.unit()?;
-            f = Formula::and(f, rhs);
+        let mut units = Vec::new();
+        loop {
+            units.push(self.unit()?);
+            if !self.eat(&Tok::Comma) {
+                return Ok(fold_left(units, Formula::and));
+            }
         }
-        Ok(f)
     }
 
     fn unit(&mut self) -> LangResult<Formula> {
-        // Parenthesized subformula.
-        if self.eat(&Tok::LParen) {
-            let f = self.formula()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(f);
+        self.nested(Parser::unit_at_depth)
+    }
+
+    /// One formula unit. Kept to a dispatch on the next token, so that the
+    /// frame every nested formula adds to the stack stays small: each
+    /// construct parses in a function of its own.
+    fn unit_at_depth(&mut self) -> LangResult<Formula> {
+        let word = match self.peek() {
+            Tok::LParen => return self.parenthesized(),
+            Tok::Percent => return self.fuzzy_reference(),
+            Tok::At
+            | Tok::AtU
+            | Tok::AtS
+            | Tok::AtA
+            | Tok::Amp
+            | Tok::AmpU
+            | Tok::AmpS
+            | Tok::AmpA => return self.qualified_unit(),
+            Tok::Atom(word) => word.clone(),
+            _ => return self.comparison(),
+        };
+        match word.as_str() {
+            "true" => {
+                self.bump();
+                Ok(Formula::True)
+            }
+            "not" => self.negation(),
+            "forall" => self.forall(),
+            "card" => self.card(),
+            "avg" | "sum" | "min" | "max" | "count" => self.aggregate(&word),
+            "domain" => self.domain_test(),
+            // Explicit raw goal: `raw(native(X, Y))`.
+            "raw" if self.peek2() == &Tok::LParen => self.raw_goal(),
+            // Any other reserved word can only start a comparison.
+            _ if RESERVED.contains(&word.as_str()) => self.comparison(),
+            _ => self.fact_or_comparison(),
         }
-        // Fuzzy-qualified fact reference `%A fact`.
-        if self.eat(&Tok::Percent) {
-            let acc = self.primary()?;
-            let fact = self.qualified_fact()?;
-            return Ok(Formula::FuzzyFact(fact, acc));
-        }
-        // Qualifier-prefixed fact.
-        if matches!(
-            self.peek(),
-            Tok::At | Tok::AtU | Tok::AtS | Tok::AtA | Tok::Amp | Tok::AmpU | Tok::AmpS | Tok::AmpA
-        ) {
-            return Ok(Formula::Fact(self.qualified_fact()?));
-        }
-        // Reserved formula constructs.
-        if let Tok::Atom(name) = self.peek().clone() {
-            match name.as_str() {
-                "true" => {
-                    self.bump();
-                    return Ok(Formula::True);
+    }
+
+    /// Parenthesized subformula.
+    fn parenthesized(&mut self) -> LangResult<Formula> {
+        self.bump();
+        let f = self.formula()?;
+        self.expect(&Tok::RParen)?;
+        Ok(f)
+    }
+
+    /// Fuzzy-qualified fact reference `%A fact`.
+    fn fuzzy_reference(&mut self) -> LangResult<Formula> {
+        self.bump();
+        let acc = self.primary()?;
+        let fact = self.qualified_fact()?;
+        Ok(Formula::FuzzyFact(fact, acc))
+    }
+
+    /// Qualifier-prefixed fact.
+    fn qualified_unit(&mut self) -> LangResult<Formula> {
+        Ok(Formula::Fact(self.qualified_fact()?))
+    }
+
+    fn negation(&mut self) -> LangResult<Formula> {
+        self.bump();
+        self.expect(&Tok::LParen)?;
+        let inner = self.formula()?;
+        self.expect(&Tok::RParen)?;
+        Ok(Formula::not(inner))
+    }
+
+    fn forall(&mut self) -> LangResult<Formula> {
+        self.bump();
+        self.expect(&Tok::LParen)?;
+        let cond = self.formula_arg()?;
+        self.expect(&Tok::Comma)?;
+        let then = self.formula_arg()?;
+        self.expect(&Tok::RParen)?;
+        Ok(Formula::forall(cond, then))
+    }
+
+    fn card(&mut self) -> LangResult<Formula> {
+        self.bump();
+        self.expect(&Tok::LParen)?;
+        let inner = self.formula_arg()?;
+        self.expect(&Tok::Comma)?;
+        let n = self.expr()?;
+        self.expect(&Tok::RParen)?;
+        Ok(Formula::Card(Box::new(inner), n))
+    }
+
+    fn aggregate(&mut self, name: &str) -> LangResult<Formula> {
+        let op = match name {
+            "avg" => gdp_core::AggOp::Avg,
+            "sum" => gdp_core::AggOp::Sum,
+            "min" => gdp_core::AggOp::Min,
+            "max" => gdp_core::AggOp::Max,
+            _ => gdp_core::AggOp::Count,
+        };
+        self.bump();
+        self.expect(&Tok::LParen)?;
+        let template = self.expr()?;
+        self.expect(&Tok::Comma)?;
+        let inner = self.formula_arg()?;
+        self.expect(&Tok::Comma)?;
+        let result = self.expr()?;
+        self.expect(&Tok::RParen)?;
+        Ok(Formula::Agg(op, template, Box::new(inner), result))
+    }
+
+    fn domain_test(&mut self) -> LangResult<Formula> {
+        self.bump();
+        self.expect(&Tok::LParen)?;
+        let dname = self.atom()?;
+        self.expect(&Tok::Comma)?;
+        let value = self.expr()?;
+        self.expect(&Tok::RParen)?;
+        Ok(Formula::Domain(dname, value))
+    }
+
+    fn raw_goal(&mut self) -> LangResult<Formula> {
+        self.bump();
+        self.expect(&Tok::LParen)?;
+        let goal = self.expr()?;
+        self.expect(&Tok::RParen)?;
+        Ok(Formula::Raw(goal))
+    }
+
+    /// A fact (optionally model-qualified), or the left side of a
+    /// comparison written as a call.
+    fn fact_or_comparison(&mut self) -> LangResult<Formula> {
+        let fact = self.qualified_fact()?;
+        // System predicates are engine goals, not reified facts —
+        // unless the user qualified them (which forces fact reading).
+        if fact.space == SpaceQual::Any && fact.time == TimeQual::Any && fact.model.is_none() {
+            if let (Some(name), Some(arity)) = (fact.pred_name(), fact.fixed_arity()) {
+                if SYSTEM_PREDICATES.contains(&(name.as_str(), arity)) {
+                    let args = fact.fixed_args().expect("fixed arity implies fixed args");
+                    return Ok(Formula::Raw(Pat::app(&name, args.to_vec())));
                 }
-                "not" => {
-                    self.bump();
-                    self.expect(&Tok::LParen)?;
-                    let inner = self.formula()?;
-                    self.expect(&Tok::RParen)?;
-                    return Ok(Formula::not(inner));
-                }
-                "forall" => {
-                    self.bump();
-                    self.expect(&Tok::LParen)?;
-                    let cond = self.formula_arg()?;
-                    self.expect(&Tok::Comma)?;
-                    let then = self.formula_arg()?;
-                    self.expect(&Tok::RParen)?;
-                    return Ok(Formula::forall(cond, then));
-                }
-                "card" => {
-                    self.bump();
-                    self.expect(&Tok::LParen)?;
-                    let inner = self.formula_arg()?;
-                    self.expect(&Tok::Comma)?;
-                    let n = self.expr()?;
-                    self.expect(&Tok::RParen)?;
-                    return Ok(Formula::Card(Box::new(inner), n));
-                }
-                "avg" | "sum" | "min" | "max" | "count" => {
-                    let op = match name.as_str() {
-                        "avg" => gdp_core::AggOp::Avg,
-                        "sum" => gdp_core::AggOp::Sum,
-                        "min" => gdp_core::AggOp::Min,
-                        "max" => gdp_core::AggOp::Max,
-                        _ => gdp_core::AggOp::Count,
-                    };
-                    self.bump();
-                    self.expect(&Tok::LParen)?;
-                    let template = self.expr()?;
-                    self.expect(&Tok::Comma)?;
-                    let inner = self.formula_arg()?;
-                    self.expect(&Tok::Comma)?;
-                    let result = self.expr()?;
-                    self.expect(&Tok::RParen)?;
-                    return Ok(Formula::Agg(op, template, Box::new(inner), result));
-                }
-                "domain" => {
-                    self.bump();
-                    self.expect(&Tok::LParen)?;
-                    let dname = self.atom()?;
-                    self.expect(&Tok::Comma)?;
-                    let value = self.expr()?;
-                    self.expect(&Tok::RParen)?;
-                    return Ok(Formula::Domain(dname, value));
-                }
-                _ => {}
             }
         }
-        // Explicit raw goal: `raw(native(X, Y))`.
-        if matches!(self.peek(), Tok::Atom(a) if a == "raw") && self.peek2() == &Tok::LParen {
-            self.bump();
-            self.expect(&Tok::LParen)?;
-            let goal = self.expr()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(Formula::Raw(goal));
+        // An atom/call followed by an operator is really a term
+        // comparison (e.g. `f(X) = Y`), rebuilt from the fact parts.
+        if self.peek_cmp().is_some() {
+            let lhs = match fact.fixed_args() {
+                Some([]) => Pat::Atom(fact.pred_name().expect("plain call has a name")),
+                Some(args) => Pat::app(
+                    &fact.pred_name().expect("plain call has a name"),
+                    args.to_vec(),
+                ),
+                None => return Err(self.error("bad comparison left-hand side")),
+            };
+            return self.finish_comparison(lhs);
         }
-        // Fact or comparison. A fact starts with an atom (optionally
-        // model-qualified); anything else must be the left side of a
-        // comparison.
-        let starts_as_fact = matches!(self.peek(), Tok::Atom(a) if !RESERVED.contains(&a.as_str()));
-        if starts_as_fact {
-            let fact = self.qualified_fact()?;
-            // System predicates are engine goals, not reified facts —
-            // unless the user qualified them (which forces fact reading).
-            if fact.space == SpaceQual::Any && fact.time == TimeQual::Any && fact.model.is_none() {
-                if let (Some(name), Some(arity)) = (fact.pred_name(), fact.fixed_arity()) {
-                    if SYSTEM_PREDICATES.contains(&(name.as_str(), arity)) {
-                        let args = fact.fixed_args().expect("fixed arity implies fixed args");
-                        return Ok(Formula::Raw(Pat::app(&name, args.to_vec())));
-                    }
-                }
-            }
-            // An atom/call followed by an operator is really a term
-            // comparison (e.g. `f(X) = Y`), rebuilt from the fact parts.
-            if self.peek_cmp().is_some() {
-                let lhs = match fact.fixed_args() {
-                    Some([]) => Pat::Atom(fact.pred_name().expect("plain call has a name")),
-                    Some(args) => Pat::app(
-                        &fact.pred_name().expect("plain call has a name"),
-                        args.to_vec(),
-                    ),
-                    None => return Err(self.error("bad comparison left-hand side")),
-                };
-                return self.finish_comparison(lhs);
-            }
-            return Ok(Formula::Fact(fact));
-        }
+        Ok(Formula::Fact(fact))
+    }
+
+    /// A comparison whose left side is not a call.
+    fn comparison(&mut self) -> LangResult<Formula> {
         let lhs = self.expr()?;
         self.finish_comparison(lhs)
     }
@@ -744,6 +831,10 @@ impl Parser {
     }
 
     fn primary(&mut self) -> LangResult<Pat> {
+        self.nested(Parser::primary_at_depth)
+    }
+
+    fn primary_at_depth(&mut self) -> LangResult<Pat> {
         match self.bump() {
             Tok::Var(name) => Ok(if name == "_" {
                 Pat::Wild
@@ -799,6 +890,13 @@ impl Parser {
             .rev()
             .fold(tail, |acc, item| Pat::app(".", vec![item, acc])))
     }
+}
+
+/// Join `items` (at least one) from the left: `a, b, c` is `(a, b), c`.
+fn fold_left(items: Vec<Formula>, join: fn(Formula, Formula) -> Formula) -> Formula {
+    let mut items = items.into_iter();
+    let first = items.next().expect("a formula has at least one operand");
+    items.fold(first, join)
 }
 
 #[cfg(test)]
@@ -1055,5 +1153,32 @@ mod tests {
     fn parse_formula_entry_point() {
         let f = parse_formula("road(X), not(closed(X))").unwrap();
         assert!(matches!(f, Formula::And(..)));
+    }
+
+    /// `f` number k of the argument nests k levels down, and `a` one more.
+    /// Past the bound the parser stops at the token that would nest
+    /// deeper and goes on with the next statement.
+    #[test]
+    fn nesting_past_the_bound_is_a_positioned_error() {
+        let fact = |n: usize| format!("big({}a{}).", "f(".repeat(n), ")".repeat(n));
+        assert!(parse_program(&fact(MAX_NESTING - 1)).is_ok());
+        let (statements, errors) =
+            parse_program_diagnostics(&format!("{}\nok.", fact(MAX_NESTING)));
+        assert_eq!(statements.len(), 1);
+        assert_eq!(
+            errors[..],
+            [LangError::Parse {
+                pos: Pos {
+                    line: 1,
+                    col: 5 + 2 * MAX_NESTING as u32,
+                },
+                message: format!("the statement nests deeper than {MAX_NESTING} levels"),
+            }]
+        );
+        // Formulas count the same way: `true` sits one level below the
+        // innermost `not`.
+        let negations = |n: usize| format!("{}true{}", "not(".repeat(n), ")".repeat(n));
+        assert!(parse_formula(&negations(MAX_NESTING - 1)).is_ok());
+        assert!(parse_formula(&negations(MAX_NESTING)).is_err());
     }
 }

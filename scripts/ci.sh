@@ -139,21 +139,12 @@ for seed in 0 1 2 100 101 102 997; do
 done
 
 # Incremental legs: the delta-driven audit must match a full re-audit
-# byte-for-byte. The equivalence suite runs its own 1/4-worker grid and
-# flips tabling per proptest case; the env matrix here layers the
-# GDP_INCREMENTAL hook (arming the member cache in every constructed
-# Specification) over the tabling knob. The final seed run points chaos
-# injection at `audit_incremental` itself: the degraded incremental report
-# must restrict the fault-free audit exactly like the full audit's does.
-for tabling in unset on; do
-    env_args=("GDP_INCREMENTAL=1")
-    label="tabling=$tabling"
-    if [ "$tabling" != unset ]; then
-        env_args+=("GDP_TABLING=$tabling")
-    fi
-    echo "==> cargo test incremental_equivalence [GDP_INCREMENTAL=1, $label]"
-    env "${env_args[@]}" cargo test -q --release -p gdp --test incremental_equivalence
-done
+# byte-for-byte. The equivalence suite switches incremental mode on
+# itself, runs its own 1/4-worker grid and flips tabling per proptest
+# case; the tabling matrix above runs it in every tabling configuration.
+# These seed runs point chaos injection at `audit_incremental` itself:
+# the degraded incremental report must restrict the fault-free audit
+# exactly like the full audit's does.
 for seed in 2 101; do
     echo "==> cargo test chaos incremental [GDP_CHAOS=$seed]"
     env "GDP_CHAOS=$seed" cargo test -q --release -p gdp --test chaos_harness \

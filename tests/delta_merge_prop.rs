@@ -129,24 +129,22 @@ fn merged_replay_equals_direct_apply_across_rollbacks() {
 
         for txn in 1..=10u64 {
             live.begin_delta();
-            let mark = live.delta_len();
             for _ in 0..1 + rng.below(4) {
                 random_op(&mut live, &mut rng, txn);
             }
             if rng.below(3) == 0 {
                 // This transaction lands *between* two merged commits and
                 // must leave no trace in the merged delta.
-                live.rollback_to(mark);
+                live.rollback();
                 rollbacks += 1;
             } else {
-                let delta = live.delta_since(mark);
+                let delta = live.end_delta().expect("recording");
                 for op in delta.ops() {
-                    direct.apply_op(op);
+                    direct.apply_op(op.clone());
                 }
                 merged.merge(delta);
                 commits += 1;
             }
-            live.end_delta();
         }
         assert!(
             commits > 0 && rollbacks > 0 || seed > 4,
@@ -155,7 +153,7 @@ fn merged_replay_equals_direct_apply_across_rollbacks() {
 
         let mut replayed = base_kb();
         for op in merged.ops() {
-            replayed.apply_op(op);
+            replayed.apply_op(op.clone());
         }
 
         // The follower and the catch-up reader agree *exactly* — same
@@ -192,15 +190,12 @@ fn rollback_between_two_merged_commits_leaves_no_trace() {
     let mut merged = Delta::new();
 
     live.begin_delta();
-    let mark = live.delta_len();
     live.assert_fact(fact("road", 10));
-    merged.merge(live.delta_since(mark));
-    live.end_delta();
+    merged.merge(live.end_delta().expect("recording"));
 
     // The doomed middle transaction: asserts, retracts a *pre-existing*
     // fact, wipes a group — then unwinds completely.
     live.begin_delta();
-    let mark = live.delta_len();
     live.assert_clause_in(
         GroupId::named("tmp"),
         fact("bridge", 11),
@@ -208,19 +203,16 @@ fn rollback_between_two_merged_commits_leaves_no_trace() {
     );
     live.retract_fact(&fact("road", 10));
     live.retract_group(GroupId::named("tmp"));
-    let undone = live.rollback_to(mark);
+    let undone = live.rollback();
     assert!(undone >= 3, "rollback undid {undone} ops");
-    live.end_delta();
 
     live.begin_delta();
-    let mark = live.delta_len();
     live.assert_fact(fact("sensor", 12));
-    merged.merge(live.delta_since(mark));
-    live.end_delta();
+    merged.merge(live.end_delta().expect("recording"));
 
     let mut replayed = base_kb();
     for op in merged.ops() {
-        replayed.apply_op(op);
+        replayed.apply_op(op.clone());
     }
     assert!(same_clauses(&replayed, &live));
     assert_eq!(all_answers(&replayed), all_answers(&live));

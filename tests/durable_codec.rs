@@ -275,12 +275,10 @@ proptest! {
         let mut live = random_kb(&mut g);
         let before = live.snapshot();
         live.begin_delta();
-        let mark = live.delta_len();
         for _ in 0..1 + g.below(12) {
             change(&mut g, &mut live);
         }
-        let delta = live.delta_since(mark);
-        live.end_delta();
+        let delta = live.end_delta().expect("recording");
         let record = WalRecord { seq: 1 + (g.next() >> 1), delta };
         let bytes = record.encode().unwrap();
         let (decoded, len) = WalRecord::decode(&bytes).expect("a fresh record decodes");
@@ -325,12 +323,10 @@ proptest! {
         let mut g = Gen(seed);
         let mut kb = random_kb(&mut g);
         kb.begin_delta();
-        let mark = kb.delta_len();
         for _ in 0..1 + g.below(12) {
             change(&mut g, &mut kb);
         }
-        let delta = kb.delta_since(mark);
-        kb.end_delta();
+        let delta = kb.end_delta().expect("recording");
         let bytes = WalRecord { seq: 1, delta }.encode().unwrap();
         for _ in 0..16 {
             let mutated = mutate(&mut g, &bytes);
@@ -358,10 +354,8 @@ fn a_mutated_log_record_ends_the_prefix_at_or_after_it() {
         let mut frames = Vec::new();
         for _ in 0..3 {
             kb.begin_delta();
-            let mark = kb.delta_len();
             change(&mut g, &mut kb);
-            let delta = kb.delta_since(mark);
-            kb.end_delta();
+            let delta = kb.end_delta().expect("recording");
             let seq = wal.append(&delta).unwrap();
             frames.push(WalRecord { seq, delta }.encode().unwrap());
         }

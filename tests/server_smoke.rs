@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use gdp::core::{reify, RawClause};
 use gdp::engine::{fingerprint, CancelToken, Term, SOLVER_STACK};
+use gdp::lang::MAX_NESTING;
 use gdp::server::{serve_tcp, ServeOptions, ServerState, Session};
 
 const PROMPT: &str = "gdp> ";
@@ -665,6 +666,45 @@ fn a_deep_list_literal_is_refused_and_the_server_keeps_serving() {
     let mut client = Client::connect(serve(&recovered));
     assert_eq!(client.send("?- 1 = 1."), "yes.\n");
     let _ = fresh_wal("deep-list");
+}
+
+/// The parser recurses once per nesting level, so a statement nested
+/// deeper than `MAX_NESTING` is refused with a positioned diagnostic while
+/// it is parsed: unbounded, each of these shapes overflows the session
+/// thread's stack and aborts the whole process. Its session and every
+/// other keep serving.
+#[test]
+fn a_deeply_nested_statement_is_refused_and_the_server_keeps_serving() {
+    let (_state, addr) = boot();
+    let mut client = Client::connect(addr);
+    let mut bystander = Client::connect(addr);
+    let nest = |open: &str, inner: &str, close: &str, n: usize| {
+        format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+    };
+    let too_deep = format!("nests deeper than {MAX_NESTING} levels");
+    let shapes = [
+        format!("big({}).", nest("f(", "a", ")", 6_000)),
+        format!("?- {}.", nest("not(", "true", ")", 3_000)),
+        format!("?- X is {}.", nest("- ", "1", "", 20_000)),
+        format!("?- x = {}.", nest("(", "a", ")", 20_000)),
+    ];
+    for shape in &shapes {
+        let reply = client.send(shape);
+        assert!(
+            reply.starts_with("rolled back: ")
+                && reply.contains("parse error at 1:")
+                && reply.contains(&too_deep),
+            "{}",
+            &reply[..reply.len().min(300)]
+        );
+    }
+    let reply = client.send(&format!(":why {}", nest("f(", "a", ")", 6_000)));
+    assert!(
+        reply.starts_with("error: parse error at 1:") && reply.contains(&too_deep),
+        "{reply}"
+    );
+    assert_eq!(client.send("?- 1 = 1."), "yes.\n");
+    assert_eq!(bystander.send("?- 1 = 1."), "yes.\n");
 }
 
 /// Audit workers run on the session's stack size: a negation cycle ends

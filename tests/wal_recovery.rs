@@ -2,7 +2,8 @@
 //!
 //! A writer applies a deterministic, seed-driven stream of transactions
 //! to a live knowledge base, appending each committed delta to a
-//! write-ahead log. For every commit boundary K we simulate a crash —
+//! write-ahead log. The stream uses every public mutator, and so every
+//! `DeltaOp` kind: assert, retract a fact, a group, a whole predicate. For every commit boundary K we simulate a crash —
 //! the log holds exactly K records, possibly followed by a torn partial
 //! record — and assert that replaying the log over a fresh base
 //! reproduces the live KB *at that boundary* exactly: clause content and
@@ -16,7 +17,7 @@
 //! recovery equivalence.
 
 use gdp::engine::wal::{replay, Wal, WalHeader};
-use gdp::engine::{Budget, GroupId, KnowledgeBase, Solver, Term};
+use gdp::engine::{Budget, GroupId, KnowledgeBase, PredKey, Solver, Term};
 
 /// Seed from `GDP_CHAOS` ("1234" or "kind:1234" forms both yield 1234).
 fn chaos_seed() -> u64 {
@@ -82,7 +83,7 @@ fn run_txn(kb: &mut KnowledgeBase, rng: &mut Lcg, txn: u64) -> usize {
     let mut ops = 0;
     for _ in 0..1 + rng.below(4) {
         let pred = PREDS[rng.below(3) as usize];
-        match rng.below(10) {
+        match rng.below(11) {
             // Mostly asserts, so the store grows and later retracts bite.
             0..=5 => {
                 let group = if rng.below(2) == 0 {
@@ -103,8 +104,12 @@ fn run_txn(kb: &mut KnowledgeBase, rng: &mut Lcg, txn: u64) -> usize {
                 kb.retract_fact(&fact(pred, rng.below(txn.max(1) * 100)));
                 ops += 1;
             }
-            _ => {
+            8..=9 => {
                 kb.retract_group(GroupId::named(&format!("g{}", rng.below(3))));
+                ops += 1;
+            }
+            _ => {
+                kb.retract_predicate(PredKey::new(pred, 2));
                 ops += 1;
             }
         }
@@ -145,10 +150,8 @@ fn recovery_reproduces_every_commit_boundary() {
     let mut boundaries = vec![live.snapshot()];
     for txn in 1..=COMMITS {
         live.begin_delta();
-        let mark = live.delta_len();
         run_txn(&mut live, &mut rng, txn);
-        let delta = live.delta_since(mark);
-        live.end_delta();
+        let delta = live.end_delta().expect("recording");
         let seq = wal.append(&delta).expect("append");
         assert_eq!(seq, txn);
         if tabling {
