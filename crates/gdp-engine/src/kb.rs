@@ -31,6 +31,7 @@
 //!   semantic-domain operations the paper treats as given (distance
 //!   functions, resolution functions, interpolation, …).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -611,19 +612,19 @@ impl RangeIndex {
         }
     }
 
-    /// The sorted position list this index selects for a call: clauses
-    /// whose key can lie in the constrained range, plus the unkeyed
-    /// clauses. `None` when the call carries no constraint this index can
-    /// use (the caller falls back to its other selections).
-    fn select(&self, store: &BindStore, args: &[Term], bounds: &BoundSet) -> Option<Vec<u32>> {
-        let keyed: Vec<u32> = match (&self.spec, &self.store) {
+    /// This index's selection for a call: the clauses whose key can lie in
+    /// the constrained range, plus the unkeyed clauses, which are borrowed
+    /// and never copied. `None` when the call carries no constraint this
+    /// index can use (the caller falls back to its other selections).
+    fn select(&self, store: &BindStore, args: &[Term], bounds: &BoundSet) -> Option<RangeSel<'_>> {
+        let keyed: Cow<'_, [u32]> = match (&self.spec, &self.store) {
             (RangeSpec::Interval(path), RangeStore::Interval(map)) => {
                 match path.probe(store, args, bounds) {
-                    Probe::Mismatch => Vec::new(),
+                    Probe::Mismatch => Cow::Borrowed(&[]),
                     Probe::Unconstrained => return None,
                     Probe::Range(r) => {
                         if r.is_empty() {
-                            Vec::new()
+                            Cow::Borrowed(&[])
                         } else if r.lo == f64::NEG_INFINITY && r.hi == f64::INFINITY {
                             // Unbounded on both sides: selects everything,
                             // prunes nothing — not applicable.
@@ -639,12 +640,7 @@ impl RangeIndex {
                                 Some(k) => Bound::Included(k),
                                 None => return None,
                             };
-                            let mut out = Vec::new();
-                            for (_, list) in map.range((lo, hi)) {
-                                out.extend_from_slice(list);
-                            }
-                            out.sort_unstable();
-                            out
+                            gather_buckets(map.range((lo, hi)).map(|(_, list)| list))
                         }
                     }
                 }
@@ -656,13 +652,13 @@ impl RangeIndex {
                 let px = x.probe(store, args, bounds);
                 let py = y.probe(store, args, bounds);
                 if matches!(px, Probe::Mismatch) || matches!(py, Probe::Mismatch) {
-                    Vec::new()
+                    Cow::Borrowed(&[])
                 } else {
                     let (Probe::Range(rx), Probe::Range(ry)) = (px, py) else {
                         return None;
                     };
                     if rx.is_empty() || ry.is_empty() {
-                        Vec::new()
+                        Cow::Borrowed(&[])
                     } else if !(rx.lo.is_finite()
                         && rx.hi.is_finite()
                         && ry.lo.is_finite()
@@ -678,23 +674,64 @@ impl RangeIndex {
                         if nx <= 0 || ny <= 0 || nx.checked_mul(ny)? > GRID_CELL_CAP {
                             return None;
                         }
-                        let mut out = Vec::new();
-                        for cx in cx0..=cx1 {
-                            for cy in cy0..=cy1 {
-                                if let Some(list) = map.get(&(cx, cy)) {
-                                    out.extend_from_slice(list);
-                                }
-                            }
-                        }
-                        out.sort_unstable();
-                        out
+                        let cells = (cx0..=cx1).flat_map(|cx| (cy0..=cy1).map(move |cy| (cx, cy)));
+                        gather_buckets(cells.filter_map(|c| map.get(&c)))
                     }
                 }
             }
             _ => unreachable!("range store shape matches its spec"),
         };
-        Some(union_sorted(&keyed, &self.unkeyed))
+        Some(RangeSel {
+            keyed,
+            unkeyed: &self.unkeyed,
+        })
     }
+}
+
+/// A range index's selection for one call: the keyed positions the call's
+/// range admits (borrowed when they sit in one bucket) and the index's
+/// unkeyed positions, borrowed. The two lists are disjoint and ascending.
+struct RangeSel<'a> {
+    keyed: Cow<'a, [u32]>,
+    unkeyed: &'a [u32],
+}
+
+impl RangeSel<'_> {
+    fn sel(&self) -> Sel<'_> {
+        Sel::Lists(&self.keyed, self.unkeyed)
+    }
+}
+
+/// The range indexes among `ranges` that apply to a call, by index
+/// number, with their selections.
+fn applicable_ranges<'a>(
+    ranges: &'a [RangeIndex],
+    store: &BindStore,
+    args: &[Term],
+    bounds: &BoundSet,
+) -> Vec<(usize, RangeSel<'a>)> {
+    ranges
+        .iter()
+        .enumerate()
+        .filter_map(|(j, rindex)| Some((j, rindex.select(store, args, bounds)?)))
+        .collect()
+}
+
+/// The positions of several keyed buckets, ascending: one bucket is
+/// borrowed as it is, more are copied together and sorted.
+fn gather_buckets<'a>(mut buckets: impl Iterator<Item = &'a Vec<u32>>) -> Cow<'a, [u32]> {
+    let Some(first) = buckets.next() else {
+        return Cow::Borrowed(&[]);
+    };
+    let Some(second) = buckets.next() else {
+        return Cow::Borrowed(first);
+    };
+    let mut out = [first.as_slice(), second].concat();
+    for list in buckets {
+        out.extend_from_slice(list);
+    }
+    out.sort_unstable();
+    Cow::Owned(out)
 }
 
 /// A predicate's range indexes over one completed answer set
@@ -862,32 +899,109 @@ fn merge_sorted(a: &[u32], b: &[u32], mut push: impl FnMut(u32)) {
     }
 }
 
-/// Union of two disjoint ascending lists, ascending.
-fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    merge_sorted(a, b, |p| out.push(p));
-    out
+/// One index's selection within one segment, as [`intersect_segments`]
+/// walks and probes it.
+#[derive(Clone, Copy)]
+enum Sel<'a> {
+    /// Two disjoint ascending lists: a hash index's keyed and variable
+    /// positions, or a range index's keyed and unkeyed positions. A probe
+    /// cuts each list down to its part not below the position probed.
+    Lists(&'a [u32], &'a [u32]),
+    /// Every position below the count: a segment an applicable range
+    /// index selects nothing usable from, which keeps every clause.
+    Below(u32),
 }
 
-/// Intersection of two ascending lists, ascending.
-// Kept inline in `candidates`, as it was while that was the only caller
-// (see `Machine::collect_bounds`).
-#[inline(always)]
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+impl Sel<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Sel::Lists(a, b) => a.len() + b.len(),
+            Sel::Below(n) => n as usize,
         }
     }
-    out
+
+    /// Does the selection hold `p`? Probes must come in ascending order of
+    /// `p`: each one moves the lists' fronts forward past the positions
+    /// below `p`.
+    fn holds(&mut self, p: u32) -> bool {
+        match self {
+            Sel::Lists(a, b) => gallop_to(a, p) || gallop_to(b, p),
+            Sel::Below(n) => p < *n,
+        }
+    }
+}
+
+/// Drop the positions below `p` from the front of the ascending `list`,
+/// and say whether `p` is then its first. The search gallops: it probes 1,
+/// 2, 4, … places ahead and binary-searches the last stride, so a walk of
+/// ascending probes costs one pass over a list of similar size and about
+/// a logarithm per probe over a much longer one.
+fn gallop_to(list: &mut &[u32], p: u32) -> bool {
+    if list.first().is_some_and(|&q| q < p) {
+        let mut stride = 1;
+        while stride < list.len() && list[stride] < p {
+            stride *= 2;
+        }
+        // `list[stride / 2] < p`, and `list[stride] >= p` or past the end.
+        let from = stride / 2 + 1;
+        let to = stride.min(list.len());
+        *list = &list[from + list[from..to].partition_point(|&q| q < p)..];
+    }
+    list.first() == Some(&p)
+}
+
+/// Hand `push` the positions, ascending, that the hash selection `hash`
+/// (one pair of lists per segment) and every applicable range index
+/// hold. `segments` gives each segment's range indexes, length and
+/// offset; `applicable` holds the range indexes that apply to the call,
+/// by index number, with their selections over the first segment. Whether
+/// one applies depends on the call alone, so a later segment selects
+/// through the same indexes, and keeps every position where one selects
+/// nothing usable.
+///
+/// Within a segment the smallest selection is walked and a position kept
+/// only if every other selection holds it: the cost follows the smallest
+/// selection, not the largest, and no list is copied (DESIGN.md #12).
+fn intersect_segments(
+    segments: &[(&[RangeIndex], u32, u32)],
+    hash: Option<&[(&[u32], &[u32])]>,
+    applicable: &[(usize, RangeSel<'_>)],
+    (store, args, bounds): (&BindStore, &[Term], &BoundSet),
+    mut push: impl FnMut(u32),
+) {
+    for (s, &(ranges, len, offset)) in segments.iter().enumerate() {
+        let later: Vec<Option<RangeSel<'_>>> = match s {
+            0 => Vec::new(),
+            _ => applicable
+                .iter()
+                .map(|&(j, _)| ranges[j].select(store, args, bounds))
+                .collect(),
+        };
+        let mut sels: Vec<Sel<'_>> = Vec::with_capacity(applicable.len() + 1);
+        sels.extend(hash.map(|h| Sel::Lists(h[s].0, h[s].1)));
+        match s {
+            0 => sels.extend(applicable.iter().map(|(_, r)| r.sel())),
+            _ => sels.extend(
+                later
+                    .iter()
+                    .map(|r| r.as_ref().map_or(Sel::Below(len), RangeSel::sel)),
+            ),
+        }
+        let smallest = (0..sels.len())
+            .min_by_key(|&i| sels[i].len())
+            .expect("a range selection applies");
+        sels.swap(0, smallest);
+        let (walk, rest) = sels.split_first_mut().expect("a range selection applies");
+        let mut keep = |p: u32| {
+            if rest.iter_mut().all(|sel| sel.holds(p)) {
+                push(p + offset);
+            }
+        };
+        match *walk {
+            Sel::Lists(a, b) => merge_sorted(a, b, &mut keep),
+            Sel::Below(n) => (0..n).for_each(&mut keep),
+        }
+    }
 }
 
 /// A clause-position list with inline storage for the common small case —
@@ -2230,8 +2344,8 @@ impl KnowledgeBase {
         // layout; tail positions continue after the base's. An empty tail
         // is skipped, which leaves the single-segment selection.
         let base: &Segment = &entry.base;
-        let segments: &[(&Segment, u32)] = &[(base, 0), (&entry.tail, clauses.0.len() as u32)];
-        let segments = &segments[..if clauses.1.is_empty() { 1 } else { 2 }];
+        let both = [(base, 0), (&entry.tail, clauses.0.len() as u32)];
+        let segments = &both[..if clauses.1.is_empty() { 1 } else { 2 }];
         // Pick the most selective applicable hash index, keeping its keyed
         // and variable positions in each segment.
         fn sel_len(sel: &[(&[u32], &[u32])]) -> usize {
@@ -2255,35 +2369,21 @@ impl KnowledgeBase {
                 best = Some(sel);
             }
         }
-        // Collect every range selection that applies to this call. Whether
-        // one applies depends on the call alone, so the tail's twin of an
-        // applicable base index applies too (the fallback keeps every tail
-        // clause, which is always sound).
-        let mut range_sels: Vec<Vec<u32>> = Vec::new();
-        for (j, rindex) in base.ranges.iter().enumerate() {
-            let Some(mut sel) = rindex.select(store, args, bounds) else {
-                continue;
-            };
-            for &(seg, offset) in &segments[1..] {
-                let tail_sel = seg.ranges[j]
-                    .select(store, args, bounds)
-                    .unwrap_or_else(|| (0..seg.clauses.len() as u32).collect());
-                sel.extend(tail_sel.into_iter().map(|p| p + offset));
-            }
-            range_sels.push(sel);
-        }
-        if best.is_none() && range_sels.is_empty() {
+        // Every range index that applies to this call, with its base
+        // selection.
+        let applicable = applicable_ranges(&base.ranges, store, args, bounds);
+        if best.is_none() && applicable.is_empty() {
             entry.stats.scans.fetch_add(1, Ordering::Relaxed);
             return Candidates::All(clauses);
         }
         if best.is_some() {
             entry.stats.hash_hits.fetch_add(1, Ordering::Relaxed);
         }
-        if !range_sels.is_empty() {
+        if !applicable.is_empty() {
             entry.stats.range_hits.fetch_add(1, Ordering::Relaxed);
         }
         let mut pos = PosList::default();
-        if range_sels.is_empty() {
+        if applicable.is_empty() {
             // Hash selection only: merge each segment's two sorted position
             // lists straight into the (usually inline) output — assertion
             // order is observable through solution order.
@@ -2292,28 +2392,15 @@ impl KnowledgeBase {
                 merge_sorted(keyed, vars, |p| pos.push(p + offset));
             }
         } else {
-            // Intersect the hash selection (if any) with every range
-            // selection; all lists ascend, so the result ascends.
-            let mut sels = range_sels.into_iter();
-            let mut acc: Vec<u32> = match best {
-                Some(best) => {
-                    let mut acc = Vec::with_capacity(sel_len(&best));
-                    for (&(keyed, vars), &(_, offset)) in best.iter().zip(segments) {
-                        merge_sorted(keyed, vars, |p| acc.push(p + offset));
-                    }
-                    acc
-                }
-                None => sels.next().expect("checked non-empty selection"),
-            };
-            for sel in sels {
-                acc = intersect_sorted(&acc, &sel);
-                if acc.is_empty() {
-                    break;
-                }
-            }
-            for p in acc {
-                pos.push(p);
-            }
+            let views =
+                both.map(|(seg, offset)| (seg.ranges.as_slice(), seg.clauses.len() as u32, offset));
+            intersect_segments(
+                &views[..segments.len()],
+                best.as_ref().map(|b| &b[..]),
+                &applicable,
+                (store, args, bounds),
+                |p| pos.push(p),
+            );
         }
         entry
             .stats
@@ -2347,15 +2434,19 @@ impl KnowledgeBase {
         if !index.ranges.iter().map(|r| &r.spec).eq(specs) {
             return None;
         }
-        let mut sels = index
-            .ranges
-            .iter()
-            .filter_map(|rindex| rindex.select(store, args, bounds));
-        let mut acc = sels.next()?;
-        for sel in sels {
-            acc = intersect_sorted(&acc, &sel);
+        let applicable = applicable_ranges(&index.ranges, store, args, bounds);
+        if applicable.is_empty() {
+            return None;
         }
-        Some(acc)
+        let mut admitted = Vec::new();
+        intersect_segments(
+            &[(&index.ranges, answers.len() as u32, 0)],
+            None,
+            &applicable,
+            (store, args, bounds),
+            |p| admitted.push(p),
+        );
+        Some(admitted)
     }
 
     /// Verify every index against a from-scratch rebuild of the same
@@ -3159,5 +3250,340 @@ mod tests {
         assert_eq!(report.scans, 1);
         assert_eq!(report.pruned, 9);
         assert_eq!(report.range_specs.len(), 1);
+    }
+
+    /// The selection walk against the materialise-and-intersect selection
+    /// it replaced, kept here as the oracle.
+    mod selection_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `a ∪ b` for two disjoint ascending lists, materialised.
+        fn union_ref(a: &[u32], b: &[u32]) -> Vec<u32> {
+            let mut out = [a, b].concat();
+            out.sort_unstable();
+            out
+        }
+
+        /// `a ∩ b` for two ascending lists, materialised.
+        fn intersect_ref(a: &[u32], b: &[u32]) -> Vec<u32> {
+            a.iter()
+                .copied()
+                .filter(|p| b.binary_search(p).is_ok())
+                .collect()
+        }
+
+        /// The candidate positions as the selection was first written, kept as
+        /// the oracle for the selection walk: the most selective hash index's
+        /// positions (first on a tie) and every applicable range index's
+        /// positions, each materialised over the base and the tail (keyed and
+        /// unkeyed merged, tail positions offset, a tail the index selects
+        /// nothing usable from kept whole), then intersected pairwise. `None`
+        /// is a full scan.
+        fn reference_candidates(
+            kb: &KnowledgeBase,
+            key: PredKey,
+            store: &BindStore,
+            args: &[Term],
+            bounds: &BoundSet,
+        ) -> Option<Vec<u32>> {
+            let entry = &kb.preds[&key];
+            let base: &Segment = &entry.base;
+            let segments = [(base, 0), (&entry.tail, base.clauses.len() as u32)];
+            let segments = &segments[..if entry.tail.clauses.is_empty() { 1 } else { 2 }];
+            let mut best: Option<Vec<u32>> = None;
+            for (i, index) in base.indexes.iter().enumerate() {
+                let Some(k) = args
+                    .get(index.pos as usize)
+                    .and_then(|arg| ArgKey::of_call(store, arg))
+                else {
+                    continue;
+                };
+                let mut sel = Vec::new();
+                for &(seg, offset) in segments {
+                    let (keyed, vars) = seg.hash_sel(i, &k);
+                    sel.extend(union_ref(keyed, vars).into_iter().map(|p| p + offset));
+                }
+                if best.as_ref().is_none_or(|b| sel.len() < b.len()) {
+                    best = Some(sel);
+                }
+            }
+            let mut range_sels = Vec::new();
+            for (j, rindex) in base.ranges.iter().enumerate() {
+                let Some(sel) = rindex.select(store, args, bounds) else {
+                    continue;
+                };
+                let mut sel = union_ref(&sel.keyed, sel.unkeyed);
+                for &(seg, offset) in &segments[1..] {
+                    let tail = match seg.ranges[j].select(store, args, bounds) {
+                        Some(tail) => union_ref(&tail.keyed, tail.unkeyed),
+                        None => (0..seg.clauses.len() as u32).collect(),
+                    };
+                    sel.extend(tail.into_iter().map(|p| p + offset));
+                }
+                range_sels.push(sel);
+            }
+            let mut sels = best.into_iter().chain(range_sels);
+            let first = sels.next()?;
+            Some(sels.fold(first, |acc, sel| intersect_ref(&acc, &sel)))
+        }
+
+        /// The admitted answer positions as first written: every applicable
+        /// range index's selection over a fresh index of `answers`,
+        /// materialised and intersected pairwise.
+        fn reference_admitted(
+            kb: &KnowledgeBase,
+            key: PredKey,
+            answers: &[CachedAnswer],
+            store: &BindStore,
+            args: &[Term],
+            bounds: &BoundSet,
+        ) -> Option<Vec<u32>> {
+            let specs = kb.range_config.get(&key)?;
+            if !specs.iter().any(|spec| spec.bounded(store, args, bounds)) {
+                return None;
+            }
+            let index = AnswerIndex::build(specs, answers);
+            let mut sels = index
+                .ranges
+                .iter()
+                .filter_map(|rindex| rindex.select(store, args, bounds))
+                .map(|sel| union_ref(&sel.keyed, sel.unkeyed));
+            let first = sels.next()?;
+            Some(sels.fold(first, |acc, sel| intersect_ref(&acc, &sel)))
+        }
+
+        /// A splitmix64 stream: each oracle case draws everything from one
+        /// seed.
+        struct Draw(u64);
+
+        impl Draw {
+            fn below(&mut self, n: usize) -> usize {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % n as u64) as usize
+            }
+
+            fn chance(&mut self, percent: usize) -> bool {
+                self.below(100) < percent
+            }
+
+            fn atom(&mut self, names: &[&str]) -> Term {
+                Term::atom(names[self.below(names.len())])
+            }
+
+            /// A few values, so keys collide: integers, and floats among them
+            /// both zeros.
+            fn value(&mut self) -> f64 {
+                const FLOATS: [f64; 6] = [-0.0, 0.0, 0.5, 2.5, 7.0, -3.0];
+                match self.below(3) {
+                    0 => FLOATS[self.below(FLOATS.len())],
+                    _ => self.below(10) as f64 - 2.0,
+                }
+            }
+
+            fn number(&mut self) -> Term {
+                let v = self.value();
+                if v.fract() == 0.0 && self.chance(60) {
+                    Term::int(v as i64)
+                } else {
+                    Term::float(v)
+                }
+            }
+
+            /// A `range_call` bound: empty, open, a point, unbounded or
+            /// half-unbounded.
+            fn range(&mut self) -> NumRange {
+                let (a, b) = (self.value(), self.value());
+                let (lo, hi) = (a.min(b), a.max(b));
+                match self.below(5) {
+                    0 => NumRange::new(hi + 1.0, false, lo, self.chance(50)),
+                    1 => NumRange::new(lo, true, hi, true),
+                    2 => NumRange::point(a),
+                    3 => NumRange::ALL,
+                    _ => NumRange::new(f64::NEG_INFINITY, false, hi, self.chance(50)),
+                }
+            }
+        }
+
+        const MODELS: [&str; 2] = ["omega", "m1"];
+        const PREDS: [&str; 3] = ["p", "q", "r"];
+        const OBJECTS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
+
+        /// An `h/5` clause head in the reified shape, keyed, unkeyed or
+        /// variable at each hash position and range path.
+        fn draw_head(d: &mut Draw) -> Term {
+            let mut n = 0;
+            let mut var = || {
+                n += 1;
+                Term::var(n - 1)
+            };
+            let pt = |d: &mut Draw| Term::pred("pt", vec![d.number(), d.number()]);
+            let m = if d.chance(85) { d.atom(&MODELS) } else { var() };
+            let s = match d.below(7) {
+                0 | 1 => Term::atom("any"),
+                2 => Term::pred("sat", vec![pt(d)]),
+                3 => Term::pred("su", vec![Term::atom("r1"), pt(d)]),
+                4 => Term::pred("ss", vec![Term::atom("r2"), pt(d)]),
+                5 => Term::pred(
+                    "sa",
+                    vec![Term::atom("r1"), Term::pred("pt", vec![d.number(), var()])],
+                ),
+                _ => var(),
+            };
+            let t = match d.below(7) {
+                0 | 1 => Term::atom("any"),
+                2..=4 => Term::pred("tat", vec![d.number()]),
+                5 => Term::pred("tat", vec![var()]),
+                _ => Term::pred(
+                    "tu",
+                    vec![Term::pred("iv", vec![Term::int(1), Term::int(2)])],
+                ),
+            };
+            let q = if d.chance(90) { d.atom(&PREDS) } else { var() };
+            let a = match d.below(8) {
+                0..=2 => Term::list(vec![d.atom(&OBJECTS), d.number()]),
+                3 => Term::list(vec![d.atom(&OBJECTS), Term::atom("high")]),
+                4 => Term::list(vec![d.atom(&OBJECTS)]),
+                5 => Term::list(vec![var(), d.number()]),
+                6 => Term::list(vec![d.atom(&OBJECTS), var()]),
+                _ => var(),
+            };
+            Term::pred("h", vec![m, s, t, q, a])
+        }
+
+        /// An `h/5` call: each argument unbound, bound (directly or through
+        /// the store) to a keyed or a wrong shape, with `range_call` bounds on
+        /// some of the unbound numbers.
+        fn draw_call(d: &mut Draw, store: &mut BindStore, bounds: &mut BoundSet) -> Vec<Term> {
+            let unbound = |d: &mut Draw, store: &mut BindStore, bounds: &mut BoundSet| {
+                let v = store.alloc_block(1);
+                if d.chance(70) {
+                    bounds.insert(Var(v), d.range());
+                }
+                Term::var(v)
+            };
+            let slot = |d: &mut Draw, store: &mut BindStore, bounded: Term, wrong: Term| {
+                let arg = match d.below(10) {
+                    0..=2 => return Term::var(store.alloc_block(1)),
+                    3 => wrong,
+                    _ => bounded,
+                };
+                if d.chance(20) {
+                    let v = Term::var(store.alloc_block(1));
+                    assert!(store.unify(&v, &arg));
+                    v
+                } else {
+                    arg
+                }
+            };
+            let m = d.atom(&MODELS);
+            let m = slot(d, store, m, Term::int(3));
+            let (x, y) = (unbound(d, store, bounds), unbound(d, store, bounds));
+            let s = match d.below(4) {
+                0 => Term::pred("sat", vec![Term::pred("pt", vec![x, y])]),
+                1 => Term::pred("su", vec![Term::atom("r1"), Term::pred("pt", vec![x, y])]),
+                2 => Term::pred("sat", vec![Term::pred("pt", vec![d.number(), d.number()])]),
+                _ => Term::atom("any"),
+            };
+            let s = slot(
+                d,
+                store,
+                s,
+                Term::pred("su", vec![Term::atom("r1"), Term::atom("nowhere")]),
+            );
+            let t = match d.below(3) {
+                0 => Term::pred("tat", vec![d.number()]),
+                1 => Term::pred("tat", vec![unbound(d, store, bounds)]),
+                _ => Term::atom("any"),
+            };
+            let t = slot(d, store, t, Term::pred("tat", vec![Term::atom("now")]));
+            let q = d.atom(&PREDS);
+            let q = slot(d, store, q, Term::int(0));
+            let value = match d.below(3) {
+                0 => d.number(),
+                _ => unbound(d, store, bounds),
+            };
+            let a = Term::list(vec![d.atom(&OBJECTS), value]);
+            let a = slot(
+                d,
+                store,
+                a,
+                Term::list(vec![Term::atom("k0"), Term::atom("high")]),
+            );
+            vec![m, s, t, q, a]
+        }
+
+        /// The positions `candidates` picked; `None` for the full scan.
+        fn picked(cands: &Candidates<'_>) -> Option<Vec<u32>> {
+            match cands {
+                Candidates::All(_) => None,
+                Candidates::Picked { pos, .. } => {
+                    Some((0..pos.len()).filter_map(|i| pos.get(i)).collect())
+                }
+            }
+        }
+
+        proptest! {
+            /// Candidate selection and answer replay pick exactly the positions
+            /// the materialise-and-intersect reference picks, over `h/5` with
+            /// the kernel's hash positions, both interval paths and a grid
+            /// path, in a base alone or a base with a tail.
+            #[test]
+            fn selection_matches_the_materialised_reference(seed in any::<u64>()) {
+                let mut d = Draw(seed);
+                let key = PredKey::new("h", 5);
+                let mut kb = KnowledgeBase::new();
+                kb.set_index_args(key, &[0, 1, 3, 4]);
+                let coord = |child| {
+                    ArgPath::arg(1)
+                        .step_any(&[("su", 2), ("ss", 2), ("sa", 2)], 1)
+                        .step("pt", 2, child)
+                };
+                let cell = [1.0, 4.0][d.below(2)];
+                kb.set_range_indexes(key, vec![
+                    RangeSpec::Interval(ArgPath::arg(2).step("tat", 1, 0)),
+                    RangeSpec::Interval(ArgPath::arg(4).step(".", 2, 1).step(".", 2, 0)),
+                    RangeSpec::Grid { x: coord(0), y: coord(1), cell },
+                ]);
+                let add = |kb: &mut KnowledgeBase, d: &mut Draw| {
+                    kb.assert_clause(draw_head(d), Term::atom("true"))
+                };
+                let base = 64 + d.below(448);
+                for _ in 0..base {
+                    add(&mut kb, &mut d);
+                }
+                // A commit under a pin lands in the tail.
+                let pin = kb.snapshot();
+                if d.chance(75) {
+                    kb.begin_delta();
+                    for _ in 0..1 + d.below(base / 64) {
+                        add(&mut kb, &mut d);
+                    }
+                    kb.end_delta();
+                    prop_assert!(!kb.preds[&key].tail.clauses.is_empty());
+                }
+                let answers: Vec<CachedAnswer> = kb
+                    .clauses_of(key)
+                    .iter()
+                    .map(|c| CachedAnswer { term: c.head.clone(), n_vars: c.n_vars })
+                    .collect();
+                let answer_set = AnswerSet::from(answers.clone());
+                for _ in 0..32 {
+                    let mut store = BindStore::new();
+                    let mut bounds = BoundSet::default();
+                    let args = draw_call(&mut d, &mut store, &mut bounds);
+                    let got = picked(&kb.candidates(key, &store, &args, &bounds));
+                    let want = reference_candidates(&kb, key, &store, &args, &bounds);
+                    prop_assert_eq!(&got, &want, "candidates for {:?}", args);
+                    let got = kb.admitted_answers(key, &answer_set, &store, &args, &bounds);
+                    let want = reference_admitted(&kb, key, &answers, &store, &args, &bounds);
+                    prop_assert_eq!(&got, &want, "admitted answers for {:?}", args);
+                }
+                drop(pin);
+            }
+        }
     }
 }

@@ -1516,10 +1516,20 @@ impl<'kb, S: TraceSink> Machine<'kb, S> {
                 self.attribute_step(key);
             }
             self.count(|s| s.resolutions += 1);
+            // A variable-free clause (every fact of the reified relations)
+            // needs no renaming apart: activating it is a clone, with no
+            // walk of the head to prove what `n_vars` already says.
             let base = self.store.alloc_block(clause.n_vars);
-            let head = clause.head.offset_vars(base);
+            let rename = |t: &Term| {
+                if clause.n_vars == 0 {
+                    t.clone()
+                } else {
+                    t.offset_vars(base)
+                }
+            };
+            let head = rename(&clause.head);
             if self.store.unify(goal, &head) {
-                let body = clause.body.offset_vars(base);
+                let body = rename(&clause.body);
                 if body != Term::Atom(symbols::true_()) {
                     self.cont = Cont::push(&self.cont, body);
                 }

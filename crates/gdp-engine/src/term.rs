@@ -83,7 +83,10 @@ impl fmt::Debug for F64 {
 }
 
 /// A first-order term.
-#[derive(Clone, PartialEq, Eq, Hash)]
+// `PartialEq` is written out below, as the derived equality with the last
+// argument compared in a loop; `Hash` stays derived and agrees with it.
+#[allow(clippy::derived_hash_with_manual_eq)]
+#[derive(Clone, Eq, Hash)]
 pub enum Term {
     /// An unbound-or-bound logic variable (resolved through the bind store).
     Var(Var),
@@ -98,6 +101,41 @@ pub enum Term {
     Str(Arc<str>),
     /// A compound term `f(t1, …, tn)` with `n ≥ 1`.
     Compound(Sym, Arc<[Term]>),
+}
+
+impl PartialEq for Term {
+    /// Structural equality, the one `derive` would give, but with the last
+    /// argument of each compound compared in a loop rather than by
+    /// recursion, so a list (or any chain nested in last arguments) costs
+    /// no stack however long. Shared argument lists compare equal at once.
+    fn eq(&self, other: &Term) -> bool {
+        let (mut a, mut b) = (self, other);
+        loop {
+            match (a, b) {
+                (Term::Var(x), Term::Var(y)) => return x == y,
+                (Term::Atom(x), Term::Atom(y)) => return x == y,
+                (Term::Int(x), Term::Int(y)) => return x == y,
+                (Term::Float(x), Term::Float(y)) => return x == y,
+                (Term::Str(x), Term::Str(y)) => return x == y,
+                (Term::Compound(f, xs), Term::Compound(g, ys)) => {
+                    if f != g || xs.len() != ys.len() {
+                        return false;
+                    }
+                    if Arc::ptr_eq(xs, ys) {
+                        return true;
+                    }
+                    let (Some((x, xs)), Some((y, ys))) = (xs.split_last(), ys.split_last()) else {
+                        return true;
+                    };
+                    if xs != ys {
+                        return false;
+                    }
+                    (a, b) = (x, y);
+                }
+                _ => return false,
+            }
+        }
+    }
 }
 
 impl Term {
@@ -236,12 +274,24 @@ impl Term {
         }
     }
 
-    /// True if the term contains no variables at all.
+    /// True if the term contains no variables at all. The last argument
+    /// is walked in a loop, not by recursion, as in [`Term::max_var`].
     pub fn is_ground(&self) -> bool {
-        match self {
-            Term::Var(_) => false,
-            Term::Compound(_, args) => args.iter().all(Term::is_ground),
-            _ => true,
+        let mut t = self;
+        loop {
+            match t {
+                Term::Var(_) => return false,
+                Term::Compound(_, args) => match args.split_last() {
+                    Some((last, rest)) => {
+                        if !rest.iter().all(Term::is_ground) {
+                            return false;
+                        }
+                        t = last;
+                    }
+                    None => return true,
+                },
+                _ => return true,
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! made since a choice point. Unification is iterative (explicit work
 //! stack) so adversarially deep terms cannot overflow the host stack.
 
+use crate::symbol::Sym;
 use crate::term::{Term, Var};
 
 /// Variable bindings plus the undo trail.
@@ -195,47 +196,69 @@ pub fn resolve_shallow(store: &BindStore, t: &Term) -> Term {
 /// variable in place where its own expansion reaches it again, so the
 /// cycle renders as `f(X)` instead of looping forever. Acyclic stores are
 /// resolved exactly as before.
+///
+/// The walk keeps its own stack of the compounds being rebuilt, so a term
+/// of any depth (a long list, say) resolves without recursion.
 pub fn resolve_deep(store: &BindStore, t: &Term) -> Term {
-    resolve_guarded(store, t, &mut Vec::new())
-}
-
-/// Recursive worker for [`resolve_deep`]. `chain` holds the variables
-/// whose bindings are currently being expanded on the path from the root;
-/// re-encountering one of them means the store is cyclic, and the cycle is
-/// cut by returning the variable unexpanded.
-fn resolve_guarded<'a>(store: &'a BindStore, t: &'a Term, chain: &mut Vec<Var>) -> Term {
-    let base = chain.len();
+    /// A compound whose arguments are being resolved: `chain_len` is the
+    /// length `chain` had before the variables that led to it were
+    /// followed, and is restored once it is rebuilt.
+    struct Frame<'a> {
+        functor: Sym,
+        args: &'a [Term],
+        done: Vec<Term>,
+        chain_len: usize,
+    }
+    // The variables whose bindings are being expanded on the path from
+    // the root; re-encountering one of them means the store is cyclic, and
+    // the cycle is cut by leaving the variable unexpanded.
+    let mut chain: Vec<Var> = Vec::new();
+    let mut frames: Vec<Frame<'_>> = Vec::new();
     let mut cur = t;
     loop {
-        match cur {
-            Term::Var(v) => {
-                if chain.contains(v) {
-                    chain.truncate(base);
-                    return Term::Var(*v);
-                }
-                match store.slots.get(v.0 as usize) {
-                    Some(Some(next)) => {
+        // Follow `cur`'s bindings to an unbound variable, a cycle, a leaf
+        // or a compound; a compound opens a frame and resolves its first
+        // argument next.
+        let chain_len = chain.len();
+        let leaf = loop {
+            match cur {
+                Term::Var(v) => match store.slots.get(v.0 as usize) {
+                    Some(Some(next)) if !chain.contains(v) => {
                         chain.push(*v);
                         cur = next;
                     }
-                    _ => {
-                        chain.truncate(base);
-                        return Term::Var(*v);
-                    }
+                    _ => break Some(Term::Var(*v)),
+                },
+                Term::Compound(functor, args) if !args.is_empty() => {
+                    frames.push(Frame {
+                        functor: *functor,
+                        args,
+                        done: Vec::with_capacity(args.len()),
+                        chain_len,
+                    });
+                    cur = &args[0];
+                    break None;
                 }
+                other => break Some(other.clone()),
             }
-            Term::Compound(f, args) => {
-                let resolved: Vec<Term> = args
-                    .iter()
-                    .map(|a| resolve_guarded(store, a, chain))
-                    .collect();
-                chain.truncate(base);
-                return Term::Compound(*f, resolved.into());
+        };
+        let Some(mut resolved) = leaf else {
+            continue;
+        };
+        chain.truncate(chain_len);
+        // Hand the resolved term up, rebuilding every compound it completes.
+        loop {
+            let Some(frame) = frames.last_mut() else {
+                return resolved;
+            };
+            frame.done.push(resolved);
+            if let Some(next) = frame.args.get(frame.done.len()) {
+                cur = next;
+                break;
             }
-            other => {
-                chain.truncate(base);
-                return other.clone();
-            }
+            let frame = frames.pop().expect("the frame just completed");
+            chain.truncate(frame.chain_len);
+            resolved = Term::Compound(frame.functor, frame.done.into());
         }
     }
 }

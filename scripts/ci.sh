@@ -209,6 +209,14 @@ cargo test -q --release -p gdp --test delta_merge_prop
 echo "==> cargo test durable_codec [PROPTEST_CASES=2048]"
 env PROPTEST_CASES=2048 cargo test -q --release -p gdp --test durable_codec
 
+# Selection-oracle leg: candidate selection and answer replay walk the
+# smallest index selection and probe the others (DESIGN.md #12); their
+# positions must equal the materialise-and-intersect reference's on
+# random h/5 clause stores and calls, so the property gets a longer run.
+echo "==> cargo test selection oracle [PROPTEST_CASES=2048]"
+env PROPTEST_CASES=2048 cargo test -q --release -p gdp-engine --lib \
+    selection_matches_the_materialised_reference
+
 # Checkpointed-recovery legs: crash-safe checkpoints × injected disk
 # faults × tabling. The in-file sweeps always run; a GDP_CHAOS io:
 # value additionally arms a ChaosFile fault under every WAL and

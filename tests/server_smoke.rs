@@ -616,10 +616,11 @@ fn the_world_view_survives_a_restart() {
 /// than `MAX_TERM_DEPTH` is refused with a line-numbered diagnostic before
 /// it is compiled, and its session and every other keep serving: the
 /// stack overflow compiling it would cause aborts the whole process. A
-/// 20,000-element list loads, commits and survives a restart. (Dropping
-/// or hashing such a term recurses per level, so the test keeps both
-/// stores alive in their accept loops and fingerprints them on a
-/// session-sized stack.)
+/// 20,000-element list loads, commits, answers a query and survives a
+/// restart: the solver's term walks and term equality loop down the list
+/// instead of recursing per element. (Dropping or hashing such a term
+/// still recurses per level, so the test keeps both stores alive in their
+/// accept loops and compares them on a session-sized stack.)
 #[test]
 fn a_deep_list_literal_is_refused_and_the_server_keeps_serving() {
     let wal = fresh_wal("deep-list");
@@ -648,23 +649,41 @@ fn a_deep_list_literal_is_refused_and_the_server_keeps_serving() {
     assert_eq!(bystander.send("?- 1 = 1."), "yes.\n");
     let committed = client.send(&list(20_000));
     assert!(committed.contains("committed as seq 1"), "{committed}");
+    let query = "?- big([0, 1 | _]).";
+    assert_eq!(client.send(query), "yes.\n");
 
     let (recovered, head) = ServerState::durable(&wal).expect("recovered state");
     assert_eq!(head, 1);
-    let content = |state: &ServerState| {
+    fn on_session_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
         std::thread::scope(|s| {
             std::thread::Builder::new()
                 .stack_size(SOLVER_STACK)
-                .spawn_scoped(s, || state.store().read(|spec| fingerprint(spec.kb())))
+                .spawn_scoped(s, f)
                 .expect("spawn")
                 .join()
-                .expect("fingerprint")
-                .expect("within MAX_TERM_DEPTH")
+                .expect("no stack overflow")
         })
+    }
+    let content = |state: &ServerState| {
+        state
+            .store()
+            .read(|spec| fingerprint(spec.kb()))
+            .expect("within MAX_TERM_DEPTH")
     };
-    assert_eq!(content(&recovered), content(&live));
+    assert_eq!(
+        on_session_stack(|| content(&recovered)),
+        on_session_stack(|| content(&live))
+    );
+    let same_content = || {
+        let live = live.store();
+        recovered
+            .store()
+            .read(|ours| live.read(|theirs| ours.kb().content_eq(theirs.kb())))
+    };
+    assert!(on_session_stack(same_content));
     let mut client = Client::connect(serve(&recovered));
     assert_eq!(client.send("?- 1 = 1."), "yes.\n");
+    assert_eq!(client.send(query), "yes.\n");
     let _ = fresh_wal("deep-list");
 }
 
