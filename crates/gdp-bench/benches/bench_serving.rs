@@ -124,7 +124,9 @@ fn bench_commit_throughput(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("wal", 0usize), |b| {
         let path = std::env::temp_dir().join(format!("gdp-bench-t16-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let store = SpecStore::create_wal(audit_world(MODELS, READINGS), &path).expect("wal store");
+        let wal_only = DurabilityOptions::no_checkpoints();
+        let store = SpecStore::create_durable(audit_world(MODELS, READINGS), &path, wal_only)
+            .expect("wal store");
         let seq = AtomicUsize::new(0);
         b.iter(|| commit_reading(&store, seq.fetch_add(1, Ordering::Relaxed)));
         let _ = std::fs::remove_file(&path);

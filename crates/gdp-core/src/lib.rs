@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod config;
 mod domains;
 mod error;
 pub mod explain;
@@ -63,6 +64,7 @@ pub mod rule;
 mod spec;
 pub mod store;
 
+pub use config::EnvConfig;
 pub use domains::{DomainDef, DomainTable, Sort};
 pub use error::{SpecError, SpecResult};
 pub use explain::{decode, explain, Proof};

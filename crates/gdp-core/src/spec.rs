@@ -18,6 +18,7 @@ use gdp_engine::{
     TraceEvent, TraceSink,
 };
 
+use crate::config::EnvConfig;
 use crate::domains::{register_domain_native, DomainDef, DomainTable, Sort};
 use crate::error::{SpecError, SpecResult};
 use crate::fact::{FactPat, Target};
@@ -195,6 +196,26 @@ struct AuditCache {
     members: Vec<MemberOutcome>,
 }
 
+impl Violation {
+    /// Decode one derived `ERROR` fact: `args` is its argument list, whose
+    /// head is the violation type and whose tail the witnesses. An empty
+    /// or improper list reads as type `unknown` with no witnesses.
+    pub fn decode(model: Term, space: Term, time: Term, args: &Term) -> Violation {
+        let items = list_to_vec(args).unwrap_or_default();
+        let (error_type, witnesses) = match items.split_first() {
+            Some((t, w)) => (t.clone(), w.to_vec()),
+            None => (Term::atom("unknown"), Vec::new()),
+        };
+        Violation {
+            model,
+            error_type,
+            witnesses,
+            space,
+            time,
+        }
+    }
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}'ERROR({}", self.model, self.error_type)?;
@@ -353,41 +374,15 @@ impl Specification {
         spec.declare_model(DEFAULT_MODEL);
         spec.set_world_view(&[DEFAULT_MODEL])
             .expect("the default model is declared");
-        // Ablation hook: `GDP_TABLING=on` (nominated predicates) or
-        // `GDP_TABLING=all` flips answer tabling on for every
-        // specification, so whole harnesses (the E1–E16 experiment runner,
-        // integration suites) can be re-run tabled without code changes.
-        // Unset or any other value leaves tabling off — the default.
-        match std::env::var("GDP_TABLING").as_deref() {
-            Ok("on") => spec.enable_tabling(true),
-            Ok("all") => {
-                spec.enable_tabling(true);
-                spec.set_table_all(true);
-            }
-            _ => {}
-        }
-        // Observability hooks, same spirit: `GDP_TRACE=1` keeps a bounded
-        // ring of port events per query, `GDP_PROFILE=1` accumulates a
-        // per-predicate profile. Both off (and costing nothing) by default.
-        if matches!(std::env::var("GDP_TRACE").as_deref(), Ok("1") | Ok("on")) {
-            spec.set_trace(true);
-        }
-        if matches!(std::env::var("GDP_PROFILE").as_deref(), Ok("1") | Ok("on")) {
-            spec.set_profile(true);
-        }
-        // Fault-injection hook: `GDP_CHAOS=<seed>` (or `kind:K`) arms the
-        // deterministic chaos harness for every audit this specification
-        // runs — the CI chaos leg re-runs the fault-tolerance suite under
-        // a seed matrix this way. Unset: no injection, no overhead.
-        spec.chaos = ChaosConfig::from_env();
-        // Indexing hook: `GDP_INDEX=off` (or `0`) disables clause-selection
-        // indexing — hash and range alike — so every call scans every
-        // clause, the 1986-Prolog baseline. The equivalence suites diff
-        // answers across this switch; unset or any other value leaves
-        // indexing on (the default).
-        if matches!(std::env::var("GDP_INDEX").as_deref(), Ok("off") | Ok("0")) {
-            spec.kb.set_indexing(false);
-        }
+        // The `GDP_*` hooks, so whole harnesses re-run under another
+        // configuration without code changes.
+        let env = EnvConfig::read();
+        spec.enable_tabling(env.tabling);
+        spec.set_table_all(env.table_all);
+        spec.set_trace(env.trace);
+        spec.set_profile(env.profile);
+        spec.chaos = env.chaos;
+        spec.kb.set_indexing(!env.unindexed);
         spec
     }
 
@@ -888,11 +883,10 @@ impl Specification {
 
     // ----- queries ----------------------------------------------------------
 
-    /// A query budget with an explicit step limit (retries escalate it),
-    /// the session's depth limit and cancellation token, and its deadline
-    /// counted from `started`.
-    fn budget_since(&self, step_limit: u64, started: Instant) -> Budget {
-        let mut budget = Budget::new(step_limit, self.session.depth_limit)
+    /// A query budget under the session's limits and cancellation token,
+    /// with its deadline counted from `started`.
+    fn budget_since(&self, started: Instant) -> Budget {
+        let mut budget = Budget::new(self.session.step_limit, self.session.depth_limit)
             .with_cancel(self.session.cancel.clone());
         if let Some(d) = self.session.deadline {
             budget = budget.with_deadline_after(started, d);
@@ -914,8 +908,9 @@ impl Specification {
         )
     }
 
-    /// Fold one query's observations back into the specification: the
-    /// profile accumulates, the trace ring replaces the previous one.
+    /// Fold one query's or audit batch's observations back into the
+    /// specification: the profile accumulates, and a ring, when the solve
+    /// kept one, replaces the previous one.
     fn harvest(&self, sink: ObserverSink) {
         let (prof, ring) = sink.into_parts();
         if let Some(p) = prof {
@@ -933,25 +928,16 @@ impl Specification {
 
     /// Up to `limit` answers to `goal` under the session's limits, with
     /// the deadline counted from `started`, so that several solves can
-    /// share one deadline instant (an explanation's sub-solves do).
+    /// share one deadline instant (an explanation's sub-solves do). Every
+    /// `&self` query funnels through here, so observation and counting
+    /// are wired in exactly once.
     pub(crate) fn solve_since(
         &self,
         goal: Term,
         limit: usize,
         started: Instant,
     ) -> SpecResult<Vec<Solution>> {
-        let budget = self.budget_since(self.session.step_limit, started);
-        self.solve_n_goal_budget(goal, limit, budget)
-    }
-
-    /// The shared solve path: every `&self` query funnels through here, so
-    /// observation and counting are wired in exactly once.
-    fn solve_n_goal_budget(
-        &self,
-        goal: Term,
-        limit: usize,
-        budget: Budget,
-    ) -> SpecResult<Vec<Solution>> {
+        let budget = self.budget_since(started);
         let out = if self.observing() {
             let solver = Solver::with_sink(&self.kb, budget, self.observer_sink());
             let out = solver.solve(goal, limit);
@@ -1220,7 +1206,7 @@ impl Specification {
     }
 
     /// Explain why a fact pattern is provable (its first solution's proof
-    /// tree), or `None` when it is not. See [`crate::explain`].
+    /// tree), or `None` when it is not. See [`mod@crate::explain`].
     pub fn explain_fact(&self, pat: FactPat) -> SpecResult<Option<crate::explain::Proof>> {
         let mut vt = VarTable::new();
         let goal = pat.compile(&mut vt, Target::Visible);
@@ -1231,45 +1217,17 @@ impl Specification {
     /// return the violations (§III.C, §III.E). An empty result means the
     /// world view is *consistent*.
     ///
-    /// Budget-exhausted checks are retried under the active
-    /// [`RetryPolicy`] with escalated step limits before the error is
-    /// surfaced. (The sequential check evaluates one goal, so there is no
-    /// partial report to degrade to — use
-    /// [`Self::audit_world_views`] for per-member degraded evaluation.)
+    /// This is [`Self::audit_world_views`] on one worker, with its
+    /// per-member retries, fault injection and member-cache refresh; a
+    /// traced check keeps the worker's port-event ring. A member that
+    /// still fails makes the check fail with the first such member's
+    /// error, since a partial list would read as a verdict.
     pub fn check_consistency(&self) -> SpecResult<Vec<Violation>> {
-        let goal = reify::visible(
-            Term::var(0),
-            Term::var(1),
-            Term::var(2),
-            Term::atom(ERROR_PRED),
-            Term::var(3),
-        );
-        let mut attempt = 0u32;
-        let solutions = loop {
-            let steps = self
-                .session
-                .retry
-                .escalated(self.session.step_limit, attempt);
-            let budget = self.budget_since(steps, Instant::now());
-            match self.solve_n_goal_budget(goal.clone(), usize::MAX, budget) {
-                Ok(solutions) => break solutions,
-                Err(SpecError::Engine(e))
-                    if e.is_recoverable() && attempt < self.session.retry.attempts =>
-                {
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let mut out = Vec::new();
-        for sol in solutions {
-            let model = sol.get(gdp_engine::Var(0)).cloned().unwrap_or(Term::var(0));
-            let v = Self::violation_from(model, &sol);
-            if !out.contains(&v) {
-                out.push(v);
-            }
+        let report = self.audit_world_views(1)?;
+        match report.incomplete.into_iter().next() {
+            Some(failure) => Err(failure.error.into()),
+            None => Ok(report.violations),
         }
-        Ok(out)
     }
 
     /// The violations one world-view member's constraints derive, in
@@ -1282,7 +1240,7 @@ impl Specification {
         let solutions = self.solve_n_goal(Self::audit_goal(model), usize::MAX)?;
         Ok(solutions
             .iter()
-            .map(|sol| Self::violation_from(Term::atom(model), sol))
+            .map(|sol| Self::violation_from(model, sol))
             .collect())
     }
 
@@ -1297,46 +1255,31 @@ impl Specification {
         )
     }
 
-    /// Decode one `visible(M, S, T, error, A)` solution into a
-    /// [`Violation`]. `model` is supplied by the caller: the sequential
-    /// audit reads it from the solution's first variable, the per-model
-    /// parallel audit already knows it (the goal carries it ground).
-    fn violation_from(model: Term, sol: &gdp_engine::Solution) -> Violation {
-        let space = sol.get(gdp_engine::Var(1)).cloned().unwrap_or(Term::var(1));
-        let time = sol.get(gdp_engine::Var(2)).cloned().unwrap_or(Term::var(2));
-        let args = sol.get(gdp_engine::Var(3)).cloned().unwrap_or(Term::nil());
-        let items = list_to_vec(&args).unwrap_or_default();
-        let (error_type, witnesses) = match items.split_first() {
-            Some((t, w)) => (t.clone(), w.to_vec()),
-            None => (Term::atom("unknown"), Vec::new()),
-        };
-        Violation {
-            model,
-            error_type,
-            witnesses,
-            space,
-            time,
-        }
+    /// Decode one solution of `model`'s [`Self::audit_goal`].
+    fn violation_from(model: &str, sol: &Solution) -> Violation {
+        let get = |i| sol.get(gdp_engine::Var(i)).cloned().unwrap_or(Term::var(i));
+        Violation::decode(Term::atom(model), get(1), get(2), &get(3))
     }
 
-    /// The parallel counterpart of [`Self::check_consistency`]: fan one
+    /// The consistency audit behind [`Self::check_consistency`]: fan one
     /// `ERROR`-derivation goal per world-view member across `workers`
     /// threads (the paper's per-world-view consistency story, §III.C/§VI,
     /// is an independent-goal fan-out: each model's constraint violations
     /// derive without reference to the others').
     ///
-    /// The merge is deterministic and reproduces the sequential audit
-    /// exactly: the kernel's `visible/5` clause enumerates models in
-    /// `active_model` assertion order — which *is* the world-view order —
-    /// so concatenating per-model answers in world-view order and then
-    /// deduplicating globally yields the identical violation list,
-    /// byte-for-byte, at any worker count.
+    /// The merge is deterministic and reproduces a single
+    /// `visible(M, S, T, error, A)` goal's answers exactly: the kernel's
+    /// `visible/5` clause enumerates models in `active_model` assertion
+    /// order — which *is* the world-view order — so concatenating
+    /// per-model answers in world-view order and then deduplicating
+    /// globally yields the identical violation list, byte-for-byte, at
+    /// any worker count.
     ///
     /// The step budget is global: each worker receives an equal share, so
-    /// the audit can consume at most the same budget as the sequential
-    /// check. Merged per-worker counters (including any retry attempts)
-    /// are recorded as the specification's last stats, added to the
-    /// session's totals and returned in the report.
+    /// the audit can consume at most the session's step limit. Merged
+    /// per-worker counters (including any retry attempts) are recorded as
+    /// the specification's last stats, added to the session's totals and
+    /// returned in the report.
     ///
     /// ## Degraded-mode evaluation
     ///
@@ -1409,9 +1352,9 @@ impl Specification {
     /// Solve `goals` as one [`ParallelSolver`] batch over `workers`
     /// threads sharing `step_limit`, under the session's depth limit,
     /// deadline and cancel token and the given fault injection. The
-    /// batch's counters fold into `stats` and its per-worker profiles into
-    /// the session's profile. (The trace ring stays sequential-only:
-    /// interleaved per-worker event orders are not meaningful.)
+    /// batch's counters fold into `stats` and its observations into the
+    /// session, as a query's do: the per-worker profiles merged, and the
+    /// ring when the batch ran on one worker.
     fn audit_batch(
         &self,
         goals: &[Term],
@@ -1422,17 +1365,15 @@ impl Specification {
     ) -> Vec<EngineResult<Vec<Solution>>> {
         let mut par =
             ParallelSolver::with_budget(&self.kb, workers, step_limit, self.session.depth_limit);
-        if self.session.profile_enabled {
-            par.enable_profile();
+        if self.observing() {
+            par.observe(self.observer_sink());
         }
         par.set_deadline(self.session.deadline);
         par.set_cancel(self.session.cancel.clone());
         par.set_chaos(chaos);
         let results = par.solve_batch(goals);
         stats.absorb(&par.stats());
-        if let Some(p) = par.profile() {
-            self.session.profiler.lock().absorb(&p);
-        }
+        self.harvest(par.into_observed());
         results
     }
 
@@ -1446,7 +1387,7 @@ impl Specification {
             Ok(solutions) => MemberOutcome::Solved(
                 solutions
                     .iter()
-                    .map(|sol| Self::violation_from(Term::atom(name), sol))
+                    .map(|sol| Self::violation_from(name, sol))
                     .collect(),
             ),
             Err((error, attempts)) => MemberOutcome::Failed { error, attempts },
@@ -1593,9 +1534,10 @@ impl Specification {
     /// Members whose previous audit failed are always re-solved (a full
     /// re-audit would re-attempt them). Falls back to a full audit when
     /// no cache exists, or when the world view or the knowledge base's
-    /// configuration ([`Self::audit_config`]) moved since it was built;
-    /// either way the cache is refreshed, so successive commits can chain
-    /// `audit_incremental` calls. Requires incremental mode
+    /// configuration (its structural generation and tabling switches)
+    /// moved since it was built; either way the cache is refreshed, so
+    /// successive commits can chain `audit_incremental` calls. Requires
+    /// incremental mode
     /// ([`Self::set_incremental`]) for the cache to populate.
     pub fn audit_incremental(&self, delta: &Delta, workers: usize) -> SpecResult<AuditReport> {
         let view = self.world_view();

@@ -239,7 +239,7 @@ impl StoreState {
         d.wal = Err(String::new());
         let rotated = std::fs::rename(&d.paths.wal, &d.paths.wal_prev).and_then(|()| {
             let header = WalHeader::new(d.fingerprint, seq + 1);
-            Wal::create_with_faults(&d.paths.wal, header, d.opts.io_faults)
+            Wal::create(&d.paths.wal, header, d.opts.io_faults)
         });
         match rotated {
             Ok(wal) => {
@@ -283,12 +283,6 @@ impl SpecStore {
         }
     }
 
-    /// Serve `spec` durably with WAL-only durability (no automatic
-    /// checkpoints) — see [`SpecStore::create_durable`].
-    pub fn create_wal(spec: Specification, path: &Path) -> SpecResult<SpecStore> {
-        SpecStore::create_durable(spec, path, DurabilityOptions::no_checkpoints())
-    }
-
     /// Serve `spec` durably: create a fresh write-ahead log at `path`
     /// (truncating anything there, and deleting stale siblings from an
     /// earlier incarnation) and append every subsequent commit to it.
@@ -311,8 +305,8 @@ impl SpecStore {
             let _ = std::fs::remove_file(stale);
         }
         let fp = base_fingerprint(spec.kb())?;
-        let wal = Wal::create_with_faults(&paths.wal, WalHeader::new(fp, 1), opts.io_faults)
-            .map_err(wal_err)?;
+        let wal =
+            Wal::create(&paths.wal, WalHeader::new(fp, 1), opts.io_faults).map_err(wal_err)?;
         let store = SpecStore::new(spec);
         store.state.lock().durable = Some(DurableState {
             wal: Ok(wal),
@@ -322,12 +316,6 @@ impl SpecStore {
             since_checkpoint: 0,
         });
         Ok(store)
-    }
-
-    /// Re-open a durable store with WAL-only durability going forward —
-    /// see [`SpecStore::recover_durable`].
-    pub fn recover(base: Specification, path: &Path) -> SpecResult<(SpecStore, u64)> {
-        SpecStore::recover_durable(base, path, DurabilityOptions::no_checkpoints())
     }
 
     /// Re-open a durable store: restore the newest valid checkpoint and
@@ -455,9 +443,7 @@ impl SpecStore {
         // tail; a missing one starts at head+1.
         let wal = match current {
             Some(end) => Wal::reopen(&paths.wal, end, opts.io_faults),
-            None => {
-                Wal::create_with_faults(&paths.wal, WalHeader::new(fp, head + 1), opts.io_faults)
-            }
+            None => Wal::create(&paths.wal, WalHeader::new(fp, head + 1), opts.io_faults),
         }
         .map_err(wal_err)?;
 
@@ -769,7 +755,8 @@ mod tests {
     fn recover_reproduces_live_store() {
         let path = temp_path("recover");
         let _ = std::fs::remove_file(&path);
-        let store = SpecStore::create_wal(base(), &path).unwrap();
+        let wal_only = DurabilityOptions::no_checkpoints();
+        let store = SpecStore::create_durable(base(), &path, wal_only).unwrap();
         for i in 2..=4 {
             store
                 .commit(|spec| spec.assert_fact(FactPat::new("road").arg(format!("r{i}").as_str())))
@@ -777,7 +764,7 @@ mod tests {
         }
         let live_epoch = store.read(|s| s.kb().epoch());
         drop(store);
-        let (recovered, replayed) = SpecStore::recover(base(), &path).unwrap();
+        let (recovered, replayed) = SpecStore::recover_durable(base(), &path, wal_only).unwrap();
         assert_eq!(replayed, 3);
         assert_eq!(recovered.head_seq(), 3);
         assert_eq!(recovered.read(road_count), 4);

@@ -21,9 +21,9 @@
 //! new hooks in the solver. See DESIGN.md §6.10.
 //!
 //! A [`ChaosConfig`] is derived from a single seed
-//! ([`ChaosConfig::from_seed`]) or parsed from the `GDP_CHAOS`
-//! environment variable ([`ChaosConfig::from_env`]), which `gdp-core`'s
-//! `Specification` consults at construction so whole test suites can be
+//! ([`ChaosConfig::from_seed`]) or parsed from a `GDP_CHAOS` value
+//! ([`ChaosConfig::parse`]); `gdp-core` reads that environment variable
+//! when it constructs a `Specification`, so whole test suites can be
 //! re-run under injected faults without code changes.
 
 use std::fs::File;
@@ -96,19 +96,6 @@ impl ChaosConfig {
             kind,
             at_event,
             port: None,
-        })
-    }
-
-    /// The injection point requested by the `GDP_CHAOS` environment
-    /// variable, if any. `io:` values belong to the disk-fault layer
-    /// ([`IoFaultConfig::from_env`]) and are not warned about here.
-    pub fn from_env() -> Option<ChaosConfig> {
-        std::env::var("GDP_CHAOS").ok().and_then(|v| {
-            let cfg = ChaosConfig::parse(&v);
-            if cfg.is_none() && !v.trim().is_empty() && !v.trim().starts_with("io:") {
-                eprintln!("GDP_CHAOS={v}: expected a seed or kind:K; ignoring");
-            }
-            cfg
         })
     }
 }
@@ -184,14 +171,6 @@ impl IoFaultConfig {
         };
         let at = k.parse::<u64>().ok().filter(|k| *k >= 1)?;
         Some(IoFaultConfig { kind, at })
-    }
-
-    /// The disk-fault point requested by the `GDP_CHAOS` environment
-    /// variable, if it carries an `io:` value.
-    pub fn from_env() -> Option<IoFaultConfig> {
-        std::env::var("GDP_CHAOS")
-            .ok()
-            .and_then(|v| IoFaultConfig::parse(&v))
     }
 }
 

@@ -48,7 +48,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::kb::KnowledgeBase;
 use crate::solver::{Solution, Solver, SolverStats};
 use crate::term::Term;
-use crate::trace::{NullSink, Profiler, TraceSink};
+use crate::trace::{NullSink, ObserverSink, TraceSink};
 
 // The whole point of the audit: sharing a knowledge base (and its answer
 // table) across scoped threads is only sound if these bounds hold, so
@@ -72,7 +72,10 @@ pub struct ParallelSolver<'kb> {
     step_limit: u64,
     depth_limit: u32,
     stats: Mutex<SolverStats>,
-    profile: Option<Mutex<Profiler>>,
+    /// The shape each worker's observer takes, when observing.
+    observer: Option<ObserverSink>,
+    /// Observations merged across workers and batches.
+    observed: Mutex<ObserverSink>,
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
     chaos: Option<ChaosConfig>,
@@ -102,7 +105,8 @@ impl<'kb> ParallelSolver<'kb> {
             step_limit,
             depth_limit,
             stats: Mutex::new(SolverStats::default()),
-            profile: None,
+            observer: None,
+            observed: Mutex::default(),
             deadline: None,
             cancel: None,
             chaos: None,
@@ -131,20 +135,22 @@ impl<'kb> ParallelSolver<'kb> {
         self.chaos = chaos;
     }
 
-    /// Switch on per-predicate profiling for subsequent batches. Each
-    /// worker profiles its own goals into a private [`Profiler`] sink,
-    /// and the per-worker profiles are merged at the batch join point,
-    /// exactly like [`SolverStats`] absorption.
-    pub fn enable_profile(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(Mutex::new(Profiler::new()));
-        }
+    /// Observe subsequent batches: each worker fills an [`ObserverSink`]
+    /// of `shape`'s shape (a profiler, a ring of its capacity, or both;
+    /// what `shape` holds is ignored). Profiles merge at the batch join
+    /// point, exactly like [`SolverStats`] absorption. A batch that runs
+    /// on one worker keeps that worker's ring; a wider batch records
+    /// none, since an interleaving of several workers' events has no
+    /// meaningful order.
+    pub fn observe(&mut self, shape: ObserverSink) {
+        self.observer = Some(shape);
     }
 
-    /// A snapshot of the merged per-predicate profile across all batches
-    /// run so far, or `None` when profiling was never enabled.
-    pub fn profile(&self) -> Option<Profiler> {
-        self.profile.as_ref().map(|p| p.lock().clone())
+    /// What [`Self::observe`] collected over every batch run so far: the
+    /// merged profile, and the ring of the latest batch that kept one.
+    /// Empty when nothing was observed.
+    pub fn into_observed(self) -> ObserverSink {
+        self.observed.into_inner()
     }
 
     /// The configured worker count.
@@ -172,23 +178,23 @@ impl<'kb> ParallelSolver<'kb> {
     /// solutions, same solution order), regardless of worker count or
     /// scheduling — only wall-clock and the step-budget partition differ.
     pub fn solve_batch(&self, goals: &[Term]) -> Vec<EngineResult<Vec<Solution>>> {
-        // One arm per sink configuration (profiling × chaos): each worker
-        // builds its own sink, so the sink type is fixed per batch.
-        match (&self.profile, self.chaos) {
-            (Some(profile), None) => {
-                self.run_batch(goals, Profiler::new, |p| profile.lock().absorb(&p), None)
-            }
+        // One arm per sink configuration (observation × chaos): each
+        // worker builds its own sink, so the sink type is fixed per batch.
+        let one_worker = self.workers.min(goals.len()) == 1;
+        let absorb = |s: ObserverSink| self.observed.lock().absorb(s);
+        match (&self.observer, self.chaos) {
             (None, None) => self.run_batch(goals, || NullSink, |_| {}, None),
-            (Some(profile), Some(cfg)) => {
-                let token = CancelToken::new();
-                let mk = || ChaosSink::new(cfg, token.clone(), Profiler::new());
-                let merge = |s: ChaosSink<Profiler>| profile.lock().absorb(&s.into_inner());
-                self.run_batch(goals, mk, merge, Some(&token))
-            }
+            (Some(shape), None) => self.run_batch(goals, || shape.fresh(one_worker), absorb, None),
             (None, Some(cfg)) => {
                 let token = CancelToken::new();
                 let mk = || ChaosSink::new(cfg, token.clone(), NullSink);
                 self.run_batch(goals, mk, |_: ChaosSink| {}, Some(&token))
+            }
+            (Some(shape), Some(cfg)) => {
+                let token = CancelToken::new();
+                let mk = || ChaosSink::new(cfg, token.clone(), shape.fresh(one_worker));
+                let merge = |s: ChaosSink<ObserverSink>| absorb(s.into_inner());
+                self.run_batch(goals, mk, merge, Some(&token))
             }
         }
     }
@@ -401,12 +407,13 @@ mod tests {
         let kb = kb_edges(false);
         let goals = reach_goals();
         let mut par = ParallelSolver::new(&kb, 4);
-        par.enable_profile();
+        par.observe(ObserverSink::new(true, None));
         let batch = par.solve_batch(&goals);
         assert!(batch.iter().all(Result::is_ok));
-        let prof = par.profile().unwrap();
+        let steps = par.stats().steps;
+        let prof = par.into_observed().profiler().unwrap().clone();
         // The merged profile accounts for every step every worker took.
-        assert_eq!(prof.total_steps(), par.stats().steps);
+        assert_eq!(prof.total_steps(), steps);
         assert!(prof.profile_of(PredKey::new("t", 2)).unwrap().calls > 0);
         // Profiling must not perturb the answers.
         let plain = ParallelSolver::new(&kb, 4);
@@ -520,15 +527,60 @@ mod tests {
         let goals = reach_goals();
         // Starve the batch: some goals exhaust their share of the budget.
         let mut par = ParallelSolver::with_budget(&kb, 2, 40, 64);
-        par.enable_profile();
+        par.observe(ObserverSink::new(true, None));
         let results = par.solve_batch(&goals);
         assert!(results
             .iter()
             .any(|r| matches!(r, Err(EngineError::StepLimit { .. }))));
         // Every consumed step is still attributed: the merged profile
         // covers the merged stats exactly, errors notwithstanding.
-        let prof = par.profile().unwrap();
-        assert_eq!(prof.total_steps(), par.stats().steps);
+        let steps = par.stats().steps;
+        let prof = par.into_observed().profiler().unwrap().clone();
+        assert_eq!(prof.total_steps(), steps);
+    }
+
+    #[test]
+    fn a_one_worker_batch_keeps_the_sequential_ring() {
+        // Untabled: solvers over one base share its answer table, so a
+        // second run of a tabled goal would replay instead of derive.
+        let kb = kb_edges(false);
+        let goals = reach_goals();
+        let capacity = 16;
+        let sequential = Solver::with_sink(
+            &kb,
+            Budget::default(),
+            ObserverSink::new(true, Some(capacity)),
+        );
+        for goal in &goals {
+            sequential.solve_all(goal.clone()).unwrap();
+        }
+        let sequential_steps = sequential.stats().steps;
+        let (seq_prof, seq_ring) = sequential.into_sink().into_parts();
+        let seq_ring = seq_ring.unwrap();
+        assert_eq!(seq_prof.unwrap().total_steps(), sequential_steps);
+        assert!(
+            seq_ring.dropped() > 0,
+            "the ring must wrap to test its bound"
+        );
+
+        let mut one = ParallelSolver::new(&kb, 1);
+        one.observe(ObserverSink::new(true, Some(capacity)));
+        assert!(one.solve_batch(&goals).iter().all(Result::is_ok));
+        let steps = one.stats().steps;
+        let (prof, ring) = one.into_observed().into_parts();
+        assert_eq!(prof.unwrap().total_steps(), steps);
+        let ring = ring.expect("a one-worker batch keeps its ring");
+        assert_eq!(ring.capacity(), capacity);
+        assert_eq!(ring.dropped(), seq_ring.dropped());
+        assert!(ring.events().eq(seq_ring.events()), "event order diverged");
+
+        let mut two = ParallelSolver::new(&kb, 2);
+        two.observe(ObserverSink::new(true, Some(capacity)));
+        assert!(two.solve_batch(&goals).iter().all(Result::is_ok));
+        let steps = two.stats().steps;
+        let (prof, ring) = two.into_observed().into_parts();
+        assert_eq!(prof.unwrap().total_steps(), steps);
+        assert!(ring.is_none(), "a two-worker batch keeps no ring");
     }
 
     #[test]

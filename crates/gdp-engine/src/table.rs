@@ -32,7 +32,7 @@
 //!   solution *order* even where the answer set is fixed.
 //! * **SLG evaluation for recursive patterns.** While a call pattern is
 //!   being enumerated, a recursive call to the same pattern does *not*
-//!   fall back to SLD: the solver keeps a per-query [`Forest`] of
+//!   fall back to SLD: the solver keeps a per-query `Forest` of
 //!   in-flight subgoals, recursive consumers read the producer's answer
 //!   list as it grows, and a pattern only publishes to this table when
 //!   its whole strongly-connected region of mutually recursive subgoals

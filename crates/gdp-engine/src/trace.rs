@@ -20,7 +20,8 @@
 //!   post-mortem inspection after a failure or budget exhaustion.
 //!
 //! [`ObserverSink`] composes an optional profiler and ring for the common
-//! "both at once" configuration used by `gdp-core`'s `Specification`.
+//! "both at once" configuration used by `gdp-core`'s `Specification`, and
+//! one per worker by [`crate::ParallelSolver`].
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -405,8 +406,9 @@ impl TraceSink for RingTrace {
 }
 
 /// The composite sink `Specification` attaches when tracing and/or
-/// profiling is enabled: an optional [`Profiler`] and an optional
-/// [`RingTrace`], fed by the same event stream.
+/// profiling is enabled, and each [`crate::ParallelSolver`] worker
+/// fills: an optional [`Profiler`] and an optional [`RingTrace`], fed by
+/// the same event stream.
 #[derive(Clone, Debug, Default)]
 pub struct ObserverSink {
     profiler: Option<Profiler>,
@@ -436,6 +438,25 @@ impl ObserverSink {
     /// The ring collected so far, if tracing is on.
     pub fn ring(&self) -> Option<&RingTrace> {
         self.ring.as_ref()
+    }
+
+    /// An empty observer of this one's shape: a profiler if this one has
+    /// one, and a ring of the same capacity if this one has one and
+    /// `ring` holds.
+    pub(crate) fn fresh(&self, ring: bool) -> ObserverSink {
+        let capacity = self.ring.as_ref().filter(|_| ring).map(RingTrace::capacity);
+        ObserverSink::new(self.profiler.is_some(), capacity)
+    }
+
+    /// Fold `other`'s observations into this observer: its profile
+    /// accumulates, and its ring, if it kept one, replaces this one's.
+    pub(crate) fn absorb(&mut self, other: ObserverSink) {
+        if let Some(p) = other.profiler {
+            self.profiler.get_or_insert_with(Profiler::new).absorb(&p);
+        }
+        if other.ring.is_some() {
+            self.ring = other.ring;
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Durable write-ahead log of committed [`DeltaOp`] batches.
+//! Durable write-ahead log of committed [`DeltaOp`](crate::DeltaOp) batches.
 //!
 //! The paper's "map data revision" workload makes the knowledge base a
 //! *living* store; a serving layer that accepts revisions over a socket
@@ -23,9 +23,10 @@
 //! part: the distinct names the record uses, in first-use order, which
 //! every atom, functor, clause group and predicate key then refers to by
 //! a `u32` index (the shared codec in `codec.rs`, also used by checkpoint
-//! images). Operations serialize the [`DeltaOp`] variants with a one-byte
-//! tag. A term nested deeper than [`crate::MAX_TERM_DEPTH`] makes a record
-//! malformed, and [`Wal::encode_next`] refuses to frame one.
+//! images). Operations serialize the [`DeltaOp`](crate::DeltaOp) variants
+//! with a one-byte tag. A term nested deeper than
+//! [`crate::MAX_TERM_DEPTH`] makes a record malformed, and
+//! [`Wal::encode_next`] refuses to frame one.
 //!
 //! ## Header
 //!
@@ -50,16 +51,17 @@
 //!
 //! A crash mid-append leaves a torn record at the tail: a length running
 //! past end-of-file, a checksum mismatch, or a sequence number that does
-//! not continue the chain. [`Wal::open`] treats the first such record as
+//! not continue the chain. [`Wal::read`] treats the first such record as
 //! the end of the log — everything before it is returned as the recovered
-//! prefix, and the file is truncated back to that point so the next append
-//! continues from a clean boundary. Torn tails are *expected*, not fatal:
-//! the commit they belonged to was never acknowledged. A torn *header* on
-//! a non-empty file is different: the header is synced before the first
-//! append, so it can only mean out-of-band corruption, and it is reported
-//! as an error rather than silently starting a fresh chain. So is a sound
-//! header of another format version, naming both versions: this build
-//! cannot replay that log, and a torn create it is not.
+//! prefix — and [`Wal::reopen`] truncates the file back to that point so
+//! the next append continues from a clean boundary. Torn tails are
+//! *expected*, not fatal: the commit they belonged to was never
+//! acknowledged. A torn *header* on a non-empty file is different: the
+//! header is synced before the first append, so it can only mean
+//! out-of-band corruption, and it is reported as an error rather than
+//! silently starting a fresh chain. So is a sound header of another
+//! format version, naming both versions: this build cannot replay that
+//! log, and a torn create it is not.
 
 use std::fs::OpenOptions;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -288,16 +290,11 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Create a fresh, empty log at `path`, truncating anything there.
-    /// The header is written and synced immediately: an empty log is
-    /// already self-describing.
-    pub fn create(path: &Path, header: WalHeader) -> io::Result<Wal> {
-        Wal::create_with_faults(path, header, None)
-    }
-
-    /// [`Wal::create`] with a disk-fault injection point under every
-    /// subsequent write (the failpoint harness entry).
-    pub fn create_with_faults(
+    /// Create a fresh, empty log at `path`, truncating anything there,
+    /// with a disk-fault injection point under every write when `faults`
+    /// names one. The header is written and synced immediately: an empty
+    /// log is already self-describing.
+    pub fn create(
         path: &Path,
         header: WalHeader,
         faults: Option<IoFaultConfig>,
@@ -318,37 +315,10 @@ impl Wal {
         })
     }
 
-    /// Open an existing log (creating an empty one with `default_header`
-    /// if absent or empty): read the longest valid record prefix,
-    /// truncate any torn tail, and return the recovered records together
-    /// with a log positioned to append the next commit.
-    ///
-    /// The caller is responsible for checking the returned header's
-    /// fingerprint against its base image — the log reports what it was
-    /// created over; only the caller knows what it is replaying onto.
-    pub fn open(path: &Path, default_header: WalHeader) -> io::Result<(Wal, Vec<WalRecord>)> {
-        Wal::open_with_faults(path, default_header, None)
-    }
-
-    /// [`Wal::open`] with a disk-fault injection point under every
-    /// subsequent write. Reads (recovery itself) are never faulted.
-    pub fn open_with_faults(
-        path: &Path,
-        default_header: WalHeader,
-        faults: Option<IoFaultConfig>,
-    ) -> io::Result<(Wal, Vec<WalRecord>)> {
-        match Wal::read(path)? {
-            Some((records, end)) => Ok((Wal::reopen(path, end, faults)?, records)),
-            None => Ok((
-                Wal::create_with_faults(path, default_header, faults)?,
-                Vec::new(),
-            )),
-        }
-    }
-
     /// Open the log at `path`, which [`Wal::read`] found to end at `end`,
     /// for appending: truncate its torn tail, if any, and position past
-    /// its valid prefix. Nothing is decoded again.
+    /// its valid prefix. Nothing is decoded again, and reads are never
+    /// faulted; `faults` arms a disk fault under every later write.
     pub fn reopen(path: &Path, end: LogEnd, faults: Option<IoFaultConfig>) -> io::Result<Wal> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut file = ChaosFile::new(file, faults);
@@ -368,7 +338,9 @@ impl Wal {
     /// and where it ends. `Ok(None)` when the file does not exist, is
     /// empty, or holds a torn create; a corrupt header on a longer file,
     /// or a header of another format version, is an error (see the
-    /// module docs).
+    /// module docs). The caller checks the header's fingerprint against
+    /// its base image: the log knows what it was created over, only the
+    /// caller knows what it is replaying onto.
     pub fn read(path: &Path) -> io::Result<Option<(Vec<WalRecord>, LogEnd)>> {
         let buf = match std::fs::read(path) {
             Ok(buf) => buf,
@@ -386,13 +358,6 @@ impl Wal {
             file_len: buf.len() as u64,
         };
         Ok(Some((records, end)))
-    }
-
-    /// Read a log without touching it: the header and the longest valid
-    /// record prefix, as [`Wal::read`] finds them. Recovery uses this to
-    /// harvest records from rotated-out segments it will never append to.
-    pub fn scan(path: &Path) -> io::Result<Option<(WalHeader, Vec<WalRecord>)>> {
-        Ok(Wal::read(path)?.map(|(records, end)| (end.header, records)))
     }
 
     /// The header this log was created with.
@@ -481,11 +446,18 @@ mod tests {
         WalHeader::new(0xFEED, 1)
     }
 
+    /// Recover the log at `path` as a restart does: read its valid
+    /// prefix, then reopen it for appending.
+    fn recover(path: &Path) -> (Wal, Vec<WalRecord>) {
+        let (records, end) = Wal::read(path).unwrap().expect("a log");
+        (Wal::reopen(path, end, None).unwrap(), records)
+    }
+
     #[test]
     fn roundtrip_all_op_kinds() {
         let path = temp_path("roundtrip");
         let mut live = KnowledgeBase::new();
-        let mut wal = Wal::create(&path, hdr()).unwrap();
+        let mut wal = Wal::create(&path, hdr(), None).unwrap();
         let d1 = committed_ops(&mut live, |kb| {
             kb.assert_fact(fact("road", "s1"));
             kb.assert_fact(fact("road", "s2"));
@@ -505,7 +477,7 @@ mod tests {
         wal.append(&d2).unwrap();
         drop(wal);
 
-        let (wal, records) = Wal::open(&path, hdr()).unwrap();
+        let (wal, records) = recover(&path);
         assert_eq!(records.len(), 2);
         assert_eq!(wal.next_seq(), 3);
         let mut recovered = KnowledgeBase::new();
@@ -519,7 +491,7 @@ mod tests {
     fn torn_tail_is_truncated_not_fatal() {
         let path = temp_path("torn");
         let mut live = KnowledgeBase::new();
-        let mut wal = Wal::create(&path, hdr()).unwrap();
+        let mut wal = Wal::create(&path, hdr(), None).unwrap();
         let d1 = committed_ops(&mut live, |kb| kb.assert_fact(fact("p", "a")));
         wal.append(&d1).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
@@ -530,12 +502,12 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
 
-        let (mut wal, records) = Wal::open(&path, hdr()).unwrap();
+        let (mut wal, records) = recover(&path);
         assert_eq!(records.len(), 1, "only the intact prefix is recovered");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
         // The log stays appendable from the clean boundary.
         assert_eq!(wal.append(&d2).unwrap(), 2);
-        let (_, records) = Wal::open(&path, hdr()).unwrap();
+        let (_, records) = recover(&path);
         assert_eq!(records.len(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -544,7 +516,7 @@ mod tests {
     fn corrupt_checksum_stops_replay() {
         let path = temp_path("crc");
         let mut live = KnowledgeBase::new();
-        let mut wal = Wal::create(&path, hdr()).unwrap();
+        let mut wal = Wal::create(&path, hdr(), None).unwrap();
         let d1 = committed_ops(&mut live, |kb| kb.assert_fact(fact("p", "a")));
         wal.append(&d1).unwrap();
         let d2 = committed_ops(&mut live, |kb| kb.assert_fact(fact("p", "b")));
@@ -555,7 +527,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, records) = Wal::open(&path, hdr()).unwrap();
+        let (records, _) = Wal::read(&path).unwrap().expect("a log");
         assert_eq!(records.len(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -564,9 +536,14 @@ mod tests {
     fn empty_and_missing_logs_open_clean() {
         let path = temp_path("empty");
         std::fs::remove_file(&path).ok();
-        let (wal, records) = Wal::open(&path, hdr()).unwrap();
-        assert!(records.is_empty());
+        assert!(Wal::read(&path).unwrap().is_none(), "a missing log");
+        std::fs::write(&path, b"").unwrap();
+        assert!(Wal::read(&path).unwrap().is_none(), "an empty log");
+        let wal = Wal::create(&path, hdr(), None).unwrap();
         assert_eq!(wal.next_seq(), 1);
+        let (records, end) = Wal::read(&path).unwrap().expect("a fresh log");
+        assert!(records.is_empty());
+        assert_eq!(end.next_seq(), 1);
         std::fs::remove_file(&path).ok();
     }
 }

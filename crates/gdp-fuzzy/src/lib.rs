@@ -57,7 +57,7 @@ pub use ops::{define_fuzzy, threshold_model, unified_fuzzy, unified_threshold_mo
 pub use truth::Truth;
 
 use gdp_core::{SpecResult, Specification, Violation};
-use gdp_engine::{list_to_vec, Term};
+use gdp_engine::Term;
 
 /// Accuracy-qualified constraint violations (§VII.E second case): every
 /// `%A ERROR(…)` fact visible in the active world view, with its accuracy.
@@ -83,18 +83,7 @@ pub fn fuzzy_violations(spec: &Specification) -> SpecResult<Vec<(Violation, f64)
         let Some(acc) = get(3).as_f64() else {
             continue;
         };
-        let items = list_to_vec(&get(4)).unwrap_or_default();
-        let (error_type, witnesses) = match items.split_first() {
-            Some((t, w)) => (t.clone(), w.to_vec()),
-            None => (Term::atom("unknown"), Vec::new()),
-        };
-        let v = Violation {
-            model: get(0),
-            error_type,
-            witnesses,
-            space: get(1),
-            time: get(2),
-        };
+        let v = Violation::decode(get(0), get(1), get(2), &get(4));
         if !out.iter().any(|(existing, a)| *existing == v && *a == acc) {
             out.push((v, acc));
         }

@@ -4,7 +4,8 @@
 //! vendors the subset of the `proptest` 1.x API its test suites use:
 //! the [`strategy::Strategy`] trait with `prop_map` / `prop_recursive` /
 //! `boxed`, range and regex-subset string strategies, tuple and
-//! collection combinators, [`option::of`], [`bool::ANY`], [`any`], and
+//! collection combinators, [`option::of`], [`bool::ANY`],
+//! [`arbitrary::any`], and
 //! the `proptest!` / `prop_assert!` / `prop_assert_eq!` /
 //! `prop_assume!` / `prop_oneof!` macros.
 //!

@@ -13,6 +13,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+# Rustdoc with warnings denied: a deleted or private item must not leave
+# a dangling intra-doc link behind in the public docs.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

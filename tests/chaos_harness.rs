@@ -17,7 +17,8 @@ use proptest::prelude::*;
 
 use gdp::core::{AuditReport, Constraint, FactPat, Formula, Pat, Rule, Specification, Violation};
 use gdp::engine::{
-    Budget, ChaosConfig, EngineError, FaultKind, KnowledgeBase, ParallelSolver, Port, Solver, Term,
+    Budget, ChaosConfig, EngineError, FaultKind, KnowledgeBase, ObserverSink, ParallelSolver, Port,
+    Solver, Term,
 };
 
 /// Install (once, process-wide) a panic hook that swallows the *expected*
@@ -466,7 +467,7 @@ fn eight_goal_batch_isolates_a_panicking_worker() {
         .collect();
     for workers in [1, 4] {
         let mut par = ParallelSolver::new(&kb, workers);
-        par.enable_profile();
+        par.observe(ObserverSink::new(true, None));
         let results = par.solve_batch(&goals);
         assert_eq!(results.len(), 8);
         match &results[3] {
@@ -485,10 +486,12 @@ fn eight_goal_batch_isolates_a_panicking_worker() {
             survivors, expected,
             "survivor goals perturbed at {workers} workers"
         );
-        let profile = par.profile().expect("profiling was enabled");
+        let steps = par.stats().steps;
+        let (profile, _) = par.into_observed().into_parts();
+        let profile = profile.expect("profiling was enabled");
         assert_eq!(
             profile.total_steps(),
-            par.stats().steps,
+            steps,
             "profiler/stats ledger split at {workers} workers"
         );
     }

@@ -100,7 +100,7 @@ fn live_segment_stays_bounded_by_the_interval() {
     commit_range(&store, 1, 39);
     drop(store);
 
-    let (_, records) = Wal::scan(&path).expect("scan").expect("live segment");
+    let (records, _) = Wal::read(&path).expect("read").expect("live segment");
     assert!(
         records.len() <= 4,
         "live segment holds {} records after 39 commits (interval 4)",
@@ -129,7 +129,7 @@ fn on_demand_checkpoint_rotates_and_recovers() {
     commit_range(&store, 7, 9);
     drop(store);
 
-    let (_, records) = Wal::scan(&path).expect("scan").expect("live segment");
+    let (records, _) = Wal::read(&path).expect("read").expect("live segment");
     assert_eq!(records.len(), 3, "only the post-checkpoint suffix replays");
 
     let (store, head) =
@@ -305,8 +305,8 @@ fn a_current_segment_behind_the_head_is_refused() {
     let store = SpecStore::create_durable(base(), &path, opts(4)).unwrap();
     commit_range(&store, 1, 10); // checkpoints at 4 and 8; wal holds 9..=10
     drop(store);
-    let (header, _) = Wal::scan(&path).expect("scan").expect("live segment");
-    Wal::create(&path, WalHeader::new(header.fingerprint, 1)).unwrap();
+    let (_, end) = Wal::read(&path).expect("read").expect("live segment");
+    Wal::create(&path, WalHeader::new(end.header().fingerprint, 1), None).unwrap();
 
     let err = SpecStore::recover_durable(base(), &path, opts(4))
         .err()

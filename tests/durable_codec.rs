@@ -350,7 +350,7 @@ fn a_mutated_log_record_ends_the_prefix_at_or_after_it() {
     let mut g = Gen(1986);
     for _ in 0..32 {
         let mut kb = random_kb(&mut g);
-        let mut wal = Wal::create(&path, gdp::engine::WalHeader::new(9, 1)).unwrap();
+        let mut wal = Wal::create(&path, gdp::engine::WalHeader::new(9, 1), None).unwrap();
         let mut frames = Vec::new();
         for _ in 0..3 {
             kb.begin_delta();
@@ -366,7 +366,7 @@ fn a_mutated_log_record_ends_the_prefix_at_or_after_it() {
         let mutated = mutate(&mut g, &frames[1]);
         bytes.splice(start..start + frames[1].len(), mutated);
         std::fs::write(&path, &bytes).unwrap();
-        let (_, records) = Wal::scan(&path).unwrap().expect("a log");
+        let (records, _) = Wal::read(&path).unwrap().expect("a log");
         assert!(
             !records.is_empty(),
             "the record before the mutation is lost"
@@ -449,7 +449,8 @@ fn an_older_log_version_is_refused_by_name() {
     let path = temp_path("log-version");
     for records in [0, 2] {
         remove_family(&path);
-        let store = SpecStore::create_wal(base(), &path).unwrap();
+        let store =
+            SpecStore::create_durable(base(), &path, DurabilityOptions::no_checkpoints()).unwrap();
         for i in 0..records {
             commit_fact(&store, &format!("x{i}"));
         }
@@ -460,7 +461,7 @@ fn an_older_log_version_is_refused_by_name() {
         bytes[24..28].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
-        let err = SpecStore::recover(base(), &path)
+        let err = SpecStore::recover_durable(base(), &path, DurabilityOptions::no_checkpoints())
             .err()
             .expect("an older log must refuse recovery")
             .to_string();
@@ -486,7 +487,8 @@ fn an_older_log_version_is_refused_by_name() {
 fn a_crafted_deep_record_ends_the_valid_prefix() {
     let path = temp_path("deep-record");
     remove_family(&path);
-    let store = SpecStore::create_wal(base(), &path).unwrap();
+    let store =
+        SpecStore::create_durable(base(), &path, DurabilityOptions::no_checkpoints()).unwrap();
     assert_eq!(commit_fact(&store, "x1"), 1);
     drop(store);
     let clean_len = std::fs::metadata(&path).unwrap().len();
@@ -516,7 +518,9 @@ fn a_crafted_deep_record_ends_the_valid_prefix() {
     file.write_all(&frame(&payload)).unwrap();
     drop(file);
 
-    let (store, head) = SpecStore::recover(base(), &path).expect("recovery");
+    let (store, head) =
+        SpecStore::recover_durable(base(), &path, DurabilityOptions::no_checkpoints())
+            .expect("recovery");
     assert_eq!(head, 1, "the crafted record is past the valid prefix");
     assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
     assert_eq!(commit_fact(&store, "x2"), 2);
@@ -535,7 +539,9 @@ fn a_too_deep_commit_rolls_back_without_parking_the_log() {
         .spawn(|| {
             let path = temp_path("deep-commit");
             remove_family(&path);
-            let store = SpecStore::create_wal(base(), &path).unwrap();
+            let store =
+                SpecStore::create_durable(base(), &path, DurabilityOptions::no_checkpoints())
+                    .unwrap();
             let deep = (0..MAX_TERM_DEPTH).fold(Term::atom("x"), |t, _| Term::pred("f", vec![t]));
             let err = store
                 .commit(|spec| spec.assert_fact(FactPat::new("deep").arg(Pat::Term(deep))))
@@ -548,7 +554,9 @@ fn a_too_deep_commit_rolls_back_without_parking_the_log() {
             assert_eq!(store.head_seq(), 0);
             assert_eq!(commit_fact(&store, "x1"), 1, "the log was parked");
             drop(store);
-            let (_, head) = SpecStore::recover(base(), &path).unwrap();
+            let (_, head) =
+                SpecStore::recover_durable(base(), &path, DurabilityOptions::no_checkpoints())
+                    .unwrap();
             assert_eq!(head, 1);
             remove_family(&path);
         })

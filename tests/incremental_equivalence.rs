@@ -15,6 +15,8 @@ use gdp::core::{CmpOp, Constraint, FactPat, Formula, Pat, RawClause, Specificati
 use gdp::engine::{CyclePolicy, Delta, Term};
 use gdp::server::{ServeOptions, ServerState, Session};
 
+mod common;
+
 const MODELS: [&str; 3] = ["m0", "m1", "m2"];
 const CELLS: [&str; 4] = ["c0", "c1", "c2", "c3"];
 
@@ -98,9 +100,7 @@ fn apply_op(spec: &mut Specification, kind: u8, a: u8, b: u8) {
 /// Render the observable state: the sequential audit plus the full answer
 /// sets of every relation the constraints consult.
 fn fingerprint(spec: &Specification) -> Vec<String> {
-    let mut out: Vec<String> = spec
-        .check_consistency()
-        .expect("sequential audit")
+    let mut out: Vec<String> = common::sequential_violations(spec)
         .iter()
         .map(|v| v.to_string())
         .collect();
@@ -168,7 +168,7 @@ proptest! {
                 "violations diverge in round {} (tabled={})", round, tabled);
             prop_assert_eq!(&incremental.per_model, &full.per_model,
                 "per-model counts diverge in round {}", round);
-            let sequential = spec.check_consistency().expect("sequential");
+            let sequential = common::sequential_violations(&spec);
             prop_assert_eq!(&incremental.violations, &sequential,
                 "sequential divergence in round {}", round);
             pending = Delta::new();
@@ -291,10 +291,7 @@ fn corpus_spec_incremental_audit_matches_full() {
     let full = spec.audit_world_views(2).expect("full");
     assert_eq!(incremental.violations, full.violations);
     assert_eq!(incremental.per_model, full.per_model);
-    assert_eq!(
-        incremental.violations,
-        spec.check_consistency().expect("sequential")
-    );
+    assert_eq!(incremental.violations, common::sequential_violations(&spec));
 }
 
 /// A cycle-policy switch changes what a recursive member derives without
@@ -324,10 +321,7 @@ fn cycle_policy_switch_invalidates_the_member_cache() {
     let rendered: Vec<String> = full.violations.iter().map(|v| v.to_string()).collect();
     assert_eq!(rendered, ["omega'ERROR(bad, a)"]);
     assert_eq!(incremental.violations, full.violations);
-    assert_eq!(
-        incremental.violations,
-        spec.check_consistency().expect("sequential")
-    );
+    assert_eq!(incremental.violations, common::sequential_violations(&spec));
 }
 
 /// One protocol line through `session`; returns its response.

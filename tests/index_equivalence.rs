@@ -15,6 +15,8 @@ use proptest::prelude::*;
 use gdp::core::{CmpOp, Constraint, FactPat, Formula, Pat, SpecError, SpecStore, Specification};
 use gdp::engine::{CheckpointImage, Term};
 
+mod common;
+
 const MODELS: [&str; 3] = ["m0", "m1", "m2"];
 const CELLS: [&str; 4] = ["c0", "c1", "c2", "c3"];
 
@@ -110,7 +112,7 @@ fn fingerprint(spec: &Specification, workers: usize) -> Vec<String> {
     for (model, count) in &audit.per_model {
         out.push(format!("per_model {model} {count}"));
     }
-    for v in spec.check_consistency().expect("sequential audit") {
+    for v in common::sequential_violations(spec) {
         out.push(format!("seq {v}"));
     }
     for m in MODELS {
@@ -364,9 +366,7 @@ fn corpus_spec_indexed_matches_unindexed() {
 }
 
 fn fingerprint_corpus(spec: &Specification) -> Vec<String> {
-    let mut out: Vec<String> = spec
-        .check_consistency()
-        .expect("sequential audit")
+    let mut out: Vec<String> = common::sequential_violations(spec)
         .iter()
         .map(|v| v.to_string())
         .collect();

@@ -27,7 +27,7 @@
 
 use std::path::{Path, PathBuf};
 
-use gdp::core::{DurabilityOptions, SpecStore, Specification};
+use gdp::core::{DurabilityOptions, EnvConfig, SpecStore, Specification};
 use gdp::engine::{IoFaultConfig, IoFaultKind};
 use gdp::prelude::FactPat;
 
@@ -267,7 +267,7 @@ fn failed_append_rolls_back_and_parks_the_log() {
 /// no-op pass.
 #[test]
 fn env_driven_fault_point_recovers() {
-    if let Some(fault) = IoFaultConfig::from_env() {
+    if let Some(fault) = EnvConfig::read().io_faults {
         crash_and_recover("env", fault);
     }
 }

@@ -2,12 +2,15 @@
 //! solver: `ParallelSolver::solve_batch` returns exactly the sequential
 //! solution multiset per goal (tabling off and on), the shared answer
 //! table survives being hammered from many threads across epoch bumps,
-//! and `Specification::audit_world_views` reproduces `check_consistency`
-//! byte-for-byte on the specification corpus at any worker count.
+//! and `Specification::audit_world_views` reproduces the one-goal
+//! reference audit byte-for-byte on the specification corpus at any
+//! worker count.
 
 use proptest::prelude::*;
 
 use gdp::engine::{Budget, KnowledgeBase, ParallelSolver, Solver, Term};
+
+mod common;
 
 const ATOMS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
@@ -233,7 +236,7 @@ fn answer_table_concurrent_lookups_respect_epochs() {
 
 /// Acceptance criterion: on every corpus specification, the 4-worker audit
 /// report is byte-identical (same violations, same order, same rendering)
-/// to the sequential `check_consistency`, and worker counts do not change
+/// to the one-goal reference audit, and worker counts do not change
 /// the report.
 #[test]
 fn corpus_audit_matches_sequential_audit() {
@@ -253,9 +256,7 @@ fn corpus_audit_matches_sequential_audit() {
         gdp::lang::Loader::with_spatial(&mut spec, &reg)
             .load_str(&source)
             .unwrap_or_else(|e| panic!("{} failed to load: {e}", path.display()));
-        let sequential: Vec<String> = spec
-            .check_consistency()
-            .expect("sequential audit")
+        let sequential: Vec<String> = common::sequential_violations(&spec)
             .iter()
             .map(|v| v.to_string())
             .collect();
@@ -279,7 +280,7 @@ fn corpus_audit_matches_sequential_audit() {
     assert!(checked >= 4, "expected the full corpus, audited {checked}");
 }
 
-/// The audit is world-view relative, exactly like `check_consistency`
+/// The audit is world-view relative, exactly like the one-goal reference
 /// (§III.E: "a constraint violation may occur in one world view but not
 /// in the other") — and the merged stats land in `solver_stats`.
 #[test]
@@ -311,7 +312,7 @@ fn audit_respects_world_view_and_records_stats() {
     assert_eq!(report.violations.len(), 1);
     assert_eq!(
         report.violations,
-        spec.check_consistency().unwrap(),
+        common::sequential_violations(&spec),
         "audit and sequential check must agree"
     );
 }

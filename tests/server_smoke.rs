@@ -727,9 +727,10 @@ fn a_deeply_nested_statement_is_refused_and_the_server_keeps_serving() {
 }
 
 /// Audit workers run on the session's stack size: a negation cycle ends
-/// in a depth-limit error on the worker, at one worker and at two. An
-/// unoptimised build needs more than a spawned thread's default 2 MiB
-/// for the base depth, and an overflow would abort the test binary.
+/// in a depth-limit error on the worker, at one worker and at two, and
+/// so does `:check`, the one-worker audit. An unoptimised build needs
+/// more than a spawned thread's default 2 MiB for the base depth, and an
+/// overflow would abort the test binary.
 #[test]
 fn a_negation_cycle_in_an_audit_member_ends_at_the_depth_limit() {
     let state = ServerState::new().expect("server state");
@@ -740,6 +741,48 @@ fn a_negation_cycle_in_an_audit_member_ends_at_the_depth_limit() {
         let audit = say(&mut session, &format!(":audit -j {workers}"));
         assert!(audit.contains("incomplete: omega — "), "{audit}");
         assert!(audit.contains("depth limit"), "{audit}");
+    }
+    let check = say(&mut session, ":check");
+    assert!(check.starts_with("error: "), "{check}");
+    assert!(check.contains("depth limit"), "{check}");
+}
+
+/// A traced audit keeps its port events when it ran on one worker:
+/// `:check` and `:audit -j 1` leave a ring for `:trace show`, while
+/// `:audit -j 2` over two world-view members records none, since two
+/// workers' interleaved events have no order. Each step runs on a fresh
+/// session, so no earlier query's ring can stand in.
+#[test]
+fn a_one_worker_audit_leaves_a_trace_and_a_wider_one_none() {
+    let state = ServerState::new().expect("server state");
+    let mut setup = Session::new(Arc::clone(&state), &ServeOptions::default());
+    for block in [
+        "#model m1.",
+        "bridge(b1).",
+        "#world_view { omega, m1 }.",
+        "constraint unopened_bridge(X) :- bridge(X), not(open(X)).",
+    ] {
+        let reply = say(&mut setup, block);
+        assert!(reply.contains("committed as seq"), "{reply}");
+    }
+    for (command, traced) in [
+        (":audit -j 2", false),
+        (":check", true),
+        (":audit -j 1", true),
+    ] {
+        let mut session = Session::new(Arc::clone(&state), &ServeOptions::default());
+        say(&mut session, ":trace on");
+        let reply = say(&mut session, command);
+        assert!(reply.contains("unopened_bridge"), "{command}: {reply}");
+        let trace = say(&mut session, ":trace show");
+        if traced {
+            assert!(trace.contains("CALL"), "{command} left no ring: {trace}");
+        } else {
+            assert!(
+                trace.starts_with("no traced query yet"),
+                "{command} left a ring: {trace}"
+            );
+        }
     }
 }
 

@@ -160,12 +160,14 @@ proptest! {
             let expected: Vec<String> =
                 plain.solve_batch(&goals).iter().map(fingerprint).collect();
             let mut profiled = ParallelSolver::new(&kb, workers);
-            profiled.enable_profile();
+            profiled.observe(ObserverSink::new(true, None));
             let got: Vec<String> =
                 profiled.solve_batch(&goals).iter().map(fingerprint).collect();
             prop_assert_eq!(&got, &expected, "divergence at {} workers", workers);
-            let prof = profiled.profile().expect("profiling was enabled");
-            prop_assert_eq!(prof.total_steps(), profiled.stats().steps);
+            let steps = profiled.stats().steps;
+            let (prof, _) = profiled.into_observed().into_parts();
+            let prof = prof.expect("profiling was enabled");
+            prop_assert_eq!(prof.total_steps(), steps);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! by running the same suite with tabling armed, which must not disturb
 //! recovery equivalence.
 
-use gdp::engine::wal::{replay, Wal, WalHeader};
+use gdp::engine::wal::{replay, Wal, WalHeader, WalRecord};
 use gdp::engine::{Budget, GroupId, KnowledgeBase, PredKey, Solver, Term};
 
 /// Seed from `GDP_CHAOS` ("1234" or "kind:1234" forms both yield 1234).
@@ -32,10 +32,7 @@ fn chaos_seed() -> u64 {
 
 /// Tabling requested via `GDP_TABLING` (the suite-wide ablation hook)?
 fn tabling_on() -> bool {
-    matches!(
-        std::env::var("GDP_TABLING").as_deref(),
-        Ok("on") | Ok("all")
-    )
+    gdp::core::EnvConfig::read().tabling
 }
 
 struct Lcg(u64);
@@ -144,7 +141,7 @@ fn recovery_reproduces_every_commit_boundary() {
 
     const COMMITS: u64 = 12;
     let mut live = base_kb(tabling);
-    let mut wal = Wal::create(&path, hdr()).expect("create wal");
+    let mut wal = Wal::create(&path, hdr(), None).expect("create wal");
     let mut rng = Lcg(seed);
     // `boundaries[k]` is the live KB right after commit k (0 = base).
     let mut boundaries = vec![live.snapshot()];
@@ -172,7 +169,7 @@ fn recovery_reproduces_every_commit_boundary() {
         for torn in [0usize, 1, 7] {
             let end = (cut + torn).min(full.len());
             std::fs::write(&path, &full[..end]).expect("write crash image");
-            let (_wal, records) = Wal::open(&path, hdr()).expect("open");
+            let (_wal, records) = recover(&path);
             assert_eq!(records.len(), k, "boundary {k}, torn {torn}");
             let mut recovered = base_kb(tabling);
             replay(&records, &mut recovered);
@@ -199,6 +196,13 @@ fn hdr() -> WalHeader {
     WalHeader::new(0x1986, 1)
 }
 
+/// Recover the log at `path` as a restart does: read its longest valid
+/// prefix, then reopen it for appending, which truncates a torn tail.
+fn recover(path: &std::path::Path) -> (Wal, Vec<WalRecord>) {
+    let (records, end) = Wal::read(path).expect("read").expect("a log");
+    (Wal::reopen(path, end, None).expect("reopen"), records)
+}
+
 /// Byte length of the header plus the first `k` records of an intact
 /// log image (records start after the 28-byte header).
 fn prefix_len(log: &[u8], k: usize) -> usize {
@@ -216,7 +220,7 @@ fn garbage_tail_is_truncated_not_fatal() {
     let path = dir.join(format!("gdp-wal-garbage-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut live = base_kb(false);
-    let mut wal = Wal::create(&path, hdr()).expect("create");
+    let mut wal = Wal::create(&path, hdr(), None).expect("create");
     live.begin_delta();
     live.assert_fact(fact("road", 1));
     let delta = live.end_delta().expect("delta");
@@ -232,7 +236,7 @@ fn garbage_tail_is_truncated_not_fatal() {
     f.write_all(&[0xde, 0xad, 0xbe, 0xef, 0x00, 0x00, 0x00, 0x01])
         .expect("write");
     drop(f);
-    let (mut wal, records) = Wal::open(&path, hdr()).expect("open");
+    let (mut wal, records) = recover(&path);
     assert_eq!(records.len(), 1);
     assert_eq!(wal.next_seq(), 2);
     // The log stays appendable after truncation.
@@ -241,7 +245,7 @@ fn garbage_tail_is_truncated_not_fatal() {
     let delta = live.end_delta().expect("delta");
     assert_eq!(wal.append(&delta).expect("append"), 2);
     drop(wal);
-    let (_wal, records) = Wal::open(&path, hdr()).expect("reopen");
+    let (_wal, records) = recover(&path);
     assert_eq!(records.len(), 2);
     let mut recovered = base_kb(false);
     replay(&records, &mut recovered);
