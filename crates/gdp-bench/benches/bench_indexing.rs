@@ -16,8 +16,10 @@ fn bench_indexed_vs_scan(c: &mut Criterion) {
         for label in ["multi_arg", "first_arg_only", "unindexed"] {
             let mut spec = fact_base(n, label != "unindexed");
             if label == "first_arg_only" {
-                spec.kb_mut()
-                    .set_index_args(gdp::engine::PredKey::new("h", 5), &[0]);
+                spec.kb_mut().set_index_args(
+                    gdp::engine::PredKey::new("h", 5),
+                    &[gdp::engine::ArgPath::arg(0)],
+                );
             }
             let probe = FactPat::new("site")
                 .arg(Pat::Atom(format!("s{}", n - 1)))

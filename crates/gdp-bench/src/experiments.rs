@@ -596,7 +596,7 @@ fn e14() -> ExperimentRecord {
     )
     .unwrap();
     let clarity = spec
-        .satisfy(&Formula::FuzzyFact(
+        .satisfy(&Formula::fuzzy_fact(
             FactPat::new("clarity").arg("image"),
             Pat::var("A"),
         ))
@@ -632,7 +632,7 @@ fn e15() -> ExperimentRecord {
     spec.assert_fuzzy_fact(FactPat::new("clarity").arg("img7"), 0.6)
         .unwrap();
     spec.constrain(Constraint::new("bad_image").witness("X").when(Formula::and(
-        Formula::FuzzyFact(FactPat::new("clarity").arg("X"), Pat::var("A")),
+        Formula::fuzzy_fact(FactPat::new("clarity").arg("X"), Pat::var("A")),
         Formula::Cmp(CmpOp::Lt, Pat::var("A"), Pat::Float(0.8)),
     )))
     .unwrap();
@@ -667,7 +667,7 @@ fn e16() -> ExperimentRecord {
     );
     derive_accuracies(&mut spec, &rule, &AcOptions::default()).unwrap();
     let acc = |obj: &str| {
-        spec.satisfy(&Formula::FuzzyFact(
+        spec.satisfy(&Formula::fuzzy_fact(
             FactPat::new("hazard").arg(obj),
             Pat::var("A"),
         ))

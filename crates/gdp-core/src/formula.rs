@@ -156,11 +156,13 @@ impl AggOp {
 pub enum Formula {
     /// The trivially true formula.
     True,
-    /// An atomic (possibly qualified) fact lookup.
-    Fact(FactPat),
+    /// An atomic (possibly qualified) fact lookup. The pattern is boxed:
+    /// inline, it would make every `Formula` several hundred bytes, and
+    /// the parser's stack frames, which hold several, as large.
+    Fact(Box<FactPat>),
     /// An accuracy-qualified fact lookup `%A q(x)` against the fuzzy
     /// relation (§VII.B); binds the accuracy pattern.
-    FuzzyFact(FactPat, Pat),
+    FuzzyFact(Box<FactPat>, Pat),
     /// Conjunction.
     And(Box<Formula>, Box<Formula>),
     /// Disjunction.
@@ -212,7 +214,12 @@ impl Formula {
 
     /// `fact(...)` shorthand.
     pub fn fact(f: FactPat) -> Formula {
-        Formula::Fact(f)
+        Formula::Fact(Box::new(f))
+    }
+
+    /// `%acc fact(...)` shorthand.
+    pub fn fuzzy_fact(f: FactPat, acc: Pat) -> Formula {
+        Formula::FuzzyFact(Box::new(f), acc)
     }
 
     /// `not(...)` shorthand.
@@ -601,7 +608,7 @@ mod tests {
         for a in args {
             f = f.arg(a);
         }
-        Formula::Fact(f)
+        Formula::fact(f)
     }
 
     #[test]

@@ -393,12 +393,34 @@ impl Specification {
         // single-model view — but multi-model worlds call h/5 with the
         // model bound (visible/5 binds it through active_model/1), so the
         // model position earns its keep. Index h/5 on the model, the
-        // spatial qualifier, the predicate, and the argument list (keyed
-        // by its first element); fh/6 likewise.
-        self.kb
-            .set_index_args(gdp_engine::PredKey::new("h", 5), &[0, 1, 3, 4]);
-        self.kb
-            .set_index_args(gdp_engine::PredKey::new("fh", 6), &[1, 4, 5]);
+        // spatial qualifier, the predicate, and the argument list's first
+        // and second elements: of `p(v)(o)` the value and the object, of
+        // `bridge(B, R)` the bridge and the road. A call that binds only
+        // the object (`status(S)(b56)`) is selected by the second.
+        // fh/6 likewise, on its qualifier, predicate and list.
+        use gdp_engine::ArgPath;
+        let list = |pos: usize| {
+            [
+                ArgPath::arg(pos).step(".", 2, 0),
+                ArgPath::arg(pos).step(".", 2, 1).step(".", 2, 0),
+            ]
+        };
+        let [first, second] = list(4);
+        self.kb.set_index_args(
+            gdp_engine::PredKey::new("h", 5),
+            &[
+                ArgPath::arg(0),
+                ArgPath::arg(1),
+                ArgPath::arg(3),
+                first,
+                second,
+            ],
+        );
+        let [first, second] = list(5);
+        self.kb.set_index_args(
+            gdp_engine::PredKey::new("fh", 6),
+            &[ArgPath::arg(1), ArgPath::arg(4), first, second],
+        );
         // Range access paths on h/5, serving the bounds that the compiler's
         // pushdown planner and the temporal/spatial rewrites carry in
         // `range_call/2` wrappers:
@@ -1977,7 +1999,7 @@ mod tests {
         assert!(!spec.provable(fact("clarity", &["image"])).unwrap());
         // But the fuzzy relation sees it.
         let answers = spec
-            .satisfy(&Formula::FuzzyFact(
+            .satisfy(&Formula::fuzzy_fact(
                 fact("clarity", &["image"]),
                 Pat::var("A"),
             ))

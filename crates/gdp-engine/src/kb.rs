@@ -3,16 +3,18 @@
 //! A [`KnowledgeBase`] holds Horn clauses grouped by predicate, with three
 //! features the formalism leans on heavily:
 //!
-//! * **Multi-argument indexing.** Roman's prototype accepted "Prolog's
+//! * **Path indexing.** Roman's prototype accepted "Prolog's
 //!   computational inefficiency" (§I); reified facts make every fact a
 //!   `holds/5` clause whose *first* argument (the model) is almost always
 //!   the same atom, so classic first-argument indexing degenerates to a
-//!   scan. A predicate can therefore be indexed on several argument
-//!   positions ([`KnowledgeBase::set_index_args`]); each call picks the
-//!   most selective index for its (dereferenced) arguments. List-valued
-//!   arguments are keyed by their first element, which is what makes the
-//!   reified `h(M, S, T, Pred, [Obj | …])` representation discriminate on
-//!   the object. Indexing can be disabled wholesale
+//!   scan. A predicate can therefore be hash-indexed on several subterms,
+//!   each named by an [`ArgPath`] from an argument position down through
+//!   compound children ([`KnowledgeBase::set_index_args`]); each call
+//!   follows its bindings down every path and picks the most selective
+//!   index whose subterm it binds. That is what lets the reified
+//!   `h(M, S, T, Pred, [V, Obj])` of a fact `p(v)(o)` be selected by its
+//!   object, the list's second element, and not only by its value, the
+//!   first. Indexing can be disabled wholesale
 //!   ([`KnowledgeBase::set_indexing`]) to act as the 1986-Prolog baseline
 //!   in benchmarks.
 //!
@@ -43,7 +45,7 @@ use crate::delta::{CommitRecord, Delta, DeltaOp};
 use crate::deps::{ArgSpec, DepGraph};
 use crate::error::{EngineError, EngineResult};
 use crate::hash::{FxHashMap, FxHashSet};
-use crate::symbol::{symbols, Sym};
+use crate::symbol::Sym;
 use crate::table::{AnswerSet, AnswerTable, CachedAnswer, CyclePolicy, TableValidity};
 use crate::term::{Term, Var, F64};
 use crate::unify::BindStore;
@@ -166,22 +168,20 @@ impl Clause {
     }
 }
 
-/// Index key for one argument position of a clause head.
+/// Hash-index key of the subterm a hash index's [`ArgPath`] reaches.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 enum ArgKey {
     Atom(Sym),
     Int(i64),
     Float(F64),
     Str(Arc<str>),
-    /// Non-list compounds are indexed by functor/arity only. The arity is
+    /// Compounds (lists included) are keyed by functor/arity only; a path
+    /// that goes on into the children keys a child instead. The arity is
     /// kept at full width — unlike [`PredKey`], an index key has no
     /// representation limit to enforce, and truncating here would be an
     /// avoidable (if sound: candidates are filtered by head unification)
     /// over-approximation.
     Functor(Sym, usize),
-    /// Lists are indexed by their first element — the discriminating
-    /// position in the reified `[value/object | …]` argument lists.
-    ListHead(Box<ArgKey>),
 }
 
 /// Canonicalize a float index key: `-0.0` and `0.0` unify (and compare
@@ -197,8 +197,8 @@ fn canon_float(f: F64) -> F64 {
 }
 
 impl ArgKey {
-    /// Key for a clause-head argument. `None` for variables and for lists
-    /// whose head is a variable (such clauses match any call).
+    /// The key of a term as it stands, bindings already followed. `None`
+    /// for a variable, which unifies with every key.
     fn of(t: &Term) -> Option<ArgKey> {
         match t {
             Term::Var(_) => None,
@@ -206,34 +206,7 @@ impl ArgKey {
             Term::Int(i) => Some(ArgKey::Int(*i)),
             Term::Float(f) => Some(ArgKey::Float(canon_float(*f))),
             Term::Str(s) => Some(ArgKey::Str(s.clone())),
-            Term::Compound(f, args) => {
-                if *f == symbols::cons() && args.len() == 2 {
-                    Some(ArgKey::ListHead(Box::new(ArgKey::of(&args[0])?)))
-                } else {
-                    Some(ArgKey::Functor(*f, args.len()))
-                }
-            }
-        }
-    }
-
-    /// Key for a *call* argument, following bindings one level deep (and
-    /// through the list head).
-    fn of_call(store: &BindStore, t: &Term) -> Option<ArgKey> {
-        match store.deref(t) {
-            Term::Var(_) => None,
-            Term::Atom(s) => Some(ArgKey::Atom(*s)),
-            Term::Int(i) => Some(ArgKey::Int(*i)),
-            Term::Float(f) => Some(ArgKey::Float(canon_float(*f))),
-            Term::Str(s) => Some(ArgKey::Str(s.clone())),
-            Term::Compound(f, args) => {
-                if *f == symbols::cons() && args.len() == 2 {
-                    Some(ArgKey::ListHead(Box::new(ArgKey::of_call(
-                        store, &args[0],
-                    )?)))
-                } else {
-                    Some(ArgKey::Functor(*f, args.len()))
-                }
-            }
+            Term::Compound(f, args) => Some(ArgKey::Functor(*f, args.len())),
         }
     }
 }
@@ -344,10 +317,13 @@ impl PathStep {
     }
 }
 
-/// A path from one head-argument position to a numeric subterm: start at
-/// argument `pos`, then follow `steps`. A clause whose head does not match
-/// the path (different shape, variable along the way, non-numeric leaf) is
-/// *unkeyed* and stays a candidate for every call.
+/// A path from one head-argument position to a subterm: start at
+/// argument `pos`, then follow `steps`. A hash index keys the subterm the
+/// path reaches ([`KnowledgeBase::set_index_args`]); a range index keys
+/// it when it is a number ([`RangeSpec`]). Under a range index a clause
+/// whose head does not match the path (different shape, variable along
+/// the way, non-numeric leaf) is *unkeyed* and stays a candidate for
+/// every call.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArgPath {
     /// Head-argument position the walk starts at.
@@ -380,54 +356,51 @@ impl ArgPath {
         self
     }
 
+    /// Walk `args` down the path, looking through `deref` at every level:
+    /// the identity for a clause head, the bindings for a call.
+    fn walk<'t>(&self, args: &'t [Term], deref: impl Fn(&'t Term) -> &'t Term) -> Reach<'t> {
+        let Some(mut t) = args.get(self.pos as usize) else {
+            return Reach::Off;
+        };
+        for step in &self.steps {
+            match deref(t) {
+                Term::Var(_) => return Reach::Open,
+                Term::Compound(f, children) if step.matches(*f, children.len()) => {
+                    match children.get(step.child) {
+                        Some(child) => t = child,
+                        None => return Reach::Off,
+                    }
+                }
+                _ => return Reach::Off,
+            }
+        }
+        Reach::At(deref(t))
+    }
+
     /// The numeric key of `head`'s subterm at this path, if the walk
     /// matches and lands on a number.
     fn key_of(&self, head: &Term) -> Option<f64> {
-        let mut t = head.args().get(self.pos as usize)?;
-        for step in &self.steps {
-            match t {
-                Term::Compound(f, children) if step.matches(*f, children.len()) => {
-                    t = children.get(step.child)?;
-                }
-                _ => return None,
-            }
-        }
-        match t {
-            Term::Int(i) => Some(*i as f64),
-            Term::Float(f) => Some(canon_float(*f).get()),
+        match self.walk(head.args(), |t| t) {
+            Reach::At(Term::Int(i)) => Some(*i as f64),
+            Reach::At(Term::Float(f)) => Some(canon_float(*f).get()),
             _ => None,
         }
     }
 
     /// Walk a *call*'s arguments, dereferencing at every level.
     fn probe(&self, store: &BindStore, args: &[Term], bounds: &BoundSet) -> Probe {
-        let mut t = match args.get(self.pos as usize) {
-            Some(t) => t,
-            None => return Probe::Unconstrained,
-        };
-        for step in &self.steps {
-            match store.deref(t) {
-                Term::Var(_) => return Probe::Unconstrained,
-                Term::Compound(f, children) if step.matches(*f, children.len()) => {
-                    t = match children.get(step.child) {
-                        Some(c) => c,
-                        None => return Probe::Unconstrained,
-                    };
-                }
-                // Bound to a different shape: no *keyed* head can unify
-                // with this call, so only unkeyed clauses are candidates.
-                _ => return Probe::Mismatch,
-            }
-        }
-        match store.deref(t) {
-            Term::Int(i) => Probe::Range(NumRange::point(*i as f64)),
-            Term::Float(f) => Probe::Range(NumRange::point(canon_float(*f).get())),
-            Term::Var(v) => match bounds.get(*v) {
+        match self.walk(args, |t| store.deref(t)) {
+            Reach::Open => Probe::Unconstrained,
+            Reach::At(Term::Int(i)) => Probe::Range(NumRange::point(*i as f64)),
+            Reach::At(Term::Float(f)) => Probe::Range(NumRange::point(canon_float(*f).get())),
+            Reach::At(Term::Var(v)) => match bounds.get(*v) {
                 Some(r) => Probe::Range(*r),
                 None => Probe::Unconstrained,
             },
-            // Bound non-numeric where keyed heads carry numbers.
-            _ => Probe::Mismatch,
+            // Bound to a different shape, or to a non-number where keyed
+            // heads carry numbers: no *keyed* head can unify with this
+            // call, so only unkeyed clauses are candidates.
+            Reach::Off | Reach::At(_) => Probe::Mismatch,
         }
     }
 
@@ -442,6 +415,17 @@ impl ArgPath {
                 Probe::Unconstrained
             )
     }
+}
+
+/// Where a walk down an [`ArgPath`] ends.
+enum Reach<'t> {
+    /// The subterm at the end of the path, bindings followed (a variable
+    /// when the end is unbound).
+    At(&'t Term),
+    /// A variable along the way: the term may yet take the path's shape.
+    Open,
+    /// Another shape along the way: the term never reaches the path's end.
+    Off,
 }
 
 /// Outcome of walking one [`ArgPath`] over a call's arguments.
@@ -754,16 +738,30 @@ impl AnswerIndex {
     }
 }
 
+/// `arg(4)/'.'[1]/'.'[0]`: the argument position, then each step's
+/// functor (alternatives braced, `{su|ss|sa}`) and child index.
 impl std::fmt::Display for ArgPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "arg{}", self.pos)?;
+        write!(f, "arg({})", self.pos)?;
         for step in &self.steps {
             let names: Vec<String> = step
                 .functors
                 .iter()
-                .map(|&(s, a)| format!("{}/{a}", s.as_str()))
+                .map(|&(s, _)| {
+                    let name = s.as_str();
+                    let bare = name.starts_with(|c: char| c.is_ascii_lowercase())
+                        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                    if bare {
+                        name.to_string()
+                    } else {
+                        format!("'{name}'")
+                    }
+                })
                 .collect();
-            write!(f, ".{{{}}}[{}]", names.join("|"), step.child)?;
+            match names.as_slice() {
+                [one] => write!(f, "/{one}[{}]", step.child)?,
+                _ => write!(f, "/{{{}}}[{}]", names.join("|"), step.child)?,
+            }
         }
         Ok(())
     }
@@ -834,12 +832,18 @@ impl BoundSet {
     }
 }
 
-/// The hash-index positions configured for `key`: the first argument
-/// unless [`KnowledgeBase::set_index_args`] said otherwise.
-fn configured_positions(config: &FxHashMap<PredKey, Vec<u16>>, key: PredKey) -> &[u16] {
+/// Classic first-argument indexing, the default hash index.
+static FIRST_ARG: [ArgPath; 1] = [ArgPath {
+    pos: 0,
+    steps: Vec::new(),
+}];
+
+/// The hash-index paths configured for `key`: the first argument unless
+/// [`KnowledgeBase::set_index_args`] said otherwise.
+fn configured_paths(config: &FxHashMap<PredKey, Vec<ArgPath>>, key: PredKey) -> &[ArgPath] {
     match config.get(&key) {
-        Some(positions) => positions,
-        None if key.arity > 0 => &[0],
+        Some(paths) => paths,
+        None if key.arity > 0 => &FIRST_ARG,
         None => &[],
     }
 }
@@ -1153,8 +1157,8 @@ pub struct IndexReport {
     pub pred: PredKey,
     /// Current clause count.
     pub clauses: usize,
-    /// Hash-indexed argument positions.
-    pub hash_positions: Vec<u16>,
+    /// Paths of the hash indexes.
+    pub hash_paths: Vec<ArgPath>,
     /// Configured range indexes.
     pub range_specs: Vec<RangeSpec>,
     /// Candidate queries answered (indexing on).
@@ -1169,39 +1173,146 @@ pub struct IndexReport {
     pub scans: u64,
 }
 
-/// One per-argument-position index.
-#[derive(Clone, Default)]
+/// The positions one hash key holds, ascending: one inline, as almost
+/// every key of an object or a value column holds, or a list of two or
+/// more. Copying a segment (a commit under a pin copies its tail) then
+/// allocates only for the keys that several clauses share.
+#[derive(Clone, PartialEq, Debug)]
+enum Bucket {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Bucket::One(p) => std::slice::from_ref(p),
+            Bucket::Many(list) => list,
+        }
+    }
+
+    /// Append a position past every held one.
+    fn push(&mut self, at: u32) {
+        match self {
+            Bucket::One(p) => *self = Bucket::Many(vec![*p, at]),
+            Bucket::Many(list) => list.push(at),
+        }
+    }
+
+    /// [`sorted_insert`] for a bucket.
+    fn sorted_insert(&mut self, at: u32) {
+        match self {
+            Bucket::One(p) if *p < at => *self = Bucket::Many(vec![*p, at]),
+            Bucket::One(p) => *self = Bucket::Many(vec![at, *p]),
+            Bucket::Many(list) => sorted_insert(list, at),
+        }
+    }
+
+    /// [`shift_for_insert`] for a bucket.
+    fn shift_for_insert(&mut self, at: u32) {
+        match self {
+            Bucket::One(p) => shift_for_insert(std::slice::from_mut(p), at),
+            Bucket::Many(list) => shift_for_insert(list, at),
+        }
+    }
+
+    /// [`remap_after_removal`] for a bucket; `false` when nothing is
+    /// left. A single survivor goes back inline.
+    fn remap_after_removal(&mut self, removed: &[u32]) -> bool {
+        match self {
+            Bucket::One(p) => match removed.binary_search(p) {
+                Ok(_) => false,
+                Err(below) => {
+                    *p -= below as u32;
+                    true
+                }
+            },
+            Bucket::Many(list) => {
+                remap_after_removal(list, removed);
+                if let [p] = list[..] {
+                    *self = Bucket::One(p);
+                }
+                !self.as_slice().is_empty()
+            }
+        }
+    }
+}
+
+/// One hash index: clause positions by the key of the subterm `path`
+/// reaches in each head. A head with another shape on the path sits in
+/// no list: no call that reaches the key can unify with it, and a call
+/// that does not reach the key does not consult the index.
+#[derive(Clone)]
 struct ArgIndex {
-    pos: u16,
-    by_key: FxHashMap<ArgKey, Vec<u32>>,
-    /// Positions of clauses whose argument at `pos` carries no key.
+    path: ArgPath,
+    by_key: FxHashMap<ArgKey, Bucket>,
+    /// Positions of clauses whose walk down `path` meets a variable: they
+    /// can unify with any call.
     var_clauses: Vec<u32>,
 }
 
 impl ArgIndex {
+    fn new(path: ArgPath) -> ArgIndex {
+        ArgIndex {
+            path,
+            by_key: FxHashMap::default(),
+            var_clauses: Vec::new(),
+        }
+    }
+
+    /// Where `head` belongs: `Some(Some(key))` in its key's bucket,
+    /// `Some(None)` on the variable side, `None` in no list.
+    fn slot_of(&self, head: &Term) -> Option<Option<ArgKey>> {
+        match self.path.walk(head.args(), |t| t) {
+            Reach::Off => None,
+            Reach::Open => Some(None),
+            Reach::At(t) => Some(ArgKey::of(t)),
+        }
+    }
+
+    /// The key a call binds at `path`, following its bindings: `None`
+    /// when the call leaves the path open or takes another shape on it,
+    /// and the index cannot serve it.
+    fn call_key(&self, store: &BindStore, args: &[Term]) -> Option<ArgKey> {
+        match self.path.walk(args, |t| store.deref(t)) {
+            Reach::At(t) => ArgKey::of(t),
+            Reach::Open | Reach::Off => None,
+        }
+    }
+
     fn insert(&mut self, clause_pos: u32, head: &Term) {
-        match head.args().get(self.pos as usize).and_then(ArgKey::of) {
-            Some(key) => self.by_key.entry(key).or_default().push(clause_pos),
-            None => self.var_clauses.push(clause_pos),
+        match self.slot_of(head) {
+            Some(Some(key)) => {
+                self.by_key
+                    .entry(key)
+                    .and_modify(|bucket| bucket.push(clause_pos))
+                    .or_insert(Bucket::One(clause_pos));
+            }
+            Some(None) => self.var_clauses.push(clause_pos),
+            None => {}
         }
     }
 
     fn remove_positions(&mut self, removed: &[u32]) {
         remap_after_removal(&mut self.var_clauses, removed);
-        self.by_key.retain(|_, list| {
-            remap_after_removal(list, removed);
-            !list.is_empty()
-        });
+        self.by_key
+            .retain(|_, bucket| bucket.remap_after_removal(removed));
     }
 
     fn insert_at(&mut self, at: u32, head: &Term) {
         shift_for_insert(&mut self.var_clauses, at);
-        for list in self.by_key.values_mut() {
-            shift_for_insert(list, at);
+        for bucket in self.by_key.values_mut() {
+            bucket.shift_for_insert(at);
         }
-        match head.args().get(self.pos as usize).and_then(ArgKey::of) {
-            Some(key) => sorted_insert(self.by_key.entry(key).or_default(), at),
-            None => sorted_insert(&mut self.var_clauses, at),
+        match self.slot_of(head) {
+            Some(Some(key)) => {
+                self.by_key
+                    .entry(key)
+                    .and_modify(|bucket| bucket.sorted_insert(at))
+                    .or_insert(Bucket::One(at));
+            }
+            Some(None) => sorted_insert(&mut self.var_clauses, at),
+            None => {}
         }
     }
 }
@@ -1227,16 +1338,10 @@ struct Segment {
 }
 
 impl Segment {
-    fn new(index_positions: &[u16], range_specs: &[RangeSpec]) -> Segment {
+    fn new(index_paths: &[ArgPath], range_specs: &[RangeSpec]) -> Segment {
         Segment {
             clauses: Vec::new(),
-            indexes: index_positions
-                .iter()
-                .map(|&pos| ArgIndex {
-                    pos,
-                    ..ArgIndex::default()
-                })
-                .collect(),
+            indexes: index_paths.iter().cloned().map(ArgIndex::new).collect(),
             ranges: range_specs
                 .iter()
                 .map(|spec| RangeIndex::new(spec.clone()))
@@ -1251,10 +1356,7 @@ impl Segment {
             indexes: self
                 .indexes
                 .iter()
-                .map(|index| ArgIndex {
-                    pos: index.pos,
-                    ..ArgIndex::default()
-                })
+                .map(|index| ArgIndex::new(index.path.clone()))
                 .collect(),
             ranges: self
                 .ranges
@@ -1268,7 +1370,7 @@ impl Segment {
     fn hash_sel(&self, i: usize, key: &ArgKey) -> (&[u32], &[u32]) {
         let index = &self.indexes[i];
         (
-            index.by_key.get(key).map(Vec::as_slice).unwrap_or(&[]),
+            index.by_key.get(key).map(Bucket::as_slice).unwrap_or(&[]),
             &index.var_clauses,
         )
     }
@@ -1353,9 +1455,9 @@ struct PredEntry {
 }
 
 impl PredEntry {
-    fn new(index_positions: &[u16], range_specs: &[RangeSpec]) -> PredEntry {
+    fn new(index_paths: &[ArgPath], range_specs: &[RangeSpec]) -> PredEntry {
         PredEntry {
-            base: Arc::new(Segment::new(index_positions, range_specs)),
+            base: Arc::new(Segment::new(index_paths, range_specs)),
             tail: Segment::default(),
             stats: IndexStats::default(),
         }
@@ -1444,9 +1546,9 @@ struct DepCache {
 pub struct KnowledgeBase {
     preds: FxHashMap<PredKey, Arc<PredEntry>>,
     natives: FxHashMap<PredKey, NativeFn>,
-    /// Index positions configured per predicate before/after its entry
+    /// Hash-index paths configured per predicate before/after its entry
     /// exists; default is first-argument indexing.
-    index_config: FxHashMap<PredKey, Vec<u16>>,
+    index_config: FxHashMap<PredKey, Vec<ArgPath>>,
     /// Range-index specs configured per predicate (empty by default).
     range_config: FxHashMap<PredKey, Vec<RangeSpec>>,
     indexing: bool,
@@ -1711,31 +1813,27 @@ impl KnowledgeBase {
         self.indexing
     }
 
-    /// Configure which argument positions of `key` are indexed. Each call
-    /// consults every configured index and follows the most selective one.
-    /// The default is `[0]` (classic first-argument indexing). Positions
-    /// beyond the predicate's arity are ignored.
-    pub fn set_index_args(&mut self, key: PredKey, positions: &[usize]) {
-        let positions: Vec<u16> = positions
+    /// Configure the hash indexes of `key`, one per path: a top-level
+    /// argument is [`ArgPath::arg`], and a longer path keys a subterm
+    /// inside one. Each call follows its bindings down every path, and the
+    /// most selective index whose subterm the call binds wins. The default
+    /// is `[ArgPath::arg(0)]` (classic first-argument indexing). Paths
+    /// starting beyond the predicate's arity are ignored.
+    pub fn set_index_args(&mut self, key: PredKey, paths: &[ArgPath]) {
+        let paths: Vec<ArgPath> = paths
             .iter()
-            .filter(|&&p| p < key.arity as usize)
-            .map(|&p| p as u16)
+            .filter(|p| (p.pos as usize) < key.arity as usize)
+            .cloned()
             .collect();
-        if configured_positions(&self.index_config, key) == positions {
+        if configured_paths(&self.index_config, key) == paths {
             return;
         }
-        self.index_config.insert(key, positions.clone());
         if let Some(entry) = self.preds.get_mut(&key) {
             let entry = Arc::make_mut(entry).folded();
-            entry.indexes = positions
-                .iter()
-                .map(|&pos| ArgIndex {
-                    pos,
-                    ..ArgIndex::default()
-                })
-                .collect();
+            entry.indexes = paths.iter().cloned().map(ArgIndex::new).collect();
             entry.rebuild_indexes();
         }
+        self.index_config.insert(key, paths);
         self.bump_structural();
     }
 
@@ -2071,10 +2169,7 @@ impl KnowledgeBase {
         } = self;
         let entry = preds.entry(key).or_insert_with(|| {
             let specs = range_config.get(&key).map_or(&[][..], Vec::as_slice);
-            Arc::new(PredEntry::new(
-                configured_positions(index_config, key),
-                specs,
-            ))
+            Arc::new(PredEntry::new(configured_paths(index_config, key), specs))
         });
         Arc::make_mut(entry)
     }
@@ -2319,8 +2414,8 @@ impl KnowledgeBase {
 
     /// Candidate clauses for a call, in assertion order.
     ///
-    /// With indexing enabled, every configured hash index whose call
-    /// argument is bound is consulted and the most selective one wins;
+    /// With indexing enabled, every configured hash index whose path the
+    /// call binds is consulted and the most selective one wins;
     /// every applicable range index (exact numeric key, or an active
     /// `range_call` bound on an unbound variable in `bounds`) is
     /// *intersected* with it. No applicable index — or indexing off —
@@ -2355,10 +2450,7 @@ impl KnowledgeBase {
         }
         let mut best: Option<[(&[u32], &[u32]); 2]> = None;
         for (i, index) in base.indexes.iter().enumerate() {
-            let Some(arg) = args.get(index.pos as usize) else {
-                continue;
-            };
-            let Some(k) = ArgKey::of_call(store, arg) else {
+            let Some(k) = index.call_key(store, args) else {
                 continue;
             };
             let mut sel: [(&[u32], &[u32]); 2] = [(&[], &[]); 2];
@@ -2455,7 +2547,7 @@ impl KnowledgeBase {
     /// its fold bound. Returns a description of the first divergence.
     pub fn check_index_integrity(&self) -> Result<(), String> {
         for (key, entry) in &self.preds {
-            let positions = configured_positions(&self.index_config, *key);
+            let paths = configured_paths(&self.index_config, *key);
             let specs = self.range_specs(*key);
             if entry.tail.clauses.len() > entry.base.clauses.len() / TAIL_FOLD_DIVISOR {
                 return Err(format!("tail of {key} outgrew its fold bound"));
@@ -2463,7 +2555,7 @@ impl KnowledgeBase {
             // An empty tail holds nothing to index (and is never consulted).
             let segments = [("base", &*entry.base), ("tail", &entry.tail)];
             for (name, seg) in segments.into_iter().filter(|(_, s)| !s.clauses.is_empty()) {
-                let mut fresh = Segment::new(positions, &specs);
+                let mut fresh = Segment::new(paths, &specs);
                 for clause in &seg.clauses {
                     fresh.push(Arc::clone(clause));
                 }
@@ -2471,13 +2563,13 @@ impl KnowledgeBase {
                     return Err(format!("hash index count of {key} ({name}) diverged"));
                 }
                 for (live, want) in seg.indexes.iter().zip(&fresh.indexes) {
-                    if live.pos != want.pos
+                    if live.path != want.path
                         || live.var_clauses != want.var_clauses
                         || live.by_key != want.by_key
                     {
                         return Err(format!(
-                            "hash index arg {} of {key} ({name}) diverged",
-                            live.pos
+                            "hash index {} of {key} ({name}) diverged",
+                            live.path
                         ));
                     }
                 }
@@ -2509,7 +2601,7 @@ impl KnowledgeBase {
             .map(|(key, entry)| IndexReport {
                 pred: *key,
                 clauses: entry.len(),
-                hash_positions: entry.base.indexes.iter().map(|i| i.pos).collect(),
+                hash_paths: entry.base.indexes.iter().map(|i| i.path.clone()).collect(),
                 range_specs: entry.base.ranges.iter().map(|r| r.spec.clone()).collect(),
                 consults: entry.stats.consults.load(Ordering::Relaxed),
                 hash_hits: entry.stats.hash_hits.load(Ordering::Relaxed),
@@ -2624,7 +2716,7 @@ mod tests {
     fn multi_arg_indexing_picks_most_selective() {
         let mut kb = KnowledgeBase::new();
         let key = PredKey::new("h", 3);
-        kb.set_index_args(key, &[0, 2]);
+        kb.set_index_args(key, &[ArgPath::arg(0), ArgPath::arg(2)]);
         // 100 facts share the first arg; third arg is unique.
         for i in 0..100 {
             kb.assert_fact(fact(
@@ -2659,10 +2751,12 @@ mod tests {
     }
 
     #[test]
-    fn list_head_indexing_discriminates() {
+    fn path_indexes_key_list_elements() {
         let mut kb = KnowledgeBase::new();
         let key = PredKey::new("h", 2);
-        kb.set_index_args(key, &[1]);
+        let first = ArgPath::arg(1).step(".", 2, 0);
+        let second = ArgPath::arg(1).step(".", 2, 1).step(".", 2, 0);
+        kb.set_index_args(key, &[first, second]);
         for i in 0..50 {
             kb.assert_fact(fact(
                 "h",
@@ -2672,29 +2766,50 @@ mod tests {
                 ],
             ));
         }
-        let got = cands(
-            &kb,
-            key,
+        // A one-element list has no second element: it sits in no bucket
+        // of that index. A list open after its head sits on its variable
+        // side, and a list headed by a variable on the first's.
+        kb.assert_fact(fact(
+            "h",
+            vec![Term::atom("site"), Term::list(vec![Term::atom("s9")])],
+        ));
+        kb.assert_fact(fact(
+            "h",
             vec![
                 Term::atom("site"),
-                Term::list(vec![Term::atom("s7"), Term::int(7)]),
+                Term::cons(Term::atom("s7"), Term::var(0)),
             ],
-        );
-        assert_eq!(got.len(), 1);
-        // A list headed by a variable matches everything.
-        let got = cands(
-            &kb,
-            key,
-            vec![Term::atom("site"), Term::cons(Term::var(0), Term::var(1))],
-        );
-        assert_eq!(got.len(), 50);
+        ));
+        let call = |elems: Term| {
+            cands(&kb, key, vec![Term::atom("site"), elems])
+                .iter()
+                .map(|c| c.head.args()[1].clone())
+                .collect::<Vec<Term>>()
+        };
+        let s = |i: i64| Term::list(vec![Term::atom(&format!("s{i}")), Term::int(i)]);
+        let open_s7 = Term::cons(Term::atom("s7"), Term::var(0));
+        // Both elements bound: the first-element index and the
+        // second-element index each select two; the first wins the tie.
+        assert_eq!(call(s(7)), [s(7), open_s7.clone()]);
+        // Only the second element bound: its index alone selects.
+        let second_only = Term::list(vec![Term::var(5), Term::int(7)]);
+        assert_eq!(call(second_only), [s(7), open_s7.clone()]);
+        let second_only = Term::list(vec![Term::var(5), Term::int(8)]);
+        assert_eq!(call(second_only), [s(8), open_s7]);
+        // A one-element call cannot reach the second element, so only the
+        // first-element index serves it.
+        let one = Term::list(vec![Term::atom("s9")]);
+        assert_eq!(call(one.clone()), [s(9), one]);
+        // Nothing bound on either path: every clause.
+        assert_eq!(call(Term::cons(Term::var(5), Term::var(6))).len(), 52);
+        kb.check_index_integrity().expect("path indexes");
     }
 
     #[test]
     fn index_config_applies_before_first_assertion() {
         let mut kb = KnowledgeBase::new();
         let key = PredKey::new("p", 2);
-        kb.set_index_args(key, &[1]);
+        kb.set_index_args(key, &[ArgPath::arg(1)]);
         kb.assert_fact(fact("p", vec![Term::atom("x"), Term::int(1)]));
         kb.assert_fact(fact("p", vec![Term::atom("x"), Term::int(2)]));
         assert_eq!(cands(&kb, key, vec![Term::var(0), Term::int(2)]).len(), 1);
@@ -2811,7 +2926,7 @@ mod tests {
         kb.set_strict(false);
         kb.set_tabling(false);
         kb.set_table_all(false);
-        kb.set_index_args(PredKey::new("p", 1), &[0]);
+        kb.set_index_args(PredKey::new("p", 1), &[ArgPath::arg(0)]);
         assert_eq!(kb.epoch(), epoch, "no-op setters bumped the epoch");
         assert_eq!(kb.structural_generation(), 0);
         // Actual changes still do.
@@ -2976,7 +3091,7 @@ mod tests {
     fn out_of_range_index_positions_ignored() {
         let mut kb = KnowledgeBase::new();
         let key = PredKey::new("p", 1);
-        kb.set_index_args(key, &[0, 5]);
+        kb.set_index_args(key, &[ArgPath::arg(0), ArgPath::arg(5)]);
         kb.assert_fact(fact("p", vec![Term::atom("a")]));
         assert_eq!(cands(&kb, key, vec![Term::atom("a")]).len(), 1);
     }
@@ -3104,7 +3219,7 @@ mod tests {
     fn range_selection_intersects_hash_selection() {
         let mut kb = KnowledgeBase::new();
         let key = PredKey::new("r", 2);
-        kb.set_index_args(key, &[0]);
+        kb.set_index_args(key, &[ArgPath::arg(0)]);
         kb.set_range_indexes(key, vec![RangeSpec::Interval(ArgPath::arg(1))]);
         for m in ["m0", "m1"] {
             for v in 0..10 {
@@ -3182,6 +3297,19 @@ mod tests {
         kb.check_index_integrity().expect("after retract_predicate");
         kb.rollback();
         kb.check_index_integrity().expect("after rollback");
+        // A key two clauses share: retracting either leaves the survivor
+        // inline, and rolling the retract back lists both again.
+        let d = |v: i64| fact("t", vec![Term::atom("d"), Term::int(v)]);
+        kb.assert_fact(d(20));
+        kb.assert_fact(d(21));
+        for v in [20, 21] {
+            kb.begin_delta();
+            assert!(kb.retract_fact(&d(v)));
+            kb.check_index_integrity()
+                .expect("after retracting a shared key");
+            kb.rollback();
+            kb.check_index_integrity().expect("after rolling it back");
+        }
     }
 
     #[test]
@@ -3293,10 +3421,7 @@ mod tests {
             let segments = &segments[..if entry.tail.clauses.is_empty() { 1 } else { 2 }];
             let mut best: Option<Vec<u32>> = None;
             for (i, index) in base.indexes.iter().enumerate() {
-                let Some(k) = args
-                    .get(index.pos as usize)
-                    .and_then(|arg| ArgKey::of_call(store, arg))
-                else {
+                let Some(k) = index.call_key(store, args) else {
                     continue;
                 };
                 let mut sel = Vec::new();
@@ -3443,12 +3568,22 @@ mod tests {
                 ),
             };
             let q = if d.chance(90) { d.atom(&PREDS) } else { var() };
-            let a = match d.below(8) {
-                0..=2 => Term::list(vec![d.atom(&OBJECTS), d.number()]),
-                3 => Term::list(vec![d.atom(&OBJECTS), Term::atom("high")]),
-                4 => Term::list(vec![d.atom(&OBJECTS)]),
-                5 => Term::list(vec![var(), d.number()]),
-                6 => Term::list(vec![d.atom(&OBJECTS), var()]),
+            // The argument list, keyed on its first and its second element:
+            // objects, numbers and atoms at either, variables, one-element
+            // lists (in no second-element bucket), open tails and longer
+            // lists.
+            let elem = |d: &mut Draw| match d.below(5) {
+                0 | 1 => d.atom(&OBJECTS),
+                2 | 3 => d.number(),
+                _ => Term::atom("high"),
+            };
+            let a = match d.below(10) {
+                0..=3 => Term::list(vec![elem(d), elem(d)]),
+                4 => Term::list(vec![var(), elem(d)]),
+                5 => Term::list(vec![elem(d), var()]),
+                6 => Term::list(vec![elem(d)]),
+                7 => Term::cons(elem(d), var()),
+                8 => Term::list(vec![elem(d), elem(d), d.atom(&OBJECTS)]),
                 _ => var(),
             };
             Term::pred("h", vec![m, s, t, q, a])
@@ -3502,11 +3637,45 @@ mod tests {
             let t = slot(d, store, t, Term::pred("tat", vec![Term::atom("now")]));
             let q = d.atom(&PREDS);
             let q = slot(d, store, q, Term::int(0));
-            let value = match d.below(3) {
-                0 => d.number(),
-                _ => unbound(d, store, bounds),
+            // The argument list: `[object, value]` (a `reading(Obj, V)`
+            // fact, whose value's `range_call` bounds reach the
+            // second-element interval index), `[value, object]` (a
+            // `p(v)(o)` fact) with either element bound or unbound, bound
+            // through the store element by element, one element, an open
+            // tail, or three elements.
+            let number =
+                |d: &mut Draw, store: &mut BindStore, bounds: &mut BoundSet| match d.below(3) {
+                    0 => d.number(),
+                    _ => unbound(d, store, bounds),
+                };
+            let value = |d: &mut Draw, store: &mut BindStore, bounds: &mut BoundSet| {
+                let v = number(d, store, bounds);
+                slot(d, store, v, Term::atom("high"))
             };
-            let a = Term::list(vec![d.atom(&OBJECTS), value]);
+            let object = |d: &mut Draw, store: &mut BindStore| {
+                let o = d.atom(&OBJECTS);
+                slot(d, store, o, Term::int(1))
+            };
+            let a = match d.below(8) {
+                0 | 1 => {
+                    let o = object(d, store);
+                    Term::list(vec![o, number(d, store, bounds)])
+                }
+                2..=4 => {
+                    let v = value(d, store, bounds);
+                    Term::list(vec![v, object(d, store)])
+                }
+                5 => Term::list(vec![object(d, store)]),
+                6 => {
+                    let v = value(d, store, bounds);
+                    Term::cons(v, Term::var(store.alloc_block(1)))
+                }
+                _ => {
+                    let v = value(d, store, bounds);
+                    let o = object(d, store);
+                    Term::list(vec![v, o, d.atom(&OBJECTS)])
+                }
+            };
             let a = slot(
                 d,
                 store,
@@ -3526,45 +3695,72 @@ mod tests {
             }
         }
 
+        /// An `h/5` store indexed as the kernel indexes it (hash paths on
+        /// the model, the spatial qualifier, the predicate and the argument
+        /// list's first and second elements; both interval paths and a grid
+        /// path), holding a base alone or, three times in four, a base and
+        /// the tail a commit under a pin leaves. The pin is returned with it.
+        fn draw_store(d: &mut Draw) -> (KnowledgeBase, KnowledgeBase) {
+            let key = PredKey::new("h", 5);
+            let mut kb = KnowledgeBase::new();
+            let list = ArgPath::arg(4).step(".", 2, 0);
+            let second = ArgPath::arg(4).step(".", 2, 1).step(".", 2, 0);
+            kb.set_index_args(
+                key,
+                &[
+                    ArgPath::arg(0),
+                    ArgPath::arg(1),
+                    ArgPath::arg(3),
+                    list,
+                    second.clone(),
+                ],
+            );
+            let coord = |child| {
+                ArgPath::arg(1)
+                    .step_any(&[("su", 2), ("ss", 2), ("sa", 2)], 1)
+                    .step("pt", 2, child)
+            };
+            let cell = [1.0, 4.0][d.below(2)];
+            kb.set_range_indexes(
+                key,
+                vec![
+                    RangeSpec::Interval(ArgPath::arg(2).step("tat", 1, 0)),
+                    RangeSpec::Interval(second),
+                    RangeSpec::Grid {
+                        x: coord(0),
+                        y: coord(1),
+                        cell,
+                    },
+                ],
+            );
+            let add = |kb: &mut KnowledgeBase, d: &mut Draw| {
+                kb.assert_clause(draw_head(d), Term::atom("true"))
+            };
+            let base = 64 + d.below(448);
+            for _ in 0..base {
+                add(&mut kb, d);
+            }
+            // A commit under a pin lands in the tail.
+            let pin = kb.snapshot();
+            if d.chance(75) {
+                kb.begin_delta();
+                for _ in 0..1 + d.below(base / 64) {
+                    add(&mut kb, d);
+                }
+                kb.end_delta();
+                assert!(!kb.preds[&key].tail.clauses.is_empty());
+            }
+            (kb, pin)
+        }
+
         proptest! {
             /// Candidate selection and answer replay pick exactly the positions
-            /// the materialise-and-intersect reference picks, over `h/5` with
-            /// the kernel's hash positions, both interval paths and a grid
-            /// path, in a base alone or a base with a tail.
+            /// the materialise-and-intersect reference picks.
             #[test]
             fn selection_matches_the_materialised_reference(seed in any::<u64>()) {
                 let mut d = Draw(seed);
                 let key = PredKey::new("h", 5);
-                let mut kb = KnowledgeBase::new();
-                kb.set_index_args(key, &[0, 1, 3, 4]);
-                let coord = |child| {
-                    ArgPath::arg(1)
-                        .step_any(&[("su", 2), ("ss", 2), ("sa", 2)], 1)
-                        .step("pt", 2, child)
-                };
-                let cell = [1.0, 4.0][d.below(2)];
-                kb.set_range_indexes(key, vec![
-                    RangeSpec::Interval(ArgPath::arg(2).step("tat", 1, 0)),
-                    RangeSpec::Interval(ArgPath::arg(4).step(".", 2, 1).step(".", 2, 0)),
-                    RangeSpec::Grid { x: coord(0), y: coord(1), cell },
-                ]);
-                let add = |kb: &mut KnowledgeBase, d: &mut Draw| {
-                    kb.assert_clause(draw_head(d), Term::atom("true"))
-                };
-                let base = 64 + d.below(448);
-                for _ in 0..base {
-                    add(&mut kb, &mut d);
-                }
-                // A commit under a pin lands in the tail.
-                let pin = kb.snapshot();
-                if d.chance(75) {
-                    kb.begin_delta();
-                    for _ in 0..1 + d.below(base / 64) {
-                        add(&mut kb, &mut d);
-                    }
-                    kb.end_delta();
-                    prop_assert!(!kb.preds[&key].tail.clauses.is_empty());
-                }
+                let (kb, _pin) = draw_store(&mut d);
                 let answers: Vec<CachedAnswer> = kb
                     .clauses_of(key)
                     .iter()
@@ -3582,7 +3778,37 @@ mod tests {
                     let want = reference_admitted(&kb, key, &answers, &store, &args, &bounds);
                     prop_assert_eq!(&got, &want, "admitted answers for {:?}", args);
                 }
-                drop(pin);
+            }
+
+            /// Hash path keys (and exact numeric range keys) prune only
+            /// clauses whose head cannot unify with the call: without
+            /// `range_call` bounds, every clause left out fails unification.
+            #[test]
+            fn path_keys_prune_only_heads_that_cannot_unify(seed in any::<u64>()) {
+                let mut d = Draw(seed);
+                let key = PredKey::new("h", 5);
+                let (kb, _pin) = draw_store(&mut d);
+                let clauses = kb.clauses_of(key);
+                for _ in 0..32 {
+                    let mut store = BindStore::new();
+                    let args = draw_call(&mut d, &mut store, &mut BoundSet::default());
+                    let unbounded = BoundSet::default();
+                    let Some(picked) = picked(&kb.candidates(key, &store, &args, &unbounded))
+                    else {
+                        continue;
+                    };
+                    let call = Term::pred("h", args.clone());
+                    for (p, clause) in clauses.iter().enumerate() {
+                        if picked.binary_search(&(p as u32)).is_ok() {
+                            continue;
+                        }
+                        let mark = store.mark();
+                        let head = clause.head.offset_vars(store.alloc_block(clause.n_vars));
+                        let unifies = store.unify(&call, &head);
+                        store.undo_to(mark);
+                        prop_assert!(!unifies, "{} unifies with {} but was pruned", head, call);
+                    }
+                }
             }
         }
     }

@@ -263,14 +263,17 @@ impl LogEnd {
 fn parse_records(buf: &[u8], start_seq: u64) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut good = HEADER_LEN;
+    let mut next = start_seq;
     // A torn or corrupt frame, a malformed payload, or a sequence
-    // discontinuity all end the prefix: nothing past them is replayed.
+    // discontinuity all end the prefix: nothing past them is replayed. So
+    // does a record numbered `u64::MAX`, which no record could follow.
     while let Some((record, len)) = WalRecord::decode(&buf[good..]) {
-        if record.seq != start_seq + records.len() as u64 {
+        let Some(after) = next.checked_add(1).filter(|_| record.seq == next) else {
             break;
-        }
+        };
         records.push(record);
         good += len;
+        next = after;
     }
     (records, good)
 }
@@ -373,8 +376,10 @@ impl Wal {
     /// Frame `delta` as the record [`Wal::append_encoded`] writes next.
     /// An error here is a refusal, and nothing is written: the delta
     /// holds a term nested deeper than [`crate::MAX_TERM_DEPTH`], more
-    /// than `u32::MAX` operations, or a payload past `u32::MAX` bytes.
+    /// than `u32::MAX` operations, or a payload past `u32::MAX` bytes, or
+    /// the log is out of sequence numbers.
     pub fn encode_next(&self, delta: &Delta) -> io::Result<Vec<u8>> {
+        self.seq_after()?;
         encode_record(self.next_seq, delta)
     }
 
@@ -385,6 +390,7 @@ impl Wal {
     /// another seq is an error, and nothing is written.
     pub fn append_encoded(&mut self, record: &[u8]) -> io::Result<u64> {
         let seq = self.next_seq;
+        let after = self.seq_after()?;
         if record.get(8..16) != Some(&seq.to_le_bytes()[..]) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -393,8 +399,20 @@ impl Wal {
         }
         self.file.write_all(record)?;
         self.file.sync_data()?;
-        self.next_seq = seq + 1;
+        self.next_seq = after;
         Ok(seq)
+    }
+
+    /// The sequence number after the next record's. A record numbered
+    /// `u64::MAX` could have no successor, so recovery ends the valid
+    /// prefix before one, and the log refuses to write one.
+    fn seq_after(&self) -> io::Result<u64> {
+        self.next_seq.checked_add(1).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the log has no sequence number left for another commit",
+            )
+        })
     }
 
     /// [`Wal::encode_next`], then [`Wal::append_encoded`]. A caller that
@@ -529,6 +547,33 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (records, _) = Wal::read(&path).unwrap().expect("a log");
         assert_eq!(records.len(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The writer stops where the reader does: record `u64::MAX - 1` is
+    /// written and recovered, and record `u64::MAX` is refused before
+    /// anything reaches the file.
+    #[test]
+    fn the_last_sequence_number_is_refused_before_it_is_written() {
+        let path = temp_path("seq-max");
+        let mut live = KnowledgeBase::new();
+        let mut wal = Wal::create(&path, WalHeader::new(0xFEED, u64::MAX - 1), None).unwrap();
+        let d1 = committed_ops(&mut live, |kb| kb.assert_fact(fact("p", "a")));
+        assert_eq!(wal.append(&d1).unwrap(), u64::MAX - 1);
+        let len = std::fs::metadata(&path).unwrap().len();
+        let d2 = committed_ops(&mut live, |kb| kb.assert_fact(fact("p", "b")));
+        let refused = wal.append(&d2).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        let framed = encode_record(u64::MAX, &d2).unwrap();
+        assert!(wal.append_encoded(&framed).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        drop(wal);
+
+        let (mut wal, records) = recover(&path);
+        assert_eq!(records.len(), 1);
+        assert_eq!(wal.next_seq(), u64::MAX);
+        assert!(wal.append(&d2).is_err(), "a reopened log refuses too");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         std::fs::remove_file(&path).ok();
     }
 

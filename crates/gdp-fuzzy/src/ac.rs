@@ -121,8 +121,8 @@ fn subst_fact(f: &FactPat, b: &Bindings) -> FactPat {
 fn subst_formula(f: &Formula, b: &Bindings) -> Formula {
     match f {
         Formula::True => Formula::True,
-        Formula::Fact(fp) => Formula::Fact(subst_fact(fp, b)),
-        Formula::FuzzyFact(fp, acc) => Formula::FuzzyFact(subst_fact(fp, b), subst_pat(acc, b)),
+        Formula::Fact(fp) => Formula::fact(subst_fact(fp, b)),
+        Formula::FuzzyFact(fp, acc) => Formula::fuzzy_fact(subst_fact(fp, b), subst_pat(acc, b)),
         Formula::And(x, y) => {
             Formula::And(Box::new(subst_formula(x, b)), Box::new(subst_formula(y, b)))
         }
@@ -428,7 +428,7 @@ mod tests {
         let n = derive_accuracies(&mut spec, &rule, &AcOptions::default()).unwrap();
         assert_eq!(n, 1);
         let answers = spec
-            .satisfy(&Formula::FuzzyFact(
+            .satisfy(&Formula::fuzzy_fact(
                 fact("hazard", &["plain"]),
                 Pat::var("A"),
             ))

@@ -40,7 +40,7 @@
 //! );
 //! derive_accuracies(&mut spec, &rule, &AcOptions::default()).unwrap();
 //!
-//! let a = spec.satisfy(&Formula::FuzzyFact(
+//! let a = spec.satisfy(&Formula::fuzzy_fact(
 //!     FactPat::new("hazard").arg("plain"), Pat::var("A"),
 //! )).unwrap();
 //! assert_eq!(a[0].get("A").unwrap().as_f64(), Some(0.45)); // min–max

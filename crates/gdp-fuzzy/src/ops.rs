@@ -259,7 +259,7 @@ mod tests {
         )
         .unwrap();
         let answers = spec
-            .satisfy(&Formula::FuzzyFact(fact("coverage", &["region"]), v("A")))
+            .satisfy(&Formula::fuzzy_fact(fact("coverage", &["region"]), v("A")))
             .unwrap();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].get("A").unwrap().as_f64(), Some(0.3));
@@ -286,7 +286,7 @@ mod tests {
         spec.assert_fuzzy_fact(fact("clarity", &["img7"]), 0.6)
             .unwrap();
         spec.constrain(Constraint::new("bad_image").witness("X").when(Formula::and(
-            Formula::FuzzyFact(fact("clarity", &["X"]), v("A")),
+            Formula::fuzzy_fact(fact("clarity", &["X"]), v("A")),
             Formula::Cmp(CmpOp::Lt, v("A"), Pat::Float(0.8)),
         )))
         .unwrap();

@@ -369,9 +369,9 @@ impl Flat {
             if let Some(formula) = self.formulas.pop() {
                 match formula {
                     Formula::True => {}
-                    Formula::Fact(f) => self.fact(f),
+                    Formula::Fact(f) => self.fact(*f),
                     Formula::FuzzyFact(f, accuracy) => {
-                        self.fact(f);
+                        self.fact(*f);
                         self.pats.push(accuracy);
                     }
                     Formula::Raw(p) | Formula::Domain(_, p) => self.pats.push(p),

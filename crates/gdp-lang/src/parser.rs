@@ -115,12 +115,12 @@ pub fn parse_formula(src: &str) -> LangResult<Formula> {
 /// the aggregates each open one.
 ///
 /// Sized from a measurement: on a 2 MiB thread an unoptimised build
-/// parses (and drops) at most 187 levels of the shape that takes the most
-/// stack per level, `?- not(not(…)).` (some 11 KiB a level); the bound is
-/// half of that. The same build reaches 234 levels of nested lists and
-/// 261 of nested compounds there, and a `gdp-serve` session thread has
-/// 8 MiB.
-pub const MAX_NESTING: usize = 93;
+/// parses (and drops) at most 235 levels of the shape that takes the most
+/// stack per level, nested lists `big([[…]]).`; the bound is half of
+/// that. The same build reaches 263 levels of nested compounds and 474
+/// of `?- not(not(…)).` there (a formula holds its fact pattern boxed),
+/// and a `gdp-serve` session thread has 8 MiB.
+pub const MAX_NESTING: usize = 117;
 
 struct Parser {
     toks: Vec<Spanned>,
@@ -656,12 +656,12 @@ impl Parser {
         self.bump();
         let acc = self.primary()?;
         let fact = self.qualified_fact()?;
-        Ok(Formula::FuzzyFact(fact, acc))
+        Ok(Formula::fuzzy_fact(fact, acc))
     }
 
     /// Qualifier-prefixed fact.
     fn qualified_unit(&mut self) -> LangResult<Formula> {
-        Ok(Formula::Fact(self.qualified_fact()?))
+        Ok(Formula::fact(self.qualified_fact()?))
     }
 
     fn negation(&mut self) -> LangResult<Formula> {
@@ -756,7 +756,7 @@ impl Parser {
             };
             return self.finish_comparison(lhs);
         }
-        Ok(Formula::Fact(fact))
+        Ok(Formula::fact(fact))
     }
 
     /// A comparison whose left side is not a call.

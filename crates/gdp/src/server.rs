@@ -80,6 +80,25 @@ const CONT_PROMPT: &str = "...> ";
 /// and how often the accept loop polls its non-blocking listener.
 const TICK: Duration = Duration::from_millis(50);
 
+/// The longest protocol line a socket session reads, newline included.
+/// Past it the session replies with an error at once and skips the rest
+/// of the line, up to its newline, without holding it. Unless the line is
+/// a `:`-command, the statement it is part of is refused whole.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most bytes of statement lines a session accumulates while waiting
+/// for the terminating `.`. Past it the statement is refused whole: its
+/// lines so far are dropped, and so are its lines still to come, up to
+/// the one that ends in `.`.
+pub const MAX_STATEMENT_BYTES: usize = 2 << 20;
+
+/// The most one `:begin` transaction buffers: the source of its blocks,
+/// which is parsed only at `:commit`, and one block end (8 bytes) per
+/// block. A block that would pass it is refused, and `:commit` then rolls
+/// the transaction back, as it does for any statement the transaction
+/// refused.
+pub const MAX_TXN_BYTES: usize = 8 << 20;
+
 const HELP: &str = "\
 statements  any specification-language statement ending in `.`
             (facts, rules, constraints, #directives, `?- query.`)
@@ -102,9 +121,9 @@ statements  any specification-language statement ending in `.`
 :stats      knowledge-base statistics, the last query's counters, and
             this session's running totals of the answer-table counters
 :index [MODE]  clause indexing: no argument prints the per-predicate
-            index report (hash/range configuration, hit and prune
-            counters); status; on | off switch candidate selection
-            for every session
+            index report (range configuration, hit and prune counters,
+            and the path each hash index keys); status; on | off
+            switch candidate selection for every session
 :table MODE answer tabling for every session: on | off | all | status,
             plus the recursive-cycle policy: inductive | coinductive
 :trace MODE port-event tracing: on | off | show | status
@@ -121,7 +140,13 @@ statements  any specification-language statement ending in `.`
 :shutdown   drain the whole server: stop accepting, finish sessions,
             write a final checkpoint, exit
 :help       this text
-:quit       close this session";
+:quit       close this session
+limits      a line longer than 1 MiB, a statement longer than 2 MiB
+            before its `.`, and a :begin buffer past 8 MiB are refused
+            with an error; the statement is dropped whole, up to the
+            line that ends in `.`, a refusal inside :begin makes
+            :commit roll back, and the session goes on (`:load` and
+            gdp-serve --load files are not limited)";
 
 /// Serving knobs: admission control, timeouts, drain behavior. Every
 /// field has a production-sane default; `gdp-serve` exposes them as
@@ -334,16 +359,31 @@ fn run_session(
     )?;
     write!(writer, "{PROMPT}")?;
     writer.flush()?;
-    let mut line = String::new();
+    let mut lines = LineReader::default();
     let mut last_activity = Instant::now();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // EOF
-            Ok(_) => {
+        match lines.next(&mut reader) {
+            Ok(Line::Eof) => return Ok(()),
+            Ok(Line::Text(line)) => {
                 last_activity = Instant::now();
-                if !session.line(&std::mem::take(&mut line), &mut writer)? {
+                if !session.line(&line, &mut writer)? {
                     return Ok(());
                 }
+                write!(writer, "{}", session.prompt())?;
+                writer.flush()?;
+            }
+            Ok(Line::TooLong) => {
+                // Refused at once; the prompt follows the line's end.
+                last_activity = Instant::now();
+                writeln!(
+                    writer,
+                    "error: line longer than {MAX_LINE_BYTES} bytes refused; it is dropped up to its newline, and a statement it is part of is dropped whole."
+                )?;
+                writer.flush()?;
+            }
+            Ok(Line::Refused { command, ended }) => {
+                last_activity = Instant::now();
+                session.refused_line(command, ended);
                 write!(writer, "{}", session.prompt())?;
                 writer.flush()?;
             }
@@ -354,7 +394,7 @@ fn run_session(
                 ) =>
             {
                 // A read tick, not an error: any partial line stays in
-                // `line` (read_line appends across calls).
+                // the line reader.
                 if session.state.is_shutting_down() {
                     writeln!(writer, "server draining; closing session.")?;
                     writer.flush()?;
@@ -371,6 +411,128 @@ fn run_session(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
+    }
+}
+
+/// One read from a [`LineReader`].
+enum Line {
+    /// A whole line, newline included (the last line of a stream may lack
+    /// it).
+    Text(String),
+    /// A line just passed [`MAX_LINE_BYTES`]: what was buffered is freed,
+    /// and the rest of the line is skipped as it arrives.
+    TooLong,
+    /// The newline that ends a line refused as [`Line::TooLong`]:
+    /// whether its first non-blank byte was `:` and its last `.`.
+    Refused { command: bool, ended: bool },
+    /// The stream ended.
+    Eof,
+}
+
+/// `BufRead::read_line` with a byte cap. A partial line survives a read
+/// error such as a socket tick and is continued by the next call.
+#[derive(Default)]
+struct LineReader {
+    buf: Vec<u8>,
+    /// The line being skipped after it was refused as too long.
+    skip: Option<Skip>,
+}
+
+/// What a [`LineReader`] keeps of a line it skips: the ends that tell
+/// whether it was a command and whether it ended a statement.
+#[derive(Clone, Copy)]
+struct Skip {
+    command: bool,
+    ended: bool,
+    /// Its newline was read.
+    done: bool,
+}
+
+impl Skip {
+    /// Note the next bytes of the skipped line.
+    fn note(&mut self, bytes: &[u8]) {
+        if let Some(&last) = bytes.iter().rev().find(|b| !b.is_ascii_whitespace()) {
+            self.ended = last == b'.';
+        }
+    }
+}
+
+impl LineReader {
+    fn next(&mut self, reader: &mut impl BufRead) -> std::io::Result<Line> {
+        loop {
+            if let Some(Skip {
+                command,
+                ended,
+                done: true,
+            }) = self.skip
+            {
+                self.skip = None;
+                return Ok(Line::Refused { command, ended });
+            }
+            let available = match reader.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                if self.buf.is_empty() {
+                    return Ok(Line::Eof);
+                }
+                return self.take();
+            }
+            let (len, ends) = match available.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (available.len(), false),
+            };
+            let chunk = &available[..len];
+            let refused = match &mut self.skip {
+                Some(skip) => {
+                    skip.note(chunk);
+                    false
+                }
+                None if self.buf.len() + len > MAX_LINE_BYTES => {
+                    let first = self
+                        .buf
+                        .iter()
+                        .chain(chunk)
+                        .find(|b| !b.is_ascii_whitespace());
+                    let mut skip = Skip {
+                        command: first == Some(&b':'),
+                        ended: false,
+                        done: false,
+                    };
+                    skip.note(&self.buf);
+                    skip.note(chunk);
+                    self.buf = Vec::new();
+                    self.skip = Some(skip);
+                    true
+                }
+                None => {
+                    self.buf.extend_from_slice(chunk);
+                    false
+                }
+            };
+            reader.consume(len);
+            match &mut self.skip {
+                Some(skip) => skip.done = ends,
+                None if ends => return self.take(),
+                None => {}
+            }
+            if refused {
+                return Ok(Line::TooLong);
+            }
+        }
+    }
+
+    fn take(&mut self) -> std::io::Result<Line> {
+        String::from_utf8(std::mem::take(&mut self.buf))
+            .map(Line::Text)
+            .map_err(|_| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })
     }
 }
 
@@ -565,6 +727,42 @@ pub fn serve_unix_opts(
 /// diagnostics of those that did not.
 type Parsed = (Vec<(Pos, Statement)>, Vec<LangError>);
 
+/// The blocks an open `:begin` buffers for `:commit`, held as source and
+/// parsed one at a time as `:commit` loads them (where a parse error is
+/// reported), so that what the buffer holds is what [`MAX_TXN_BYTES`]
+/// counts.
+#[derive(Default)]
+struct Txn {
+    /// The blocks' source, one after another.
+    source: String,
+    /// Where each block ends in `source`.
+    ends: Vec<usize>,
+    /// Why a statement of the transaction was refused: `:commit` then
+    /// rolls back.
+    refused: Option<String>,
+}
+
+impl Txn {
+    /// Whether `block` can be buffered within [`MAX_TXN_BYTES`].
+    fn fits(&self, block: &str) -> bool {
+        let ends = (self.ends.len() + 1) * size_of::<usize>();
+        self.source.len() + block.len() + ends <= MAX_TXN_BYTES
+    }
+
+    fn push(&mut self, block: &str) {
+        self.source.push_str(block);
+        self.ends.push(self.source.len());
+    }
+
+    /// The buffered blocks' source.
+    fn blocks(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.source[start..end])
+    }
+}
+
 /// One protocol session: the only command layer, behind every `gdp-serve`
 /// connection and the `gdp-repl` shell. It pins a snapshot of the
 /// store, reads protocol lines ([`Session::line`]) and answers each on a
@@ -581,8 +779,11 @@ pub struct Session {
     audited_at: Option<u64>,
     /// Lines of a statement still waiting for its terminating `.`.
     partial: String,
-    /// Statement blocks buffered since `:begin`, awaiting `:commit`.
-    txn: Option<Vec<Parsed>>,
+    /// Dropping the lines of a refused statement, up to the one that ends
+    /// in `.`.
+    discarding: bool,
+    /// The blocks buffered since `:begin`, awaiting `:commit`.
+    txn: Option<Txn>,
     /// The operator's per-statement deadline: `:deadline` never lifts it.
     ceiling: Option<Duration>,
     /// The base image's step and depth limits: `:budget` and `:retry`
@@ -601,6 +802,7 @@ impl Session {
             seq,
             audited_at: None,
             partial: String::new(),
+            discarding: false,
             txn: None,
             ceiling: opts.statement_deadline,
             max_budget: view.limits(),
@@ -617,7 +819,7 @@ impl Session {
     /// The prompt for the next line: [`PROMPT`], or `...> ` inside an
     /// unterminated statement.
     pub fn prompt(&self) -> &'static str {
-        if self.partial.is_empty() {
+        if self.partial.is_empty() && !self.discarding {
             PROMPT
         } else {
             CONT_PROMPT
@@ -626,10 +828,17 @@ impl Session {
 
     /// Handle one protocol line and write its response (without the
     /// prompt). A `:`-command runs at once; statement lines accumulate
-    /// until one ends in `.`, and the block then runs. `Ok(false)` ends
-    /// the session (`:quit`, `:shutdown`).
+    /// until one ends in `.`, and the block then runs. A statement past
+    /// [`MAX_STATEMENT_BYTES`] before its `.` is refused whole, and so is
+    /// a block that would take an open `:begin` past [`MAX_TXN_BYTES`].
+    /// `Ok(false)` ends the session (`:quit`, `:shutdown`).
     pub fn line(&mut self, line: &str, w: &mut impl Write) -> std::io::Result<bool> {
         let trimmed = line.trim();
+        if self.discarding {
+            // A line of a refused statement, perhaps the one that ends it.
+            self.discarding = !trimmed.ends_with('.');
+            return Ok(true);
+        }
         if self.partial.is_empty() {
             if trimmed.is_empty() {
                 return Ok(true);
@@ -638,19 +847,61 @@ impl Session {
                 return self.guarded(w, |s, w| s.command(trimmed, w));
             }
         }
-        self.partial.push_str(line.trim_end_matches(['\n', '\r']));
+        let text = line.trim_end_matches(['\n', '\r']);
+        if self.partial.len() + text.len() + 1 > MAX_STATEMENT_BYTES {
+            let ended = trimmed.ends_with('.');
+            self.refuse(
+                format!("a statement longer than {MAX_STATEMENT_BYTES} bytes was refused"),
+                ended,
+            );
+            let rest = if ended {
+                ""
+            } else {
+                " up to the line that ends it"
+            };
+            writeln!(
+                w,
+                "error: statement longer than {MAX_STATEMENT_BYTES} bytes before its `.` refused; it is dropped{rest}."
+            )?;
+            return Ok(true);
+        }
+        self.partial.push_str(text);
         self.partial.push('\n');
         if trimmed.ends_with('.') {
             let source = std::mem::take(&mut self.partial);
-            self.block(&source, w)?;
+            self.guarded(w, |s, w| s.run_block(&source, true, w).map(|()| true))?;
         }
         Ok(true)
     }
 
+    /// A line the socket layer refused as longer than [`MAX_LINE_BYTES`],
+    /// once its newline is read: `command` says its first non-blank byte
+    /// was `:`, `ended` that its last was `.`. Unless it was a `:`-command
+    /// line, the statement it is part of is refused whole, as
+    /// [`Session::line`] refuses one past [`MAX_STATEMENT_BYTES`].
+    fn refused_line(&mut self, command: bool, ended: bool) {
+        if !(command && self.partial.is_empty() && !self.discarding) {
+            let why = format!("a line longer than {MAX_LINE_BYTES} bytes was refused");
+            self.refuse(why, ended);
+        }
+    }
+
+    /// Refuse the statement being read: drop its lines so far and, unless
+    /// it `ended`, its lines still to come, up to the one that ends in
+    /// `.`. An open `:begin` keeps `why`, and `:commit` rolls it back.
+    fn refuse(&mut self, why: String, ended: bool) {
+        self.partial = String::new();
+        self.discarding = !ended;
+        if let Some(txn) = &mut self.txn {
+            txn.refused.get_or_insert(why);
+        }
+    }
+
     /// Run `source` as one statement block: queries only on the pinned
-    /// snapshot, anything else as one commit (or into an open `:begin`).
+    /// snapshot, anything else as one commit (or into an open `:begin`,
+    /// whatever its size: this is how `:load` runs a file).
     pub fn block(&mut self, source: &str, w: &mut impl Write) -> std::io::Result<()> {
-        self.guarded(w, |s, w| s.run_block(source, w).map(|()| true))
+        self.guarded(w, |s, w| s.run_block(source, false, w).map(|()| true))
             .map(drop)
     }
 
@@ -681,7 +932,8 @@ impl Session {
         }
     }
 
-    fn run_block(&mut self, source: &str, w: &mut impl Write) -> std::io::Result<()> {
+    /// Run one block; `capped` holds a buffered block to [`MAX_TXN_BYTES`].
+    fn run_block(&mut self, source: &str, capped: bool, w: &mut impl Write) -> std::io::Result<()> {
         let (statements, errors) = parse_program_diagnostics(source);
         if errors.is_empty()
             && statements
@@ -693,15 +945,24 @@ impl Session {
             return self.queries(statements, w);
         }
         match self.txn.as_mut() {
-            Some(buffered) => {
-                buffered.push((statements, errors));
+            Some(txn) if capped && !txn.fits(source) => {
+                let why = format!("the :begin buffer would pass {MAX_TXN_BYTES} bytes");
+                writeln!(
+                    w,
+                    "error: transaction error: {why}; block refused, and :commit will roll back."
+                )?;
+                txn.refused.get_or_insert(why);
+                Ok(())
+            }
+            Some(txn) => {
+                txn.push(source);
                 writeln!(
                     w,
                     "buffered ({} block(s); :commit applies).",
-                    buffered.len()
+                    txn.ends.len()
                 )
             }
-            None => self.commit(vec![(statements, errors)], w),
+            None => self.commit(std::iter::once((statements, errors)), w),
         }
     }
 
@@ -754,15 +1015,19 @@ impl Session {
     /// success. The blocks run on the live specification under this
     /// session's budget, deadline and cancel token, lent to it with
     /// [`Specification::swap_session`]; a panic among them rolls the
-    /// commit back like any other failure.
-    fn commit(&mut self, blocks: Vec<Parsed>, w: &mut impl Write) -> std::io::Result<()> {
+    /// commit back like any other failure. The blocks are drawn one at a
+    /// time, so a `:begin` buffer is parsed block by block as it loads.
+    fn commit(
+        &mut self,
+        blocks: impl Iterator<Item = Parsed>,
+        w: &mut impl Write,
+    ) -> std::io::Result<()> {
         let registry = &self.state.registry;
         let view = &mut self.view;
         let result = self.state.store.commit(|spec| {
             spec.swap_session(view);
             let loaded = contained(|| {
                 blocks
-                    .into_iter()
                     .map(|(statements, errors)| {
                         Loader::with_spatial(spec, registry).load_parsed(statements, errors)
                     })
@@ -889,19 +1154,22 @@ impl Session {
                 writeln!(w, "error: transaction error: a transaction is already open")?;
             }
             ":begin" => {
-                self.txn = Some(Vec::new());
+                self.txn = Some(Txn::default());
                 writeln!(w, "transaction open (:commit or :rollback).")?;
             }
             ":commit" | ":rollback" => match self.txn.take() {
                 None => writeln!(w, "error: transaction error: no transaction is open")?,
-                Some(blocks) if cmd == ":rollback" => {
-                    writeln!(w, "discarded {} buffered block(s).", blocks.len())?;
+                Some(txn) if cmd == ":rollback" => {
+                    writeln!(w, "discarded {} buffered block(s).", txn.ends.len())?;
                 }
-                Some(blocks) if blocks.is_empty() => writeln!(w, "nothing to commit.")?,
-                Some(blocks) => self.commit(blocks, w)?,
+                Some(Txn {
+                    refused: Some(why), ..
+                }) => writeln!(w, "rolled back: {}", SpecError::Transaction(why))?,
+                Some(txn) if txn.ends.is_empty() => writeln!(w, "nothing to commit.")?,
+                Some(txn) => self.commit(txn.blocks().map(parse_program_diagnostics), w)?,
             },
             ":why" => match parse_formula(rest) {
-                Ok(Formula::Fact(pat)) => match view.explain_fact(pat) {
+                Ok(Formula::Fact(pat)) => match view.explain_fact(*pat) {
                     Ok(Some(proof)) => write!(w, "{}", proof.render())?,
                     Ok(None) => writeln!(w, "not provable.")?,
                     Err(e) => writeln!(w, "error: {}", render_spec_error(view, &e))?,
@@ -1235,33 +1503,27 @@ fn write_audit(w: &mut impl Write, report: &AuditReport) -> std::io::Result<()> 
 }
 
 /// The `:index` report: whether indexing is on, then one row per
-/// predicate that has an index or was consulted — its hash positions,
-/// range indexes, and hit, prune and scan counters.
+/// predicate that has an index or was consulted — its range indexes, hit,
+/// prune and scan counters, and last, its hash indexes, each printed as
+/// the path to the subterm it keys (`arg(4)/'.'[1]/'.'[0]` is the second
+/// element of the list in argument 4).
 fn write_index_report(w: &mut impl Write, kb: &KnowledgeBase) -> std::io::Result<()> {
     writeln!(w, "indexing is {}.", on_off(kb.indexing()))?;
     let reports: Vec<IndexReport> = kb
         .index_stats()
         .into_iter()
-        .filter(|r| !r.hash_positions.is_empty() || !r.range_specs.is_empty() || r.consults > 0)
+        .filter(|r| !r.hash_paths.is_empty() || !r.range_specs.is_empty() || r.consults > 0)
         .collect();
     if reports.is_empty() {
         return writeln!(w, "no indexed predicates consulted yet.");
     }
     writeln!(
         w,
-        "{:<14} {:>7}  {:<9} {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}",
-        "predicate",
-        "clauses",
-        "hash",
-        "range",
-        "consults",
-        "hashhit",
-        "rangehit",
-        "pruned",
-        "scans"
+        "{:<14} {:>7}  {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}  hash",
+        "predicate", "clauses", "range", "consults", "hashhit", "rangehit", "pruned", "scans"
     )?;
     for r in reports {
-        let hash: Vec<String> = r.hash_positions.iter().map(|p| p.to_string()).collect();
+        let hash: Vec<String> = r.hash_paths.iter().map(|p| p.to_string()).collect();
         let (ivs, grids) = r.range_specs.iter().fold((0, 0), |(i, g), s| match s {
             RangeSpec::Interval(_) => (i + 1, g),
             RangeSpec::Grid { .. } => (i, g + 1),
@@ -1274,20 +1536,20 @@ fn write_index_report(w: &mut impl Write, kb: &KnowledgeBase) -> std::io::Result
         };
         writeln!(
             w,
-            "{:<14} {:>7}  {:<9} {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}",
+            "{:<14} {:>7}  {:<11} {:>8} {:>8} {:>8} {:>9} {:>6}  {}",
             r.pred.to_string(),
             r.clauses,
-            if hash.is_empty() {
-                "-".to_string()
-            } else {
-                hash.join(",")
-            },
             range,
             r.consults,
             r.hash_hits,
             r.range_hits,
             r.pruned,
-            r.scans
+            r.scans,
+            if hash.is_empty() {
+                "-".to_string()
+            } else {
+                hash.join(", ")
+            },
         )?;
     }
     Ok(())

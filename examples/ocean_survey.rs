@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             A is 1 - N / N0.
         "#,
     )?;
-    let clarity = spec.satisfy(&Formula::FuzzyFact(
+    let clarity = spec.satisfy(&Formula::fuzzy_fact(
         FactPat::new("clarity").arg("image"),
         Pat::var("A"),
     ))?;
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Constraint::new("low_confidence_datum")
             .witness("S")
             .when(Formula::and(
-                Formula::FuzzyFact(FactPat::new("depth").arg("Z").arg("S"), Pat::var("A")),
+                Formula::fuzzy_fact(FactPat::new("depth").arg("Z").arg("S"), Pat::var("A")),
                 Formula::Cmp(CmpOp::Lt, Pat::var("A"), Pat::Float(0.8)),
             )),
     )?;
@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let derived = derive_accuracies(&mut spec, &rule, &AcOptions::default())?;
     println!("derived {derived} accuracy-qualified navigability conclusions");
-    let navigable = spec.satisfy(&Formula::FuzzyFact(
+    let navigable = spec.satisfy(&Formula::fuzzy_fact(
         FactPat::new("navigable").arg("S"),
         Pat::var("A"),
     ))?;

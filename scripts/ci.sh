@@ -207,20 +207,24 @@ done
 echo "==> cargo test delta_merge_prop"
 cargo test -q --release -p gdp --test delta_merge_prop
 
-# Durable-codec legs: the WAL-record and checkpoint-image decoders read
-# bytes off a disk, so their properties (exact round trips; mutated,
-# truncated and count-inflated payloads never panic or over-allocate)
-# get a second, longer run than the suites above give them.
+# Durable-codec legs: the WAL-record, WAL-header and checkpoint-image
+# decoders read bytes off a disk, so their properties (exact round trips;
+# mutated, truncated and count-inflated payloads never panic or
+# over-allocate; only a sound current-version header opens a log) get a
+# second, longer run than the suites above give them.
 echo "==> cargo test durable_codec [PROPTEST_CASES=2048]"
 env PROPTEST_CASES=2048 cargo test -q --release -p gdp --test durable_codec
 
 # Selection-oracle leg: candidate selection and answer replay walk the
 # smallest index selection and probe the others (DESIGN.md #12); their
 # positions must equal the materialise-and-intersect reference's on
-# random h/5 clause stores and calls, so the property gets a longer run.
+# random h/5 clause stores and calls, and the hash indexes' path keys (the
+# argument list's first and second elements) must prune only heads that
+# cannot unify with the call, so both properties get a longer run.
 echo "==> cargo test selection oracle [PROPTEST_CASES=2048]"
-env PROPTEST_CASES=2048 cargo test -q --release -p gdp-engine --lib \
-    selection_matches_the_materialised_reference
+env PROPTEST_CASES=2048 cargo test -q --release -p gdp-engine --lib -- \
+    selection_matches_the_materialised_reference \
+    path_keys_prune_only_heads_that_cannot_unify
 
 # Checkpointed-recovery legs: crash-safe checkpoints × injected disk
 # faults × tabling. The in-file sweeps always run; a GDP_CHAOS io:

@@ -13,6 +13,10 @@
 //!   allocation: decoding never asks for much more memory than the input
 //!   has bytes.
 //!
+//! The WAL header decoder is fuzzed beside them: random, mutated and
+//! truncated 28-byte headers, with or without records after them, never
+//! panic, and only a sound header of the current version opens a log.
+//!
 //! Beside them: an older format version is refused by name, and a term
 //! nested past `MAX_TERM_DEPTH` ends a log's valid prefix on recovery
 //! and is refused at commit without parking the log.
@@ -83,6 +87,22 @@ fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// ask for far more (the inflating mutation writes at least 2^24).
 fn allocation_bound(input: &[u8]) -> usize {
     32 * input.len() + (8 << 20)
+}
+
+/// The WAL header: magic, format version, base fingerprint, first
+/// sequence number, CRC-32 of the 24 bytes before it.
+const HEADER_LEN: usize = 28;
+const WAL_VERSION: u32 = 3;
+
+fn wal_header(version: u32, fingerprint: u64, start_seq: u64) -> [u8; HEADER_LEN] {
+    let mut bytes = [0u8; HEADER_LEN];
+    bytes[0..4].copy_from_slice(b"GDPW");
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    bytes[8..16].copy_from_slice(&fingerprint.to_le_bytes());
+    bytes[16..24].copy_from_slice(&start_seq.to_le_bytes());
+    let crc = crc32(&bytes[0..24]);
+    bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
 // ----- generators -----------------------------------------------------------
@@ -337,6 +357,101 @@ proptest! {
             );
             if let Some((_, len)) = decoded {
                 prop_assert_eq!(len, mutated.len());
+            }
+        }
+    }
+
+    /// A log's header decides whether it opens, whatever bytes it holds:
+    /// a sound header of this version opens the log with the fingerprint
+    /// and first sequence number it names; a sound header of another
+    /// version is refused by name; anything else is a torn create (an
+    /// empty log) when the file ends within the header, and a corrupt
+    /// header when more follows. Never a panic.
+    #[test]
+    fn wal_headers_open_a_log_only_when_sound_and_current(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let fingerprint = g.next();
+        let start_seq = [1, g.next(), u64::MAX - 1, u64::MAX][g.below(4)];
+        let version = [WAL_VERSION, WAL_VERSION, 2, g.next() as u32][g.below(4)];
+        let mut bytes = wal_header(version, fingerprint, start_seq).to_vec();
+        match g.below(4) {
+            // Random bytes, keeping the magic half the time.
+            0 => {
+                for b in &mut bytes[(4 * g.below(2))..] {
+                    *b = g.next() as u8;
+                }
+            }
+            // A few bytes or bits changed, the CRC recomputed half the time.
+            1 => {
+                for _ in 0..1 + g.below(3) {
+                    let at = g.below(HEADER_LEN);
+                    bytes[at] ^= 1 << g.below(8);
+                }
+                if g.below(2) == 0 {
+                    let crc = crc32(&bytes[0..24]);
+                    bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+                }
+            }
+            // Cut short.
+            2 => bytes.truncate(g.below(HEADER_LEN)),
+            _ => {}
+        }
+        let header = bytes.clone();
+        // Then nothing, random bytes, or records that continue the header's
+        // sequence.
+        match g.below(3) {
+            0 => {}
+            1 => bytes.extend((0..1 + g.below(64)).map(|_| g.next() as u8)),
+            _ => {
+                for seq in [start_seq, start_seq.wrapping_add(1)] {
+                    let mut kb = KnowledgeBase::new();
+                    kb.begin_delta();
+                    kb.assert_fact(Term::pred("p", vec![Term::int(seq as i64)]));
+                    let delta = kb.end_delta().expect("recording");
+                    bytes.extend(WalRecord { seq, delta }.encode().unwrap());
+                }
+            }
+        }
+        let path = temp_path(&format!("header-{seed:x}"));
+        std::fs::write(&path, &bytes).unwrap();
+        let read = Wal::read(&path);
+        // An opened log appends its next record, and recovery keeps it,
+        // unless that record would be numbered `u64::MAX`: the log refuses
+        // it, as recovery could not keep it.
+        if let Ok(Some((records, end))) = &read {
+            let next = end.next_seq();
+            let mut wal = Wal::reopen(&path, *end, None).unwrap();
+            let mut kb = KnowledgeBase::new();
+            kb.begin_delta();
+            kb.assert_fact(Term::pred("q", vec![Term::int(1)]));
+            let delta = kb.end_delta().expect("recording");
+            let appended = wal.append(&delta).is_ok();
+            prop_assert_eq!(appended, next != u64::MAX, "next seq {}", next);
+            drop(wal);
+            let (after, _) = Wal::read(&path).unwrap().expect("still a log");
+            prop_assert_eq!(after.len(), records.len() + usize::from(appended));
+        }
+        let _ = std::fs::remove_file(&path);
+        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
+        let sound = header.len() == HEADER_LEN
+            && header[0..4] == *b"GDPW"
+            && crc32(&header[0..24]) == word(24);
+        match read {
+            Ok(Some((_, end))) => {
+                prop_assert!(sound && word(4) == WAL_VERSION, "opened a log under {:?}", header);
+                let dword = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
+                prop_assert_eq!(end.header().fingerprint, dword(8));
+                prop_assert_eq!(end.header().start_seq, dword(16));
+            }
+            Ok(None) => prop_assert!(!sound && bytes.len() <= HEADER_LEN, "{:?}", header),
+            Err(e) if sound => {
+                prop_assert!(word(4) != WAL_VERSION, "refused a sound header: {}", e);
+                let named = format!("format version {}", word(4));
+                prop_assert!(e.to_string().contains(&named), "{}", e);
+            }
+            Err(e) => {
+                prop_assert!(bytes.len() > HEADER_LEN, "{}", e);
+                prop_assert!(e.to_string().contains("corrupt header"), "{}", e);
             }
         }
     }

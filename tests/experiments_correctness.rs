@@ -581,7 +581,7 @@ fn e14_fuzzy_sources() {
     )
     .unwrap();
     let answers = spec
-        .satisfy(&Formula::FuzzyFact(
+        .satisfy(&Formula::fuzzy_fact(
             FactPat::new("depth_estimate").arg("Z").arg("mid"),
             Pat::var("A"),
         ))
@@ -603,7 +603,7 @@ fn e14_fuzzy_sources() {
     )
     .unwrap();
     let answers = spec
-        .satisfy(&Formula::FuzzyFact(
+        .satisfy(&Formula::fuzzy_fact(
             FactPat::new("clarity").arg("image"),
             Pat::var("A"),
         ))
@@ -641,7 +641,7 @@ fn e15_fuzzy_pragmatics() {
     spec.assert_fuzzy_fact(FactPat::new("clarity").arg("img7"), 0.6)
         .unwrap();
     spec.constrain(Constraint::new("bad_image").witness("X").when(Formula::and(
-        Formula::FuzzyFact(FactPat::new("clarity").arg("X"), Pat::var("A")),
+        Formula::fuzzy_fact(FactPat::new("clarity").arg("X"), Pat::var("A")),
         Formula::Cmp(CmpOp::Lt, Pat::var("A"), Pat::Float(0.8)),
     )))
     .unwrap();
@@ -686,7 +686,7 @@ fn e16_ac_propagation() {
     assert_eq!(n, 2);
     let get_acc = |spec: &Specification, obj: &str| {
         let answers = spec
-            .satisfy(&Formula::FuzzyFact(
+            .satisfy(&Formula::fuzzy_fact(
                 FactPat::new("hazard").arg(obj),
                 Pat::var("A"),
             ))

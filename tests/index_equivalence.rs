@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 
-use gdp::core::{CmpOp, Constraint, FactPat, Formula, Pat, SpecError, SpecStore, Specification};
+use gdp::core::{
+    CmpOp, Constraint, FactPat, Formula, Pat, Rule, SpecError, SpecStore, Specification,
+};
 use gdp::engine::{CheckpointImage, Term};
 
 mod common;
@@ -62,9 +64,36 @@ fn base_spec(indexed: bool) -> Specification {
             )),
     )
     .expect("safe constraint");
+    // A `tag` head open at its second element: on the variable side of
+    // the kernel's second-element index.
+    spec.define(Rule::new(
+        FactPat::new("tag").arg("o0").arg(Pat::var("C")),
+        Formula::fact(FactPat::new("wet").arg(Pat::var("C"))),
+    ))
+    .expect("safe rule");
     spec.set_world_view(&["omega", "m0", "m1", "m2"])
         .expect("declared models");
     spec
+}
+
+/// A `tag` fact in one of the argument-list shapes that the kernel's
+/// index on the list's second element keys apart: one element (in no
+/// bucket of it), an atomic or a numeric second element, or three
+/// elements.
+fn tag(a: u8, b: u8) -> FactPat {
+    let object = Pat::Atom(format!("o{}", a % 4));
+    let small = Pat::Int(i64::from(b % 3));
+    match b % 4 {
+        0 => FactPat::new("tag").arg(object),
+        1 => FactPat::new("tag").arg(object).arg(small),
+        2 => FactPat::new("tag")
+            .arg(object)
+            .arg(Pat::Atom(format!("c{}", b % 3))),
+        _ => FactPat::new("tag")
+            .arg(small)
+            .arg(object)
+            .arg(Pat::Atom("x".into())),
+    }
 }
 
 /// One random mutation, applied identically to both specs. Float and
@@ -82,7 +111,7 @@ fn apply_op(spec: &mut Specification, kind: u8, a: u8, b: u8) {
         .arg(Pat::Atom(format!("o{}", a % 4)))
         .arg(value)
         .model(model);
-    match kind % 5 {
+    match kind % 7 {
         0 => {
             spec.assert_fact(reading).expect("ground fact");
         }
@@ -97,9 +126,15 @@ fn apply_op(spec: &mut Specification, kind: u8, a: u8, b: u8) {
         3 => {
             spec.retract_fact(reading).expect("pattern is ground");
         }
-        _ => {
+        4 => {
             spec.retract_fact(FactPat::new("wet").arg(cell))
                 .expect("pattern is ground");
+        }
+        5 => {
+            spec.assert_fact(tag(a, b)).expect("ground fact");
+        }
+        _ => {
+            spec.retract_fact(tag(a, b)).expect("pattern is ground");
         }
     }
 }
@@ -140,6 +175,28 @@ fn fingerprint(spec: &Specification, workers: usize) -> Vec<String> {
             out.push(format!("{p} {}", answer.get("X").expect("bound")));
         }
     }
+    // `tag` calls binding its list's first element, its second, both,
+    // neither, or a length no stored list has.
+    let v = Pat::var;
+    let calls = [
+        FactPat::new("tag").arg(v("X")),
+        FactPat::new("tag").arg(v("X")).arg(v("Y")),
+        FactPat::new("tag").arg("o0").arg(v("Y")),
+        FactPat::new("tag").arg(v("X")).arg(Pat::Int(1)),
+        FactPat::new("tag").arg(v("X")).arg("c2"),
+        FactPat::new("tag").arg(v("X")).arg("o1").arg(v("Z")),
+        FactPat::new("tag").arg(v("X")).arg(v("Y")).arg(v("Z")),
+    ];
+    for (i, call) in calls.into_iter().enumerate() {
+        for answer in spec.query(call).expect("query") {
+            let bindings: Vec<String> = answer
+                .bindings()
+                .iter()
+                .map(|(name, value)| format!("{name}={value}"))
+                .collect();
+            out.push(format!("tag{i} {}", bindings.join(" ")));
+        }
+    }
     out
 }
 
@@ -150,7 +207,7 @@ proptest! {
     /// range indexes stay position-exact throughout.
     #[test]
     fn indexed_equals_unindexed(
-        ops in prop::collection::vec((0u8..5, 0u8..12, 0u8..6), 1..20),
+        ops in prop::collection::vec((0u8..7, 0u8..12, 0u8..6), 1..20),
         workers in prop_oneof![Just(1usize), Just(4usize)],
         tabled in any::<bool>(),
     ) {
@@ -184,8 +241,8 @@ proptest! {
     /// inverses, never rebuilt.
     #[test]
     fn retract_and_rollback_keep_indexes_exact(
-        prefix in prop::collection::vec((0u8..5, 0u8..12, 0u8..6), 0..8),
-        doomed in prop::collection::vec((0u8..5, 0u8..12, 0u8..6), 1..8),
+        prefix in prop::collection::vec((0u8..7, 0u8..12, 0u8..6), 0..8),
+        doomed in prop::collection::vec((0u8..7, 0u8..12, 0u8..6), 1..8),
         workers in prop_oneof![Just(1usize), Just(4usize)],
         tabled in any::<bool>(),
     ) {
@@ -223,7 +280,7 @@ proptest! {
     fn pinned_commits_equal_unpinned(
         commits in prop::collection::vec(
             (
-                prop::collection::vec((0u8..5, 0u8..12, 0u8..6), 1..5),
+                prop::collection::vec((0u8..7, 0u8..12, 0u8..6), 1..5),
                 any::<bool>(),
                 any::<bool>(),
             ),

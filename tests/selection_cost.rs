@@ -7,12 +7,19 @@
 //! clauses alone), and the selection must walk the small hash selection
 //! against the borrowed unkeyed list rather than copy that list. Counted
 //! here by allocation: a copy of 10⁵ positions is 400 KB.
+//!
+//! A lookup that names one object costs that object's facts, not its
+//! relation's. In `p(v)(o)` the reified argument list is `[v, o]`, and the
+//! kernel keys it by its second element as well as its first, so a call
+//! that binds only the object selects by it. Counted here in steps, which
+//! are deterministic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gdp::core::{FactPat, Pat, Specification};
 use gdp::engine::{BindStore, BoundSet, PredKey, Term};
+use gdp::server::{ServeOptions, ServerState, Session};
 
 // ----- allocation counting --------------------------------------------------
 
@@ -95,4 +102,89 @@ fn an_any_time_call_over_a_hundred_thousand_facts_copies_no_index_list() {
         "selecting {picked} of {} clauses allocated {bytes} bytes",
         kb.clauses_of(key).len()
     );
+}
+
+// ----- lookups by object ----------------------------------------------------
+
+/// A small world shaped like the benchmark's query world: 250 bridges with
+/// three timed `status` readings each, 3,000 accuracy-qualified depth
+/// soundings, and 300 bridges over 100 roads.
+fn object_world() -> String {
+    let mut world = String::from("#activate continuity_assumption.\n");
+    for b in 0..250 {
+        for (year, status) in [(1900, "open"), (1925, "closed"), (1950, "open")] {
+            world.push_str(&format!("& {year} status({status})(b{b}).\n"));
+        }
+    }
+    for s in 0..3_000 {
+        let depth = 2.0 + (s % 97) as f64 / 4.0;
+        let conf = 0.5 + (s % 41) as f64 / 100.0;
+        world.push_str(&format!("%{conf:.2} depth({depth:.1})(s{s}).\n"));
+    }
+    for r in 0..100 {
+        world.push_str(&format!("road(r{r}). connects(r{r}, c{r}, c{}).\n", r + 1));
+    }
+    for b in 0..300 {
+        world.push_str(&format!("bridge(b{b}, r{}).\n", b % 100));
+        if b % 7 != 0 {
+            world.push_str(&format!("open(b{b}).\n"));
+        }
+    }
+    world.push_str("open_road(X) :- road(X), forall(bridge(Y, X), open(Y)).\n");
+    world
+}
+
+/// Run `query` and return its answers and the steps it took.
+fn answer(session: &mut Session, query: &str) -> (String, u64) {
+    let say = |session: &mut Session, line: &str| {
+        let mut out = Vec::new();
+        assert!(session.line(line, &mut out).expect("in-memory write"));
+        String::from_utf8(out).expect("utf8")
+    };
+    let answers = say(session, query);
+    let stats = say(session, ":stats");
+    let steps = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("last query: "))
+        .and_then(|l| l.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("a step count");
+    (answers, steps)
+}
+
+#[test]
+fn a_lookup_by_object_costs_that_objects_facts() {
+    let world = object_world();
+    let open = |mode: &str| {
+        let mut session =
+            Session::new(ServerState::new().expect("state"), &ServeOptions::default());
+        let mut out = Vec::new();
+        session.block(&world, &mut out).expect("in-memory write");
+        let out = String::from_utf8(out).expect("utf8");
+        assert!(out.contains("committed as seq 1"), "{out}");
+        session
+            .line(mode, &mut Vec::new())
+            .expect("in-memory write");
+        session
+    };
+    let (mut indexed, mut plain) = (open(":index on"), open(":index off"));
+    // Each statement names one object: 3 readings of 750, 1 sounding of
+    // 3,000, 3 bridges of 300. The bounds sit just above what the object's
+    // own facts cost (410, 9, 157 and 103 steps); keyed only by the list's
+    // first element, the value, each scanned its whole relation.
+    for (query, bound) in [
+        ("?- & 1926 status(S)(b56).", 500),
+        ("?- %A depth(Z)(s1734), A > 0.603.", 20),
+        ("?- open_road(r37).", 200),
+        ("?- open_road(r42).", 150),
+    ] {
+        let (got, steps) = answer(&mut indexed, query);
+        let (want, plain_steps) = answer(&mut plain, query);
+        assert_eq!(got, want, "{query}: indexed and unindexed answers differ");
+        assert!(
+            steps <= bound,
+            "{query} took {steps} steps (bound {bound}; unindexed {plain_steps})"
+        );
+        assert!(!got.starts_with("error"), "{query}: {got}");
+    }
 }

@@ -19,9 +19,13 @@ use std::time::{Duration, Instant};
 
 use gdp::core::DurabilityOptions;
 use gdp::prelude::FactPat;
-use gdp::server::{serve_tcp_opts, ServeOptions, ServerState};
+use gdp::server::{
+    serve_tcp_opts, ServeOptions, ServerState, Session, MAX_LINE_BYTES, MAX_STATEMENT_BYTES,
+    MAX_TXN_BYTES,
+};
 
 const PROMPT: &str = "gdp> ";
+const CONT_PROMPT: &str = "...> ";
 
 fn temp_wal(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -64,6 +68,11 @@ impl Client {
     /// Read until the next prompt. `None` = the connection ended first
     /// (EOF or reset), with whatever arrived discarded.
     fn read_to_prompt(&mut self) -> Option<String> {
+        self.read_to(PROMPT)
+    }
+
+    /// Read until the reply ends in `prompt`, which is dropped.
+    fn read_to(&mut self, prompt: &str) -> Option<String> {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 1024];
         loop {
@@ -71,8 +80,8 @@ impl Client {
                 Ok(0) | Err(_) => return None,
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
             }
-            if buf.ends_with(PROMPT.as_bytes()) {
-                buf.truncate(buf.len() - PROMPT.len());
+            if buf.ends_with(prompt.as_bytes()) {
+                buf.truncate(buf.len() - prompt.len());
                 return Some(String::from_utf8_lossy(&buf).into_owned());
             }
         }
@@ -430,4 +439,164 @@ fn parse_seq(reply: &str) -> Option<u64> {
     let tail = reply.split("committed as seq ").nth(1)?;
     let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
     digits.parse().ok()
+}
+
+/// One connection cannot make the server hold unbounded input. A line
+/// past `MAX_LINE_BYTES` is refused as soon as the cap is passed, before
+/// its newline arrives, and the rest of it is dropped unread into memory;
+/// a statement whose lines pass `MAX_STATEMENT_BYTES` before its `.` is
+/// refused. Each refusal is an `error:` reply, drops its statement whole,
+/// up to the line that ends in `.`, and the session goes on.
+#[test]
+fn over_long_lines_and_statements_are_refused_and_the_session_keeps_serving() {
+    let state = ServerState::new().expect("state");
+    let (addr, _handle) = boot(Arc::clone(&state), ServeOptions::default());
+    let mut client = Client::connect(addr);
+    assert!(client.read_to_prompt().is_some(), "no banner");
+
+    // The error comes before the newline; the prompt after it. The line
+    // did not end in `.`, so its statement goes on, dropped, up to the
+    // line that does.
+    client
+        .stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send the long line");
+    let reply = client.read_to("\n").expect("session died on a long line");
+    assert!(reply.starts_with("error: line longer than "), "{reply}");
+    client.stream.write_all(b"\n").expect("end the long line");
+    assert_eq!(client.read_to(CONT_PROMPT).as_deref(), Some(""));
+    assert_eq!(client.send("p(1).").as_deref(), Some(""));
+
+    // Statement lines of half a MiB each, none ending in `.`: the fourth
+    // takes the statement past its cap, and its last line is dropped too.
+    let line = format!("p({}", "1, ".repeat((MAX_STATEMENT_BYTES / 4) / 3));
+    for i in 0..4 {
+        client
+            .stream
+            .write_all(line.as_bytes())
+            .expect("send a line");
+        client.stream.write_all(b"\n").expect("send a newline");
+        let reply = client
+            .read_to(CONT_PROMPT)
+            .expect("session died on a long statement");
+        if i < 3 {
+            assert_eq!(reply, "", "line {i}");
+        } else {
+            assert!(
+                reply.starts_with("error: statement longer than "),
+                "{reply}"
+            );
+        }
+    }
+    assert_eq!(client.send("1).").as_deref(), Some(""));
+
+    assert_eq!(client.send("?- 1 = 1.").as_deref(), Some("yes.\n"));
+    let reply = client.send("bridge(b1).").expect("commit");
+    assert!(reply.contains("committed as seq 1"), "{reply}");
+    let reply = client.send("?- bridge(X).").expect("query");
+    assert!(reply.contains("X = b1"), "{reply}");
+}
+
+/// A long line refused inside a statement refuses the statement whole:
+/// the lines before it and after it, up to the one that ends in `.`, are
+/// not joined into a statement that commits. A long line that ends in
+/// `.` ends its statement there, and a long `:`-command line is refused
+/// alone.
+#[test]
+fn a_long_line_inside_a_statement_drops_the_whole_statement() {
+    let state = ServerState::new().expect("state");
+    let (addr, _handle) = boot(Arc::clone(&state), ServeOptions::default());
+    let mut client = Client::connect(addr);
+    assert!(client.read_to_prompt().is_some(), "no banner");
+    let long_line = |client: &mut Client, line: &str, prompt: &str| {
+        client.stream.write_all(line.as_bytes()).expect("send");
+        let reply = client.read_to(prompt).expect("session died");
+        assert!(reply.starts_with("error: line longer than "), "{reply}");
+    };
+
+    for line in ["bad(X) :-", "a(X),"] {
+        client.stream.write_all(line.as_bytes()).expect("send");
+        client.stream.write_all(b"\n").expect("send");
+        assert_eq!(client.read_to(CONT_PROMPT).as_deref(), Some(""));
+    }
+    let padded = format!("c(X), {}\n", " ".repeat(MAX_LINE_BYTES));
+    long_line(&mut client, &padded, CONT_PROMPT);
+    assert_eq!(client.send("b(X).").as_deref(), Some(""));
+
+    let fact = format!("big(\"{}\").\n", "x".repeat(MAX_LINE_BYTES));
+    long_line(&mut client, &fact, PROMPT);
+    let command = format!(":why {}\n", "y".repeat(MAX_LINE_BYTES));
+    long_line(&mut client, &command, PROMPT);
+
+    let reply = client.send("a(c1). b(c1).").expect("commit");
+    assert!(reply.contains("committed as seq 1"), "{reply}");
+    let reply = client.send("?- a(X), b(X).").expect("query");
+    assert!(reply.contains("X = c1"), "{reply}");
+    let reply = client.send("?- bad(X).").expect("query");
+    assert!(
+        !reply.contains("X = c1"),
+        "a rule missing a conjunct committed: {reply}"
+    );
+    assert_eq!(
+        client.send(":seq").as_deref(),
+        Some("pinned at seq 1; head is seq 1.\n")
+    );
+}
+
+/// A `:begin` transaction buffers at most `MAX_TXN_BYTES` from protocol
+/// lines: the block that would pass it is refused, and so is every
+/// refused statement inside the transaction; `:commit` then rolls the
+/// whole transaction back, as it does for a parse error. `Session::block`,
+/// which runs `:load` files, is not held to the cap.
+#[test]
+fn a_refusal_inside_begin_rolls_the_transaction_back() {
+    let state = ServerState::new().expect("state");
+    let mut session = Session::new(state, &ServeOptions::default());
+    let say = |session: &mut Session, line: &str| {
+        let mut out = Vec::new();
+        assert!(session.line(line, &mut out).expect("write"));
+        String::from_utf8(out).expect("utf-8")
+    };
+    assert!(say(&mut session, ":begin").starts_with("transaction open"));
+    let fact = |i: usize| format!("note({i}, \"{}\").", "x".repeat(MAX_STATEMENT_BYTES / 2));
+    let fits = MAX_TXN_BYTES / (fact(0).len() + 1 + 8);
+    for i in 0..fits {
+        let reply = say(&mut session, &fact(i));
+        assert!(reply.starts_with("buffered ("), "block {i}: {reply}");
+    }
+    let reply = say(&mut session, &fact(fits));
+    assert!(
+        reply.starts_with("error: transaction error: the :begin buffer would pass "),
+        "{reply}"
+    );
+    let mut out = Vec::new();
+    session.block(&fact(fits), &mut out).expect("write");
+    let reply = String::from_utf8(out).expect("utf-8");
+    assert!(reply.starts_with("buffered ("), "{reply}");
+    let reply = say(&mut session, ":commit");
+    assert!(
+        reply.starts_with("rolled back: transaction error: the :begin buffer would pass "),
+        "{reply}"
+    );
+
+    // A statement past its cap inside `:begin`: the blocks around it are
+    // buffered, and `:commit` rolls them all back.
+    assert!(say(&mut session, ":begin").starts_with("transaction open"));
+    assert!(say(&mut session, "road(r1).").starts_with("buffered (1 block(s)"));
+    let half = format!("road({}", "r, ".repeat(MAX_STATEMENT_BYTES / 6));
+    assert_eq!(say(&mut session, &half), "");
+    let reply = say(&mut session, &half);
+    assert!(
+        reply.starts_with("error: statement longer than "),
+        "{reply}"
+    );
+    assert_eq!(say(&mut session, "r)."), "");
+    assert!(say(&mut session, "road(r2).").starts_with("buffered (2 block(s)"));
+    let reply = say(&mut session, ":commit");
+    assert!(
+        reply.starts_with("rolled back: transaction error: a statement longer than "),
+        "{reply}"
+    );
+    assert_eq!(say(&mut session, "?- road(X)."), "no.\n");
+    assert_eq!(say(&mut session, "?- note(0, _)."), "no.\n");
 }

@@ -722,6 +722,13 @@ fn a_deeply_nested_statement_is_refused_and_the_server_keeps_serving() {
         reply.starts_with("error: parse error at 1:") && reply.contains(&too_deep),
         "{reply}"
     );
+    // Just inside the bound, the deepest-framed shapes parse and run.
+    let levels = MAX_NESTING - 2;
+    let negations = format!("?- {}.", nest("not(", "true", ")", levels));
+    let truth = if levels % 2 == 0 { "yes.\n" } else { "no.\n" };
+    assert_eq!(client.send(&negations), truth);
+    let lists = format!("?- X = {}.", nest("[", "a", "]", levels));
+    assert!(client.send(&lists).starts_with("X = [["));
     assert_eq!(client.send("?- 1 = 1."), "yes.\n");
     assert_eq!(bystander.send("?- 1 = 1."), "yes.\n");
 }
