@@ -17,6 +17,7 @@ use gdp_engine::{FxHashMap, Term};
 
 use crate::fact::{FactPat, Target};
 use crate::pattern::{Pat, VarTable};
+use crate::qualifiers::SpaceQual;
 
 /// Arithmetic/structural comparison operators usable in formulas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,6 +123,63 @@ impl PlannedRc {
             hi_open,
         })
     }
+}
+
+/// One planned distance box: the fact lookup that first binds `pos` as
+/// its `@ pos` position is followed by `dist(center, pos, D)` and
+/// `D < radius` (or `=<`), with `center` and `radius` bound before the
+/// lookup. Every answer then lies within `radius` of `center`, so the
+/// lookup is wrapped in the box the `dist_box/4` native draws around
+/// `center` — `rc(X, IVX)`, `rc(Y, IVY)` — and, when it draws one, binds
+/// `pos` to `pt(X, Y)` first, so the grid index sees the coordinates.
+/// `dist/3` fails on anything but a ground point, so the shape drops
+/// nothing an answer could use, and `dist` and the comparison stay in
+/// place.
+#[derive(Clone, Debug)]
+struct PlannedBox {
+    pos: String,
+    center: Pat,
+    radius: Pat,
+}
+
+impl PlannedBox {
+    /// `dist_box(Center, Radius, IVX, IVY), (nonvar(IVX), Pos = pt(X, Y)
+    /// ; var(IVX))`, which goes before the wrapped lookup, and the two
+    /// `rc` terms for its wrapper. Without a box `Pos` stays open: a
+    /// `pt(X, Y)` would pass the simple spatial operator's `nonvar` guard
+    /// and draw every space-independent fact of the predicate.
+    fn compile(&self, vt: &mut VarTable) -> (Term, [Term; 2]) {
+        let [x, y, ivx, ivy] = [(); 4].map(|()| Term::var(vt.fresh()));
+        let dist_box = Term::pred(
+            "dist_box",
+            vec![
+                vt.compile(&self.center),
+                vt.compile(&self.radius),
+                ivx.clone(),
+                ivy.clone(),
+            ],
+        );
+        let as_point = Term::and(
+            Term::pred("nonvar", vec![ivx.clone()]),
+            Term::unify(
+                vt.compile(&Pat::Var(self.pos.clone())),
+                Term::pred("pt", vec![x.clone(), y.clone()]),
+            ),
+        );
+        let setup = Term::and(
+            dist_box,
+            Term::or(as_point, Term::pred("var", vec![ivx.clone()])),
+        );
+        let rc = |v: Term, iv: Term| Term::pred("rc", vec![v, iv]);
+        (setup, [rc(x, ivx), rc(y, ivy)])
+    }
+}
+
+/// What the pushdown planner wraps one fact lookup in.
+#[derive(Clone, Debug, Default)]
+struct Plan {
+    rcs: Vec<PlannedRc>,
+    dist_box: Option<PlannedBox>,
 }
 
 /// Aggregation operators (the `avg` function of §V.C and relatives).
@@ -290,11 +348,13 @@ impl Formula {
     /// variable later compared against an already-bound expression is
     /// wrapped in `range_call(Goal, [rc(Var, iv(..))])`, handing the KB's
     /// grid/interval indexes a numeric range to prune clause candidates
-    /// with (the classic "push the selection below the scan" move). All
-    /// comparison goals stay in place, so the compiled body is a semantic
-    /// no-op relative to the plain compile — indexed and unindexed solving
-    /// produce identical answers in identical order. When nothing is
-    /// plannable this *is* the plain compile, term-for-term.
+    /// with (the classic "push the selection below the scan" move), and a
+    /// lookup whose position a later `dist(P, Q, D), D < E` bounds is
+    /// wrapped in a box around `P`, drawn by `dist_box/4`. All comparison goals
+    /// stay in place, so the compiled body is a semantic no-op relative
+    /// to the plain compile — indexed and unindexed solving produce
+    /// identical answers in identical order. When nothing is plannable
+    /// this *is* the plain compile, term-for-term.
     pub fn compile_pushdown(&self, vt: &mut VarTable) -> Term {
         let mut items = Vec::new();
         self.conjuncts(&mut items);
@@ -320,8 +380,9 @@ impl Formula {
     /// constraints later comparisons impose on variables that lookup
     /// introduces. A constraint `V op E` qualifies when `V` first becomes
     /// bound at that fact and every variable of `E` is bound *before* it —
-    /// i.e. `E` is evaluable at the moment the lookup dispatches.
-    fn plan_pushdown(items: &[&Formula]) -> FxHashMap<usize, Vec<PlannedRc>> {
+    /// i.e. `E` is evaluable at the moment the lookup dispatches. So does
+    /// a distance box ([`PlannedBox`]) on the lookup's `@ Q` position.
+    fn plan_pushdown(items: &[&Formula]) -> FxHashMap<usize, Plan> {
         let mut bound_before: Vec<Vec<String>> = Vec::with_capacity(items.len());
         let mut bound = Vec::new();
         for item in items {
@@ -329,7 +390,7 @@ impl Formula {
             item.binds(&mut bound);
         }
 
-        let mut plan: FxHashMap<usize, Vec<PlannedRc>> = FxHashMap::default();
+        let mut plan: FxHashMap<usize, Plan> = FxHashMap::default();
         for (i, item) in items.iter().enumerate() {
             let Formula::Fact(f) = item else { continue };
             let mut fact_vars = Vec::new();
@@ -341,18 +402,14 @@ impl Formula {
             if fresh.is_empty() {
                 continue;
             }
-            let qualifies = |vside: &Pat, eside: &Pat| -> Option<String> {
-                let Pat::Var(v) = vside else { return None };
-                if !fresh.contains(&v) {
-                    return None;
-                }
+            let evaluable = |eside: &Pat| {
                 let mut evars = Vec::new();
                 eside.collect_vars(&mut evars);
-                if evars.iter().all(|e| bound_before[i].contains(e)) {
-                    Some(v.clone())
-                } else {
-                    None
-                }
+                evars.iter().all(|e| bound_before[i].contains(e))
+            };
+            let qualifies = |vside: &Pat, eside: &Pat| -> Option<String> {
+                let Pat::Var(v) = vside else { return None };
+                (fresh.contains(&v) && evaluable(eside)).then(|| v.clone())
             };
             let mut rcs = Vec::new();
             for later in &items[i + 1..] {
@@ -367,11 +424,56 @@ impl Formula {
                     }
                 }
             }
-            if !rcs.is_empty() {
-                plan.insert(i, rcs);
+            let dist_box = match &f.space {
+                SpaceQual::At(Pat::Var(q)) if fresh.contains(&q) => {
+                    Formula::plan_dist_box(q, &items[i + 1..], &evaluable)
+                }
+                _ => None,
+            };
+            if !rcs.is_empty() || dist_box.is_some() {
+                plan.insert(i, Plan { rcs, dist_box });
             }
         }
         plan
+    }
+
+    /// The distance box on position `q` that the conjuncts `later` (those
+    /// after the lookup binding `q`) imply: the first `dist(P, q, D)` whose
+    /// `P` is `evaluable` at the lookup, with a later `D < E` or `D =< E`
+    /// (either way round) whose `E` is.
+    fn plan_dist_box(
+        q: &str,
+        later: &[&Formula],
+        evaluable: &impl Fn(&Pat) -> bool,
+    ) -> Option<PlannedBox> {
+        for (j, item) in later.iter().enumerate() {
+            let Formula::Raw(Pat::Compound(name, args)) = item else {
+                continue;
+            };
+            let [center, Pat::Var(pos), Pat::Var(d)] = &args[..] else {
+                continue;
+            };
+            if name != "dist" || pos != q || !evaluable(center) {
+                continue;
+            }
+            for cmp in &later[j + 1..] {
+                let radius = match cmp {
+                    Formula::Cmp(CmpOp::Lt | CmpOp::Le, Pat::Var(v), e)
+                    | Formula::Cmp(CmpOp::Gt | CmpOp::Ge, e, Pat::Var(v))
+                        if v == d && evaluable(e) =>
+                    {
+                        e
+                    }
+                    _ => continue,
+                };
+                return Some(PlannedBox {
+                    pos: q.to_string(),
+                    center: center.clone(),
+                    radius: radius.clone(),
+                });
+            }
+        }
+        None
     }
 
     /// Compile, wrapping planned leaf conjuncts. Mirrors the `And` spine of
@@ -381,7 +483,7 @@ impl Formula {
     fn compile_with_plan(
         &self,
         vt: &mut VarTable,
-        plan: &FxHashMap<usize, Vec<PlannedRc>>,
+        plan: &FxHashMap<usize, Plan>,
         ord: &mut usize,
     ) -> Term {
         if let Formula::And(a, b) = self {
@@ -392,12 +494,19 @@ impl Formula {
         let i = *ord;
         *ord += 1;
         let goal = self.compile(vt);
-        match plan.get(&i) {
-            Some(rcs) => {
-                let rc_terms = rcs.iter().map(|rc| rc.compile(vt)).collect();
-                Term::pred("range_call", vec![goal, Term::list(rc_terms)])
-            }
-            None => goal,
+        let Some(planned) = plan.get(&i) else {
+            return goal;
+        };
+        let mut rc_terms: Vec<Term> = planned.rcs.iter().map(|rc| rc.compile(vt)).collect();
+        let setup = planned.dist_box.as_ref().map(|b| {
+            let (setup, rcs) = b.compile(vt);
+            rc_terms.extend(rcs);
+            setup
+        });
+        let wrapped = Term::pred("range_call", vec![goal, Term::list(rc_terms)]);
+        match setup {
+            Some(setup) => Term::and(setup, wrapped),
+            None => wrapped,
         }
     }
 
@@ -767,6 +876,61 @@ mod tests {
             unplannable.compile(&mut vt1),
             unplannable.compile_pushdown(&mut vt2)
         );
+    }
+
+    #[test]
+    fn pushdown_boxes_a_position_a_later_distance_bounds() {
+        let at = |pos: &str, name: &str, arg: &str| {
+            Formula::fact(FactPat::new(name).arg(arg).at(Pat::var(pos)))
+        };
+        let dist =
+            |p: Pat, q: &str| Formula::Raw(Pat::app("dist", vec![p, Pat::var(q), Pat::var("D")]));
+        // @ P city(c1), @ Q city(C), dist(P, Q, D), D < 9.5: the second
+        // lookup binds Q to a point and is wrapped in the box around P.
+        let body = Formula::all(vec![
+            at("P", "city", "c1"),
+            at("Q", "city", "C"),
+            dist(Pat::var("P"), "Q"),
+            Formula::Cmp(CmpOp::Lt, Pat::var("D"), Pat::Float(9.5)),
+        ]);
+        let mut vt = VarTable::new();
+        let s = body.compile_pushdown(&mut vt).to_string();
+        assert_eq!(s.matches("range_call(").count(), 1, "compiled: {s}");
+        assert_eq!(s.matches("dist_box(").count(), 1, "compiled: {s}");
+        assert_eq!(s.matches("rc(").count(), 2, "compiled: {s}");
+        assert!(s.contains("pt("), "compiled: {s}");
+        assert!(s.contains("dist(") && s.contains("<("), "filters stay: {s}");
+        // The radius on the left, and a constant centre, plan too.
+        let flipped = Formula::all(vec![
+            at("Q", "city", "C"),
+            dist(Pat::app("pt", vec![Pat::Float(1.0), Pat::Float(2.0)]), "Q"),
+            Formula::Cmp(CmpOp::Ge, Pat::Float(3.0), Pat::var("D")),
+        ]);
+        let s = flipped.compile_pushdown(&mut VarTable::new()).to_string();
+        assert_eq!(s.matches("dist_box(").count(), 1, "compiled: {s}");
+        // A centre bound only after the lookup, a lower bound on D, or a
+        // position bound before the lookup plans nothing.
+        for unplannable in [
+            Formula::all(vec![
+                at("Q", "city", "C"),
+                at("P", "city", "c1"),
+                dist(Pat::var("P"), "Q"),
+                Formula::Cmp(CmpOp::Lt, Pat::var("D"), Pat::Float(9.5)),
+            ]),
+            Formula::all(vec![
+                at("P", "city", "c1"),
+                at("Q", "city", "C"),
+                dist(Pat::var("P"), "Q"),
+                Formula::Cmp(CmpOp::Gt, Pat::var("D"), Pat::Float(9.5)),
+            ]),
+        ] {
+            let mut vt1 = VarTable::new();
+            let mut vt2 = VarTable::new();
+            let plain = unplannable.compile(&mut vt1).to_string();
+            let pushed = unplannable.compile_pushdown(&mut vt2).to_string();
+            assert!(!pushed.contains("dist_box("), "compiled: {pushed}");
+            assert_eq!(plain, pushed);
+        }
     }
 
     #[test]

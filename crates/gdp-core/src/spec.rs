@@ -393,10 +393,13 @@ impl Specification {
         // single-model view — but multi-model worlds call h/5 with the
         // model bound (visible/5 binds it through active_model/1), so the
         // model position earns its keep. Index h/5 on the model, the
-        // spatial qualifier, the predicate, and the argument list's first
-        // and second elements: of `p(v)(o)` the value and the object, of
+        // spatial qualifier, the resolution inside a `su`/`ss`/`sa`
+        // qualifier, the predicate, and the argument list's first and
+        // second elements: of `p(v)(o)` the value and the object, of
         // `bridge(B, R)` the bridge and the road. A call that binds only
-        // the object (`status(S)(b56)`) is selected by the second.
+        // the object (`status(S)(b56)`) is selected by the second, and a
+        // patch lookup that names its grid (`su(coarse, pt(X, Y))`) by the
+        // resolution. A call selects through every index it keys.
         // fh/6 likewise, on its qualifier, predicate and list.
         use gdp_engine::ArgPath;
         let list = |pos: usize| {
@@ -411,6 +414,8 @@ impl Specification {
             &[
                 ArgPath::arg(0),
                 ArgPath::arg(1),
+                ArgPath::arg(1).step_any(&[("su", 2), ("ss", 2), ("sa", 2)], 0),
+                ArgPath::arg(2),
                 ArgPath::arg(3),
                 first,
                 second,
@@ -1178,11 +1183,12 @@ impl Specification {
         self.prove_inner(goal)
     }
 
-    /// All answers to an arbitrary formula.
+    /// All answers to an arbitrary formula. The query compiles with bound
+    /// pushdown, as rule bodies do ([`Formula::compile_pushdown`]).
     pub fn satisfy(&self, formula: &Formula) -> SpecResult<Vec<Answer>> {
         Self::check_query_safety(formula)?;
         let mut vt = VarTable::new();
-        let goal = formula.compile(&mut vt);
+        let goal = formula.compile_pushdown(&mut vt);
         self.run_query(goal, vt, usize::MAX)
     }
 
@@ -1203,7 +1209,7 @@ impl Specification {
     pub fn satisfiable(&self, formula: &Formula) -> SpecResult<bool> {
         Self::check_query_safety(formula)?;
         let mut vt = VarTable::new();
-        let goal = formula.compile(&mut vt);
+        let goal = formula.compile_pushdown(&mut vt);
         self.prove_inner(goal)
     }
 

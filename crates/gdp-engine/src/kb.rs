@@ -10,8 +10,8 @@
 //!   scan. A predicate can therefore be hash-indexed on several subterms,
 //!   each named by an [`ArgPath`] from an argument position down through
 //!   compound children ([`KnowledgeBase::set_index_args`]); each call
-//!   follows its bindings down every path and picks the most selective
-//!   index whose subterm it binds. That is what lets the reified
+//!   follows its bindings down every path and intersects the selections
+//!   of all the indexes whose subterm it binds. That is what lets the reified
 //!   `h(M, S, T, Pred, [V, Obj])` of a fact `p(v)(o)` be selected by its
 //!   object, the list's second element, and not only by its value, the
 //!   first. Indexing can be disabled wholesale
@@ -954,21 +954,72 @@ fn gallop_to(list: &mut &[u32], p: u32) -> bool {
     list.first() == Some(&p)
 }
 
-/// Hand `push` the positions, ascending, that the hash selection `hash`
-/// (one pair of lists per segment) and every applicable range index
-/// hold. `segments` gives each segment's range indexes, length and
-/// offset; `applicable` holds the range indexes that apply to the call,
-/// by index number, with their selections over the first segment. Whether
-/// one applies depends on the call alone, so a later segment selects
-/// through the same indexes, and keeps every position where one selects
-/// nothing usable.
+/// A short list kept on the stack: up to `N` items inline, the whole list
+/// moved to the heap past that. Selection gathers its handful of per-call
+/// selections here, so a call allocates nothing for them.
+struct Short<T: Copy, const N: usize> {
+    len: usize,
+    inline: [T; N],
+    heap: Vec<T>,
+}
+
+impl<T: Copy, const N: usize> Short<T, N> {
+    /// An empty list; `fill` only initialises the inline slots.
+    fn new(fill: T) -> Short<T, N> {
+        Short {
+            len: 0,
+            inline: [fill; N],
+            heap: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        if self.len < N {
+            self.inline[self.len] = item;
+        } else {
+            if self.len == N {
+                self.heap.extend_from_slice(&self.inline);
+            }
+            self.heap.push(item);
+        }
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[T] {
+        if self.len <= N {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        if self.len <= N {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.heap
+        }
+    }
+}
+
+/// One applicable hash index's selection: its keyed and variable
+/// positions in the base segment, then in the tail.
+type HashSel<'a> = [(&'a [u32], &'a [u32]); 2];
+
+/// Hand `push` the positions, ascending, that every applicable hash
+/// selection in `hash` and every applicable range index hold. `segments`
+/// gives each segment's range indexes, length and offset; `applicable`
+/// holds the range indexes that apply to the call, by index number, with
+/// their selections over the first segment. Whether one applies depends
+/// on the call alone, so a later segment selects through the same
+/// indexes, and keeps every position where one selects nothing usable.
 ///
 /// Within a segment the smallest selection is walked and a position kept
 /// only if every other selection holds it: the cost follows the smallest
 /// selection, not the largest, and no list is copied (DESIGN.md #12).
 fn intersect_segments(
     segments: &[(&[RangeIndex], u32, u32)],
-    hash: Option<&[(&[u32], &[u32])]>,
+    hash: &[HashSel<'_>],
     applicable: &[(usize, RangeSel<'_>)],
     (store, args, bounds): (&BindStore, &[Term], &BoundSet),
     mut push: impl FnMut(u32),
@@ -981,21 +1032,22 @@ fn intersect_segments(
                 .map(|&(j, _)| ranges[j].select(store, args, bounds))
                 .collect(),
         };
-        let mut sels: Vec<Sel<'_>> = Vec::with_capacity(applicable.len() + 1);
-        sels.extend(hash.map(|h| Sel::Lists(h[s].0, h[s].1)));
-        match s {
-            0 => sels.extend(applicable.iter().map(|(_, r)| r.sel())),
-            _ => sels.extend(
-                later
-                    .iter()
-                    .map(|r| r.as_ref().map_or(Sel::Below(len), RangeSel::sel)),
-            ),
+        let mut sels: Short<Sel<'_>, 16> = Short::new(Sel::Below(0));
+        for h in hash {
+            sels.push(Sel::Lists(h[s].0, h[s].1));
         }
+        match s {
+            0 => applicable.iter().for_each(|(_, r)| sels.push(r.sel())),
+            _ => later
+                .iter()
+                .for_each(|r| sels.push(r.as_ref().map_or(Sel::Below(len), RangeSel::sel))),
+        }
+        let sels = sels.as_mut_slice();
         let smallest = (0..sels.len())
             .min_by_key(|&i| sels[i].len())
-            .expect("a range selection applies");
+            .expect("a selection applies");
         sels.swap(0, smallest);
-        let (walk, rest) = sels.split_first_mut().expect("a range selection applies");
+        let (walk, rest) = sels.split_first_mut().expect("a selection applies");
         let mut keep = |p: u32| {
             if rest.iter_mut().all(|sel| sel.holds(p)) {
                 push(p + offset);
@@ -2414,12 +2466,12 @@ impl KnowledgeBase {
 
     /// Candidate clauses for a call, in assertion order.
     ///
-    /// With indexing enabled, every configured hash index whose path the
-    /// call binds is consulted and the most selective one wins;
-    /// every applicable range index (exact numeric key, or an active
-    /// `range_call` bound on an unbound variable in `bounds`) is
-    /// *intersected* with it. No applicable index — or indexing off —
-    /// returns all clauses of the predicate, borrowed.
+    /// With indexing enabled, the selections of every configured hash
+    /// index whose path the call binds and of every applicable range
+    /// index (exact numeric key, or an active `range_call` bound on an
+    /// unbound variable in `bounds`) are *intersected*: the smallest is
+    /// walked and the rest probed. No applicable index — or indexing off
+    /// — returns all clauses of the predicate, borrowed.
     pub fn candidates<'kb>(
         &'kb self,
         key: PredKey,
@@ -2441,46 +2493,39 @@ impl KnowledgeBase {
         let base: &Segment = &entry.base;
         let both = [(base, 0), (&entry.tail, clauses.0.len() as u32)];
         let segments = &both[..if clauses.1.is_empty() { 1 } else { 2 }];
-        // Pick the most selective applicable hash index, keeping its keyed
-        // and variable positions in each segment.
-        fn sel_len(sel: &[(&[u32], &[u32])]) -> usize {
-            sel.iter()
-                .map(|(keyed, vars)| keyed.len() + vars.len())
-                .sum()
-        }
-        let mut best: Option<[(&[u32], &[u32]); 2]> = None;
+        // Every hash index whose path the call binds, with its keyed and
+        // variable positions in each segment.
+        let mut hash: Short<HashSel<'_>, 8> = Short::new([(&[], &[]); 2]);
         for (i, index) in base.indexes.iter().enumerate() {
             let Some(k) = index.call_key(store, args) else {
                 continue;
             };
-            let mut sel: [(&[u32], &[u32]); 2] = [(&[], &[]); 2];
+            let mut sel: HashSel<'_> = [(&[], &[]); 2];
             for (s, (seg, _)) in sel.iter_mut().zip(segments) {
                 *s = seg.hash_sel(i, &k);
             }
-            if best.as_ref().is_none_or(|b| sel_len(&sel) < sel_len(b)) {
-                best = Some(sel);
-            }
+            hash.push(sel);
         }
+        let hash = hash.as_slice();
         // Every range index that applies to this call, with its base
         // selection.
         let applicable = applicable_ranges(&base.ranges, store, args, bounds);
-        if best.is_none() && applicable.is_empty() {
+        if hash.is_empty() && applicable.is_empty() {
             entry.stats.scans.fetch_add(1, Ordering::Relaxed);
             return Candidates::All(clauses);
         }
-        if best.is_some() {
+        if !hash.is_empty() {
             entry.stats.hash_hits.fetch_add(1, Ordering::Relaxed);
         }
         if !applicable.is_empty() {
             entry.stats.range_hits.fetch_add(1, Ordering::Relaxed);
         }
         let mut pos = PosList::default();
-        if applicable.is_empty() {
-            // Hash selection only: merge each segment's two sorted position
-            // lists straight into the (usually inline) output — assertion
-            // order is observable through solution order.
-            let best = best.expect("checked non-empty selection");
-            for (&(keyed, vars), &(_, offset)) in best.iter().zip(segments) {
+        if let ([only], true) = (hash, applicable.is_empty()) {
+            // One hash selection only: merge each segment's two sorted
+            // position lists straight into the (usually inline) output —
+            // assertion order is observable through solution order.
+            for (&(keyed, vars), &(_, offset)) in only.iter().zip(segments) {
                 merge_sorted(keyed, vars, |p| pos.push(p + offset));
             }
         } else {
@@ -2488,7 +2533,7 @@ impl KnowledgeBase {
                 both.map(|(seg, offset)| (seg.ranges.as_slice(), seg.clauses.len() as u32, offset));
             intersect_segments(
                 &views[..segments.len()],
-                best.as_ref().map(|b| &b[..]),
+                hash,
                 &applicable,
                 (store, args, bounds),
                 |p| pos.push(p),
@@ -2533,7 +2578,7 @@ impl KnowledgeBase {
         let mut admitted = Vec::new();
         intersect_segments(
             &[(&index.ranges, answers.len() as u32, 0)],
-            None,
+            &[],
             &applicable,
             (store, args, bounds),
             |p| admitted.push(p),
@@ -2748,6 +2793,48 @@ mod tests {
             .len(),
             1
         );
+    }
+
+    #[test]
+    fn multi_arg_indexing_intersects_every_bound_index() {
+        let mut kb = KnowledgeBase::new();
+        let key = PredKey::new("h", 3);
+        kb.set_index_args(key, &[ArgPath::arg(0), ArgPath::arg(1), ArgPath::arg(2)]);
+        // A 10 × 10 grid of keys: each key of either argument holds ten
+        // facts, one pair of keys holds one.
+        for i in 0..10 {
+            for j in 0..10 {
+                kb.assert_fact(fact(
+                    "h",
+                    vec![Term::atom("omega"), Term::int(i), Term::int(j)],
+                ));
+            }
+        }
+        // A rule head with a variable at the second argument is on that
+        // index's variable side, and a candidate wherever the others key it.
+        kb.assert_clause(
+            fact("h", vec![Term::atom("omega"), Term::var(0), Term::int(7)]),
+            Term::atom("true"),
+        );
+        let picked = |args: Vec<Term>| {
+            let got = cands(&kb, key, args);
+            got.iter()
+                .map(|c| c.head.args()[1..].to_vec())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            picked(vec![Term::atom("omega"), Term::int(3), Term::int(7)]),
+            vec![
+                vec![Term::int(3), Term::int(7)],
+                vec![Term::var(0), Term::int(7)]
+            ]
+        );
+        assert_eq!(
+            picked(vec![Term::atom("omega"), Term::int(3), Term::int(8)]),
+            vec![vec![Term::int(3), Term::int(8)]]
+        );
+        // A key no clause holds empties the intersection.
+        assert!(picked(vec![Term::atom("omega"), Term::int(3), Term::int(99)]).is_empty());
     }
 
     #[test]
@@ -3401,13 +3488,12 @@ mod tests {
                 .collect()
         }
 
-        /// The candidate positions as the selection was first written, kept as
-        /// the oracle for the selection walk: the most selective hash index's
-        /// positions (first on a tie) and every applicable range index's
-        /// positions, each materialised over the base and the tail (keyed and
-        /// unkeyed merged, tail positions offset, a tail the index selects
-        /// nothing usable from kept whole), then intersected pairwise. `None`
-        /// is a full scan.
+        /// The candidate positions, materialised, as the oracle for the
+        /// selection walk: every applicable hash index's positions and every
+        /// applicable range index's positions, each materialised over the
+        /// base and the tail (keyed and unkeyed merged, tail positions
+        /// offset, a tail the index selects nothing usable from kept whole),
+        /// then intersected pairwise. `None` is a full scan.
         fn reference_candidates(
             kb: &KnowledgeBase,
             key: PredKey,
@@ -3419,7 +3505,7 @@ mod tests {
             let base: &Segment = &entry.base;
             let segments = [(base, 0), (&entry.tail, base.clauses.len() as u32)];
             let segments = &segments[..if entry.tail.clauses.is_empty() { 1 } else { 2 }];
-            let mut best: Option<Vec<u32>> = None;
+            let mut hash_sels = Vec::new();
             for (i, index) in base.indexes.iter().enumerate() {
                 let Some(k) = index.call_key(store, args) else {
                     continue;
@@ -3429,9 +3515,7 @@ mod tests {
                     let (keyed, vars) = seg.hash_sel(i, &k);
                     sel.extend(union_ref(keyed, vars).into_iter().map(|p| p + offset));
                 }
-                if best.as_ref().is_none_or(|b| sel.len() < b.len()) {
-                    best = Some(sel);
-                }
+                hash_sels.push(sel);
             }
             let mut range_sels = Vec::new();
             for (j, rindex) in base.ranges.iter().enumerate() {
@@ -3448,7 +3532,7 @@ mod tests {
                 }
                 range_sels.push(sel);
             }
-            let mut sels = best.into_iter().chain(range_sels);
+            let mut sels = hash_sels.into_iter().chain(range_sels);
             let first = sels.next()?;
             Some(sels.fold(first, |acc, sel| intersect_ref(&acc, &sel)))
         }
@@ -3536,9 +3620,13 @@ mod tests {
         const MODELS: [&str; 2] = ["omega", "m1"];
         const PREDS: [&str; 3] = ["p", "q", "r"];
         const OBJECTS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
+        const GRIDS: [&str; 2] = ["r1", "r2"];
+        const PATCHES: [&str; 3] = ["su", "ss", "sa"];
 
         /// An `h/5` clause head in the reified shape, keyed, unkeyed or
-        /// variable at each hash position and range path.
+        /// variable at each hash position and range path: simple points,
+        /// and patches of either resolution (or an open one) under each
+        /// area operator.
         fn draw_head(d: &mut Draw) -> Term {
             let mut n = 0;
             let mut var = || {
@@ -3547,12 +3635,20 @@ mod tests {
             };
             let pt = |d: &mut Draw| Term::pred("pt", vec![d.number(), d.number()]);
             let m = if d.chance(85) { d.atom(&MODELS) } else { var() };
-            let s = match d.below(7) {
+            let s = match d.below(9) {
                 0 | 1 => Term::atom("any"),
-                2 => Term::pred("sat", vec![pt(d)]),
-                3 => Term::pred("su", vec![Term::atom("r1"), pt(d)]),
-                4 => Term::pred("ss", vec![Term::atom("r2"), pt(d)]),
-                5 => Term::pred(
+                2 | 3 => Term::pred("sat", vec![pt(d)]),
+                4 => match d.below(3) {
+                    0 => Term::pred("sat", vec![var()]),
+                    1 => Term::pred("sat", vec![Term::pred("pt", vec![var(), d.number()])]),
+                    _ => Term::pred("sat", vec![d.atom(&OBJECTS)]),
+                },
+                5 | 6 => {
+                    let op = PATCHES[d.below(3)];
+                    let r = if d.chance(85) { d.atom(&GRIDS) } else { var() };
+                    Term::pred(op, vec![r, pt(d)])
+                }
+                7 => Term::pred(
                     "sa",
                     vec![Term::atom("r1"), Term::pred("pt", vec![d.number(), var()])],
                 ),
@@ -3617,10 +3713,31 @@ mod tests {
             let m = d.atom(&MODELS);
             let m = slot(d, store, m, Term::int(3));
             let (x, y) = (unbound(d, store, bounds), unbound(d, store, bounds));
-            let s = match d.below(4) {
+            // A patch call binds its resolution, leaves it open, or binds
+            // it to another shape; its point is bound, open or a pair of
+            // (bounded) coordinates.
+            let patch = |d: &mut Draw, store: &mut BindStore, point: Term| {
+                let op = PATCHES[d.below(3)];
+                let r = match d.below(4) {
+                    0 => Term::var(store.alloc_block(1)),
+                    1 => Term::int(1),
+                    _ => d.atom(&GRIDS),
+                };
+                Term::pred(op, vec![r, point])
+            };
+            let s = match d.below(7) {
                 0 => Term::pred("sat", vec![Term::pred("pt", vec![x, y])]),
                 1 => Term::pred("su", vec![Term::atom("r1"), Term::pred("pt", vec![x, y])]),
                 2 => Term::pred("sat", vec![Term::pred("pt", vec![d.number(), d.number()])]),
+                3 => patch(d, store, Term::pred("pt", vec![x, y])),
+                4 => {
+                    let point = Term::pred("pt", vec![d.number(), d.number()]);
+                    patch(d, store, point)
+                }
+                5 => {
+                    let point = Term::var(store.alloc_block(1));
+                    patch(d, store, point)
+                }
                 _ => Term::atom("any"),
             };
             let s = slot(
@@ -3695,31 +3812,33 @@ mod tests {
             }
         }
 
-        /// An `h/5` store indexed as the kernel indexes it (hash paths on
-        /// the model, the spatial qualifier, the predicate and the argument
-        /// list's first and second elements; both interval paths and a grid
-        /// path), holding a base alone or, three times in four, a base and
-        /// the tail a commit under a pin leaves. The pin is returned with it.
+        /// An `h/5` store indexed as the kernel and the spatial packs index
+        /// it (hash paths on the model, the spatial qualifier, a patch's
+        /// resolution, the time qualifier, the predicate and the argument
+        /// list's first and second elements; both interval paths, the patch
+        /// grid and the point grid), holding a base alone or, three times
+        /// in four, a base and the tail a commit under a pin leaves. The
+        /// pin is returned with it.
         fn draw_store(d: &mut Draw) -> (KnowledgeBase, KnowledgeBase) {
             let key = PredKey::new("h", 5);
             let mut kb = KnowledgeBase::new();
             let list = ArgPath::arg(4).step(".", 2, 0);
             let second = ArgPath::arg(4).step(".", 2, 1).step(".", 2, 0);
+            let patch = [("su", 2), ("ss", 2), ("sa", 2)];
             kb.set_index_args(
                 key,
                 &[
                     ArgPath::arg(0),
                     ArgPath::arg(1),
+                    ArgPath::arg(1).step_any(&patch, 0),
+                    ArgPath::arg(2),
                     ArgPath::arg(3),
                     list,
                     second.clone(),
                 ],
             );
-            let coord = |child| {
-                ArgPath::arg(1)
-                    .step_any(&[("su", 2), ("ss", 2), ("sa", 2)], 1)
-                    .step("pt", 2, child)
-            };
+            let coord = |child| ArgPath::arg(1).step_any(&patch, 1).step("pt", 2, child);
+            let point = |child| ArgPath::arg(1).step("sat", 1, 0).step("pt", 2, child);
             let cell = [1.0, 4.0][d.below(2)];
             kb.set_range_indexes(
                 key,
@@ -3729,6 +3848,11 @@ mod tests {
                     RangeSpec::Grid {
                         x: coord(0),
                         y: coord(1),
+                        cell,
+                    },
+                    RangeSpec::Grid {
+                        x: point(0),
+                        y: point(1),
                         cell,
                     },
                 ],

@@ -1175,8 +1175,11 @@ impl<'kb, S: TraceSink> Machine<'kb, S> {
 
     /// Decode an `iv(Lo, Hi, LoEnd, HiEnd)` term against the current
     /// store: bounds are the atoms `minf`/`inf` or arithmetic expressions,
-    /// ends are `closed`/`open`. `None` (no constraint) for anything else
-    /// — including NaN bounds and unbound subterms.
+    /// ends are `closed`/`open`. A bound that mentions unbound variables
+    /// takes the low (for `Lo`) or high (for `Hi`) end of its
+    /// [`Self::enclose`]ure, which only widens the interval. `None` (no
+    /// constraint) for anything else — including NaN bounds and unbound
+    /// subterms no active bound covers.
     fn parse_range(&self, t: &Term) -> Option<NumRange> {
         let iv = self.store.deref(t).clone();
         let Term::Compound(f, args) = &iv else {
@@ -1185,21 +1188,17 @@ impl<'kb, S: TraceSink> Machine<'kb, S> {
         if *f != Sym::new("iv") || args.len() != 4 {
             return None;
         }
-        let bound = |machine: &Self, t: &Term, infinity: f64| -> Option<f64> {
+        let bound = |machine: &Self, t: &Term, low: bool| -> Option<f64> {
             if let Term::Atom(s) = machine.store.deref(t) {
                 if *s == Sym::new("minf") {
                     return Some(f64::NEG_INFINITY);
                 }
                 if *s == Sym::new("inf") {
-                    return Some(infinity);
+                    return Some(f64::INFINITY);
                 }
             }
-            let v = crate::arith::eval(&machine.store, t).ok()?.as_f64();
-            if v.is_nan() {
-                None
-            } else {
-                Some(v)
-            }
+            let r = machine.enclose(t)?;
+            Some(if low { r.lo } else { r.hi })
         };
         let end = |machine: &Self, t: &Term| -> Option<bool> {
             match machine.store.deref(t) {
@@ -1209,11 +1208,61 @@ impl<'kb, S: TraceSink> Machine<'kb, S> {
             }
         };
         Some(NumRange::new(
-            bound(self, &args[0], f64::INFINITY)?,
+            bound(self, &args[0], true)?,
             end(self, &args[2])?,
-            bound(self, &args[1], f64::INFINITY)?,
+            bound(self, &args[1], false)?,
             end(self, &args[3])?,
         ))
+    }
+
+    /// The values an arithmetic expression can take here: its value when
+    /// it evaluates; else, through `+`, `-` and `*`, the interval its
+    /// unbound variables' active `range_call` bounds enclose it in. A
+    /// `range_call` may thus bound a variable by another one that an
+    /// enclosing `range_call` bounds (`rc(X, iv(X2 - W, X2 + W, …))`, as
+    /// `rmap_box/4` writes for a point whose coordinates are still
+    /// variables), and a lookup below a box gets the box, widened. That
+    /// holds the wrapper contract: the enclosing goal's filters keep `X2`
+    /// inside its bound, so the enclosure holds every value the exact
+    /// bound can take. `None` when a variable has no bound.
+    fn enclose(&self, t: &Term) -> Option<NumRange> {
+        if let Ok(n) = crate::arith::eval(&self.store, t) {
+            let v = n.as_f64();
+            return (!v.is_nan()).then(|| NumRange::point(v));
+        }
+        let r = match self.store.deref(t) {
+            Term::Var(v) => {
+                let r = *self.collect_bounds().get(*v)?;
+                NumRange::new(r.lo, false, r.hi, false)
+            }
+            Term::Compound(f, args) => match (*f, &args[..]) {
+                (f, [a, b]) if f == symbols::plus() => {
+                    let (a, b) = (self.enclose(a)?, self.enclose(b)?);
+                    NumRange::new(a.lo + b.lo, false, a.hi + b.hi, false)
+                }
+                (f, [a, b]) if f == symbols::minus() => {
+                    let (a, b) = (self.enclose(a)?, self.enclose(b)?);
+                    NumRange::new(a.lo - b.hi, false, a.hi - b.lo, false)
+                }
+                (f, [a]) if f == symbols::minus() => {
+                    let a = self.enclose(a)?;
+                    NumRange::new(-a.hi, false, -a.lo, false)
+                }
+                (f, [a, b]) if f == symbols::times() => {
+                    let (a, b) = (self.enclose(a)?, self.enclose(b)?);
+                    let corners = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi];
+                    if corners.iter().any(|c| c.is_nan()) {
+                        return None;
+                    }
+                    let lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
+                    let hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    NumRange::new(lo, false, hi, false)
+                }
+                _ => return None,
+            },
+            _ => return None,
+        };
+        (!r.lo.is_nan() && !r.hi.is_nan()).then_some(r)
     }
 
     /// Verify a `range_call` constraint list against the current bindings:
@@ -1908,6 +1957,86 @@ mod tests {
             ],
         );
         assert_eq!(solve(&kb, vacuous).len(), 10);
+    }
+
+    /// An `iv` bound that names a variable an enclosing `range_call`
+    /// bounds is read over that bound: the inner lookup is pruned to the
+    /// enclosure, the answers are those of the unwrapped goal, and a
+    /// variable no bound covers still reads as no constraint.
+    #[test]
+    fn range_bounds_over_bounded_variables_enclose() {
+        use crate::kb::{ArgPath, RangeSpec};
+        let build = |indexed: bool| {
+            let mut kb = KnowledgeBase::new();
+            if indexed {
+                kb.set_range_indexes(
+                    PredKey::new("val", 1),
+                    vec![RangeSpec::Interval(ArgPath::arg(0))],
+                );
+            }
+            for i in 0..100 {
+                kb.assert_fact(Term::pred("val", vec![Term::int(i)]));
+            }
+            kb
+        };
+        let iv = |lo: Term, hi: Term| {
+            Term::pred(
+                "iv",
+                vec![lo, hi, Term::atom("closed"), Term::atom("closed")],
+            )
+        };
+        let rc = |v: u32, iv: Term| Term::list(vec![Term::pred("rc", vec![Term::var(v), iv])]);
+        // range_call((range_call(val(Y), [rc(Y, iv(X - 1, 2 * X + 1))]),
+        //             X is Y - 1), [rc(X, iv(30, 40))])
+        let (y, x) = (Term::var(0), Term::var(1));
+        let inner_iv = iv(
+            Term::pred("-", vec![x.clone(), Term::int(1)]),
+            Term::pred(
+                "+",
+                vec![Term::pred("*", vec![Term::int(2), x.clone()]), Term::int(1)],
+            ),
+        );
+        let goal = |outer: Term| {
+            Term::pred(
+                "range_call",
+                vec![
+                    Term::and(
+                        Term::pred(
+                            "range_call",
+                            vec![Term::pred("val", vec![y.clone()]), rc(0, inner_iv.clone())],
+                        ),
+                        Term::pred(
+                            "is",
+                            vec![x.clone(), Term::pred("-", vec![y.clone(), Term::int(1)])],
+                        ),
+                    ),
+                    rc(1, outer),
+                ],
+            )
+        };
+        let run = |kb: &KnowledgeBase, outer: Term| {
+            let (sols, stats) = solve_counted(kb, goal(outer));
+            let answers: Vec<String> = sols
+                .iter()
+                .map(|s| s.get(Var(0)).unwrap().to_string())
+                .collect();
+            (answers, stats.steps)
+        };
+        let bounded = iv(Term::int(30), Term::int(40));
+        let (indexed, steps) = run(&build(true), bounded.clone());
+        let (plain, plain_steps) = run(&build(false), bounded);
+        let want: Vec<String> = (31..=41).map(|i| i.to_string()).collect();
+        assert_eq!(indexed, want);
+        assert_eq!(plain, want, "indexed ≡ unindexed");
+        // X ∈ [30, 40] encloses Y ∈ [29, 81]: 53 candidates of 100.
+        assert!(
+            steps + 40 < plain_steps,
+            "{steps} steps indexed, {plain_steps} unindexed"
+        );
+        // With no outer bound, the inner bound cannot be read: every
+        // `val` fact is a candidate and every one answers.
+        let (all, _) = run(&build(true), Term::atom("none"));
+        assert_eq!(all.len(), 100);
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub mod symbols {
         ge => ">=";
         arith_eq => "=:=";
         arith_ne => "=\\=";
+        plus => "+";
+        minus => "-";
+        times => "*";
         var_test => "var";
         nonvar => "nonvar";
         atom_test => "atom";

@@ -51,4 +51,4 @@ pub use error::{LangError, LangResult};
 pub use loader::{check_depth, load, query, LoadSummary, Loader};
 pub use parser::{parse_formula, parse_program, parse_program_diagnostics, MAX_NESTING};
 pub use printer::{print_fact, print_formula, print_pat, print_statement};
-pub use token::{tokenize, Pos, Spanned, Tok};
+pub use token::{first_token, tokenize, Pos, Spanned, Tok};

@@ -142,6 +142,18 @@ pub fn tokenize(src: &str) -> LangResult<Vec<Spanned>> {
     Lexer::new(src).run()
 }
 
+/// The first token of a source string, past whitespace and comments
+/// ([`Tok::Eof`] when it holds none): what a block opens with, without
+/// tokenizing the rest of it.
+pub fn first_token(src: &str) -> LangResult<Tok> {
+    let mut lexer = Lexer::new(src);
+    lexer.skip_trivia()?;
+    match lexer.peek() {
+        Some(c) => lexer.next_token(c),
+        None => Ok(Tok::Eof),
+    }
+}
+
 struct Lexer<'a> {
     chars: Vec<char>,
     src: &'a str,

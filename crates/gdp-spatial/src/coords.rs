@@ -59,6 +59,26 @@ pub trait CoordinateSystem: Send + Sync {
     /// Direction from `a` to `b` in degrees, measured counterclockwise from
     /// the positive x-axis (east), normalized to `[0, 360)`.
     fn direction(&self, a: Point, b: Point) -> f64;
+
+    /// A coordinate box `([x_lo, x_hi], [y_lo, y_hi])` that holds every
+    /// position `b` with `distance(p, b) <= d`, so a `dist/3` bound can
+    /// select by the grid index. `None` (the default) when the system has
+    /// no such box in its own coordinates.
+    fn dist_box(&self, p: Point, d: f64) -> Option<[(f64, f64); 2]> {
+        let _ = (p, d);
+        None
+    }
+}
+
+/// `p`'s coordinates, each widened by `d` and by a relative 1e-9, so that
+/// rounding in [`Cartesian::distance`] never puts a position inside the
+/// distance but outside the box.
+fn square_around(p: Point, d: f64) -> Option<[(f64, f64); 2]> {
+    if !(d.is_finite() && p.x.is_finite() && p.y.is_finite()) {
+        return None;
+    }
+    let r = d + 1e-9 * (d.abs() + p.x.abs() + p.y.abs() + 1.0);
+    Some([(p.x - r, p.x + r), (p.y - r, p.y + r)])
 }
 
 /// Plain Cartesian plane.
@@ -77,6 +97,10 @@ impl CoordinateSystem for Cartesian {
     fn direction(&self, a: Point, b: Point) -> f64 {
         let deg = (b.y - a.y).atan2(b.x - a.x).to_degrees();
         deg.rem_euclid(360.0)
+    }
+
+    fn dist_box(&self, p: Point, d: f64) -> Option<[(f64, f64); 2]> {
+        square_around(p, d)
     }
 }
 
@@ -127,6 +151,10 @@ impl CoordinateSystem for SimplifiedUtm {
         let deg = (b.x - a.x).atan2(b.y - a.y).to_degrees();
         deg.rem_euclid(360.0)
     }
+
+    fn dist_box(&self, p: Point, d: f64) -> Option<[(f64, f64); 2]> {
+        square_around(p, d)
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +199,23 @@ mod tests {
         // (r=1, θ=0°) and (r=1, θ=90°) are unit-circle points; chord √2.
         let d = Polar.distance(Point::new(1.0, 0.0), Point::new(1.0, 90.0));
         assert!(approx(d, std::f64::consts::SQRT_2));
+    }
+
+    #[test]
+    fn dist_boxes_hold_every_point_within_the_distance() {
+        let p = Point::new(12.5, -3.25);
+        for cs in [&Cartesian as &dyn CoordinateSystem, &SimplifiedUtm] {
+            let [(x0, x1), (y0, y1)] = cs.dist_box(p, 2.0).expect("a plane box");
+            for k in 0..64 {
+                let a = f64::from(k) * std::f64::consts::TAU / 64.0;
+                let b = Point::new(p.x + 2.0 * a.cos(), p.y + 2.0 * a.sin());
+                assert!(cs.distance(p, b) <= 2.0 + 1e-12);
+                assert!(x0 <= b.x && b.x <= x1 && y0 <= b.y && b.y <= y1, "{b:?}");
+            }
+        }
+        // Polar coordinates have no such box.
+        assert_eq!(Polar.dist_box(p, 2.0), None);
+        assert_eq!(Cartesian.dist_box(p, f64::INFINITY), None);
     }
 
     #[test]

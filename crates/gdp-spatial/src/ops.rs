@@ -32,6 +32,18 @@ fn patch_grid_spec() -> RangeSpec {
     }
 }
 
+/// Grid range index over the coordinates of simple `@ pt(x, y)` facts:
+/// the `(x, y)` pair inside a `sat/1` spatial qualifier of an `h/5` head,
+/// bucketed as [`patch_grid_spec`] buckets patches.
+fn point_grid_spec() -> RangeSpec {
+    let coord = |child| ArgPath::arg(1).step("sat", 1, 0).step("pt", 2, child);
+    RangeSpec::Grid {
+        x: coord(0),
+        y: coord(1),
+        cell: 4.0,
+    }
+}
+
 /// The simple spatial operator `@p` (§V.C).
 ///
 /// * `(∀P,Q,X): Q(X) ⇒ @P Q(X)` — "space-independent facts are true at
@@ -75,8 +87,10 @@ pub fn area_uniform() -> MetaModel {
         .clause(RawClause::build(
             &h(v("M"), sat(v("P")), v("T"), v("Q"), v("A")),
             &[
-                // With R still unbound, rmap_box falls back to the widest
-                // registered cell — a box around P sound for every grid.
+                // One grid at a time: each gets its own box around P, and
+                // the patch lookup keys the resolution, so no grid's
+                // patches are drawn by another grid's box.
+                goal("is_resolution", vec![v("R")]),
                 goal("rmap_box", vec![v("R"), v("P"), v("IVX"), v("IVY")]),
                 range_call(
                     h(
@@ -178,10 +192,39 @@ pub fn area_sampled() -> MetaModel {
         .doc("area-sampled operator: a patch holds a sample if any point or subpatch does")
         .table("h", 5)
         .range_index("h", 5, patch_grid_spec())
+        // The point rule looks its points up by cell.
+        .range_index("h", 5, point_grid_spec())
         .clause(RawClause::build(
             &h(v("M"), ss(v("R"), v("P0")), v("T"), v("Q"), v("A")),
             &[
-                h(v("M"), sat(v("P")), v("T"), v("Q"), v("A")),
+                // Every point P0's patch samples lies within a cell of
+                // P0. When P0's coordinates are still variables (the
+                // refinement rule's sub-call below), the box is drawn
+                // over their own bounds, so the refinement rule's box
+                // reaches this lookup too.
+                goal("rmap_box", vec![v("R"), v("P0"), v("IVX"), v("IVY")]),
+                // With a box, look up points only (rmap/3 fails on
+                // anything else), so the grid index sees the coordinates.
+                // Without one P stays open: a `pt(X, Y)` would pass
+                // `spatial_simple`'s `nonvar` guard and draw every
+                // space-independent fact of Q.
+                goal(
+                    ";",
+                    vec![
+                        Pat::app(
+                            ",",
+                            vec![
+                                goal("nonvar", vec![v("IVX")]),
+                                goal("=", vec![v("P"), pt(v("X"), v("Y"))]),
+                            ],
+                        ),
+                        goal("var", vec![v("IVX")]),
+                    ],
+                ),
+                range_call(
+                    h(v("M"), sat(v("P")), v("T"), v("Q"), v("A")),
+                    vec![rc(v("X"), v("IVX")), rc(v("Y"), v("IVY"))],
+                ),
                 goal("rmap", vec![v("R"), v("P"), v("P0")]),
             ],
         ))

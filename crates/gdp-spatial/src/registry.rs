@@ -141,19 +141,23 @@ impl SpatialRegistry {
         });
 
         // rmap_box(R, P, IVX, IVY): conservative coordinate bounds for
-        // patch representative points that could relate to ground point P
-        // under rmap/3 — P's cell widened by one full cell on each side,
-        // as closed `iv/4` intervals. Deterministic and always succeeds
-        // exactly once, so rule packs can insert it ahead of a patch
-        // lookup without changing answers: when R names a registered grid
-        // its cell size is used; when R is unbound, the widest registered
-        // cell (an over-approximation sound for every registered grid);
-        // when P is unbound or no grid is registered, IVX/IVY stay
-        // unbound and downstream `rc` constraints pass vacuously.
+        // points that relate to point P under rmap/3, either way round
+        // (patch representative points of P, or points P represents) —
+        // P's cell widened by one full cell on each side, as closed
+        // `iv/4` intervals. Deterministic and always succeeds exactly
+        // once, so rule packs can insert it ahead of a patch lookup
+        // without changing answers: when R names a registered grid its
+        // cell size is used; when R is unbound, the widest registered
+        // cell (an over-approximation sound for every registered grid).
+        // A coordinate of P that is still a variable gives the bounds
+        // `X - W` and `X + W`, which a `range_call` evaluates over that
+        // variable's own bound, so an enclosing box reaches a lookup
+        // below it. When P is no point or no grid is registered, IVX/IVY
+        // stay unbound and downstream `rc` constraints pass vacuously.
         let table = Arc::clone(&self.table);
         kb.register_native("rmap_box", 4, move |store, args| {
             let p = resolve_deep(store, &args[1]);
-            let Some(point) = Point::from_term(&p) else {
+            let Some([x, y]) = box_coords(&p) else {
                 return Ok(true);
             };
             let r = store.deref(&args[0]).clone();
@@ -172,19 +176,39 @@ impl SpatialRegistry {
             let Some((cw, ch)) = cell else {
                 return Ok(true);
             };
-            let iv = |lo: f64, hi: f64| {
-                Term::pred(
-                    "iv",
-                    vec![
-                        Term::float(lo),
-                        Term::float(hi),
-                        Term::atom("closed"),
-                        Term::atom("closed"),
-                    ],
-                )
+            let widened = |c: &Term, w: f64| match c.as_f64() {
+                Some(v) => closed_iv(Term::float(v - w), Term::float(v + w)),
+                None => closed_iv(
+                    Term::pred("-", vec![c.clone(), Term::float(w)]),
+                    Term::pred("+", vec![c.clone(), Term::float(w)]),
+                ),
             };
-            let bx = iv(point.x - 1.5 * cw, point.x + 1.5 * cw);
-            let by = iv(point.y - 1.5 * ch, point.y + 1.5 * ch);
+            let bx = widened(x, 1.5 * cw);
+            let by = widened(y, 1.5 * ch);
+            Ok(store.unify(&bx, &args[2]) && store.unify(&by, &args[3]))
+        });
+
+        // dist_box(P, E, IVX, IVY): the coordinate box, as closed `iv/4`
+        // intervals, that holds every point within distance E of ground
+        // point P under the registered coordinate system — what the
+        // compiler's pushdown of `dist(P, Q, D), D < E` wraps the lookup
+        // of Q in. Deterministic and always succeeds exactly once, like
+        // rmap_box: when P is not a ground point, E does not evaluate to a
+        // number, or the system draws no box (polar), IVX/IVY stay unbound.
+        let csys = Arc::clone(&self.csys);
+        kb.register_native("dist_box", 4, move |store, args| {
+            let p = resolve_deep(store, &args[0]);
+            let Some(point) = Point::from_term(&p) else {
+                return Ok(true);
+            };
+            let Ok(d) = gdp_engine::arith::eval(store, &args[1]) else {
+                return Ok(true);
+            };
+            let Some([(x0, x1), (y0, y1)]) = csys.read().dist_box(point, d.as_f64()) else {
+                return Ok(true);
+            };
+            let bx = closed_iv(Term::float(x0), Term::float(x1));
+            let by = closed_iv(Term::float(y0), Term::float(y1));
             Ok(store.unify(&bx, &args[2]) && store.unify(&by, &args[3]))
         });
 
@@ -295,6 +319,28 @@ impl SpatialRegistry {
             Ok(store.unify(&Term::float(d), &args[2]))
         });
     }
+}
+
+/// The closed interval `iv(Lo, Hi, closed, closed)` a `range_call`
+/// reads.
+fn closed_iv(lo: Term, hi: Term) -> Term {
+    Term::pred(
+        "iv",
+        vec![lo, hi, Term::atom("closed"), Term::atom("closed")],
+    )
+}
+
+/// The coordinates of a (resolved) `pt(X, Y)` whose coordinates are
+/// numbers or variables.
+fn box_coords(p: &Term) -> Option<[&Term; 2]> {
+    if p.functor()?.as_str() != "pt" {
+        return None;
+    }
+    let [x, y] = p.args() else {
+        return None;
+    };
+    let usable = |c: &Term| c.as_f64().is_some() || matches!(c, Term::Var(_));
+    (usable(x) && usable(y)).then_some([x, y])
 }
 
 #[cfg(test)]

@@ -68,7 +68,8 @@ use gdp_engine::{
     SOLVER_STACK,
 };
 use gdp_lang::{
-    check_depth, parse_formula, parse_program_diagnostics, LangError, Loader, Pos, Statement,
+    check_depth, first_token, parse_formula, parse_program_diagnostics, LangError, Loader, Pos,
+    Statement, Tok,
 };
 use gdp_spatial::SpatialRegistry;
 
@@ -934,6 +935,12 @@ impl Session {
 
     /// Run one block; `capped` holds a buffered block to [`MAX_TXN_BYTES`].
     fn run_block(&mut self, source: &str, capped: bool, w: &mut impl Write) -> std::io::Result<()> {
+        // Inside `:begin`, only a block that opens with `?-` (or holds no
+        // statement) can be query-only; any other is buffered as source
+        // unparsed, and `:commit` parses it once.
+        if self.txn.is_some() && !matches!(first_token(source), Ok(Tok::QueryNeck | Tok::Eof)) {
+            return self.buffer(source, capped, w);
+        }
         let (statements, errors) = parse_program_diagnostics(source);
         if errors.is_empty()
             && statements
@@ -944,26 +951,31 @@ impl Session {
             // write lock, and is untouched by concurrent commits.
             return self.queries(statements, w);
         }
-        match self.txn.as_mut() {
-            Some(txn) if capped && !txn.fits(source) => {
-                let why = format!("the :begin buffer would pass {MAX_TXN_BYTES} bytes");
-                writeln!(
-                    w,
-                    "error: transaction error: {why}; block refused, and :commit will roll back."
-                )?;
-                txn.refused.get_or_insert(why);
-                Ok(())
-            }
-            Some(txn) => {
-                txn.push(source);
-                writeln!(
-                    w,
-                    "buffered ({} block(s); :commit applies).",
-                    txn.ends.len()
-                )
-            }
+        match self.txn {
+            Some(_) => self.buffer(source, capped, w),
             None => self.commit(std::iter::once((statements, errors)), w),
         }
+    }
+
+    /// Add a block's source to the open `:begin` buffer, or refuse it when
+    /// `capped` and it would take the buffer past [`MAX_TXN_BYTES`].
+    fn buffer(&mut self, source: &str, capped: bool, w: &mut impl Write) -> std::io::Result<()> {
+        let txn = self.txn.as_mut().expect("buffering inside :begin");
+        if capped && !txn.fits(source) {
+            let why = format!("the :begin buffer would pass {MAX_TXN_BYTES} bytes");
+            writeln!(
+                w,
+                "error: transaction error: {why}; block refused, and :commit will roll back."
+            )?;
+            txn.refused.get_or_insert(why);
+            return Ok(());
+        }
+        txn.push(source);
+        writeln!(
+            w,
+            "buffered ({} block(s); :commit applies).",
+            txn.ends.len()
+        )
     }
 
     /// Answer a block's queries on the pinned snapshot, rearming the

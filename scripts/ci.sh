@@ -215,12 +215,14 @@ cargo test -q --release -p gdp --test delta_merge_prop
 echo "==> cargo test durable_codec [PROPTEST_CASES=2048]"
 env PROPTEST_CASES=2048 cargo test -q --release -p gdp --test durable_codec
 
-# Selection-oracle leg: candidate selection and answer replay walk the
-# smallest index selection and probe the others (DESIGN.md #12); their
-# positions must equal the materialise-and-intersect reference's on
-# random h/5 clause stores and calls, and the hash indexes' path keys (the
-# argument list's first and second elements) must prune only heads that
-# cannot unify with the call, so both properties get a longer run.
+# Selection-oracle leg: candidate selection and answer replay intersect
+# every applicable hash and range selection, walking the smallest and
+# probing the others (DESIGN.md #12); their positions must equal the
+# reference's, which materialises and intersects every one of them, on
+# random h/5 clause stores and calls, and the hash indexes' path keys (a
+# patch's resolution, the time qualifier, the argument list's first and
+# second elements) must prune only heads that cannot unify with the call,
+# so both properties get a longer run.
 echo "==> cargo test selection oracle [PROPTEST_CASES=2048]"
 env PROPTEST_CASES=2048 cargo test -q --release -p gdp-engine --lib -- \
     selection_matches_the_materialised_reference \

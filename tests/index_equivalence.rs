@@ -433,3 +433,87 @@ fn fingerprint_corpus(spec: &Specification) -> Vec<String> {
     }
     out
 }
+
+/// A two-grid world: `@u` land cover on a 16 × 16 fine grid, `@u` land use
+/// on the 4 × 4 coarse grid above it, a stored `@s` sample, and simple
+/// `@ pt` cities. Its spatial statements select by resolution (the patch
+/// lookups key their grid), by cell (`@s` over simple points) and by a
+/// `dist` box, and must answer as the unindexed scan does, in the same
+/// order, with tabling off and on.
+#[test]
+fn spatial_selection_matches_unindexed_on_two_grids() {
+    let mut world = String::from(
+        "#grid fine square(0, 0, 1, 16, 16).\n\
+         #grid coarse square(0, 0, 4, 4, 4).\n",
+    );
+    let covers = ["marsh", "water", "forest", "field"];
+    for j in 0..16 {
+        for i in 0..16 {
+            let cover = covers[(i * 7 + j * 3) % 4];
+            world.push_str(&format!("@u[fine] pt({i}.5, {j}.5) cover({cover}).\n"));
+        }
+    }
+    for b in 0..4 {
+        for a in 0..4 {
+            let (x, y) = (a * 4 + 2, b * 4 + 2);
+            world.push_str(&format!(
+                "@u[coarse] pt({x}.0, {y}.0) landuse(u{}).\n",
+                (a + b) % 3
+            ));
+        }
+    }
+    world.push_str("@s[coarse] pt(6.0, 10.0) city(c99).\n");
+    for c in 0..60u64 {
+        let mix = c.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+        let (x, y) = (
+            (mix % 1597) as f64 / 100.0,
+            ((mix >> 11) % 1597) as f64 / 100.0,
+        );
+        world.push_str(&format!("@ pt({x:.2}, {y:.2}) city(c{c}).\n"));
+    }
+    let statements = [
+        "?- @ pt(5.3, 9.7) cover(C).",
+        "?- @ pt(5.3, 9.7) landuse(L).",
+        "?- @u[fine] pt(5.5, 9.5) cover(C).",
+        "?- @u[fine] pt(5.5, 9.5) landuse(L).",
+        "?- @s[coarse] pt(6.0, 10.0) city(C).",
+        "?- @s[coarse] pt(R, 10.0) city(C).",
+        "?- @s[fine] pt(8.5, 3.5) city(C).",
+        "?- @s[G] pt(6.0, 10.0) city(C).",
+        "?- @ P city(c7), @ Q city(C), dist(P, Q, D), D < 4.5.",
+        "?- @ P city(c11), @ Q city(C), dist(P, Q, D), D =< 3.0.",
+        "?- @ Q city(C), dist(pt(8.0, 8.0), Q, D), 2.5 > D.",
+    ];
+    for tabled in [false, true] {
+        let mut runs = Vec::new();
+        for indexed in [true, false] {
+            let (mut spec, reg) = gdp::standard_spec().expect("standard spec");
+            spec.kb_mut().set_indexing(indexed);
+            spec.enable_tabling(tabled);
+            gdp::lang::Loader::with_spatial(&mut spec, &reg)
+                .load_str(&world)
+                .expect("the world loads");
+            if indexed {
+                spec.kb().check_index_integrity().expect("indexes exact");
+            }
+            let answers: Vec<String> = statements
+                .iter()
+                .map(|q| {
+                    let query = q.trim_start_matches("?- ").trim_end_matches('.');
+                    match gdp::lang::query(&spec, query) {
+                        Ok(answers) => format!("{q} {answers:?}"),
+                        Err(e) => format!("{q} error: {e}"),
+                    }
+                })
+                .collect();
+            runs.push(answers);
+        }
+        for (got, want) in runs[0].iter().zip(&runs[1]) {
+            assert_eq!(got, want, "indexed and unindexed differ (tabled={tabled})");
+        }
+        // The statements answer something: the shapes are live.
+        for line in &runs[0][..5] {
+            assert!(line.contains("bindings"), "{line}");
+        }
+    }
+}

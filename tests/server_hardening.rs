@@ -600,3 +600,59 @@ fn a_refusal_inside_begin_rolls_the_transaction_back() {
     assert_eq!(say(&mut session, "?- road(X)."), "no.\n");
     assert_eq!(say(&mut session, "?- note(0, _)."), "no.\n");
 }
+
+/// Inside `:begin` a block is routed by its first token: one that opens
+/// with `?-`, or holds no statement, is parsed to tell a query-only block
+/// from one to buffer; any other is buffered unparsed, and `:commit`
+/// parses it. The replies and the commit outcome are those of routing by
+/// a full parse of every block.
+#[test]
+fn blocks_inside_begin_are_routed_by_their_first_token() {
+    let state = ServerState::new().expect("state");
+    let mut session = Session::new(state, &ServeOptions::default());
+    let say = |session: &mut Session, line: &str| {
+        let mut out = Vec::new();
+        assert!(session.line(line, &mut out).expect("write"));
+        String::from_utf8(out).expect("utf-8")
+    };
+    let transaction = |session: &mut Session, with_syntax_error: bool| {
+        assert_eq!(
+            say(session, ":begin"),
+            "transaction open (:commit or :rollback).\n"
+        );
+        // A fact block is buffered.
+        assert_eq!(
+            say(session, "road(r1). bridge(b1, r1)."),
+            "buffered (1 block(s); :commit applies).\n"
+        );
+        // A query-only block runs at once, on the pinned snapshot.
+        assert_eq!(say(session, "?- road(X)."), "no.\n");
+        // A block that opens with a query and then asserts is buffered
+        // whole; its query runs at `:commit`.
+        assert_eq!(
+            say(session, "?- road(r1). road(r2)."),
+            "buffered (2 block(s); :commit applies).\n"
+        );
+        // A comment-only block holds no statement and says nothing.
+        assert_eq!(say(session, "// a comment and nothing else."), "");
+        if with_syntax_error {
+            // A block with a syntax error is buffered, and spoils the
+            // commit.
+            assert_eq!(
+                say(session, "road(r3)) ."),
+                "buffered (3 block(s); :commit applies).\n"
+            );
+        }
+        say(session, ":commit")
+    };
+    assert_eq!(
+        transaction(&mut session, true),
+        "rolled back: transaction error: parse error at 1:9: expected `.`, found `)`\n"
+    );
+    assert_eq!(say(&mut session, "?- road(X)."), "no.\n");
+    assert_eq!(
+        transaction(&mut session, false),
+        "yes.\nok (3 facts, 0 rules, 0 constraints) committed as seq 1\n"
+    );
+    assert_eq!(say(&mut session, "?- road(X)."), "X = r1\nX = r2\n");
+}
